@@ -418,7 +418,8 @@ std::vector<CellSpec> ScenarioMatrix::Cells() const {
   return cells;
 }
 
-StatusOr<CellResult> ScenarioMatrix::RunCell(const CellSpec& spec) const {
+StatusOr<CellResult> ScenarioMatrix::RunCell(
+    const CellSpec& spec, const QueryObserver& observer) const {
   const auto wall_start = std::chrono::steady_clock::now();
   LLMMS_ASSIGN_OR_RETURN(auto world, BuildCellWorld(config_, spec));
 
@@ -435,10 +436,13 @@ StatusOr<CellResult> ScenarioMatrix::RunCell(const CellSpec& spec) const {
     // its events had reported by then, and those must stay on the books for
     // the conservation invariant.
     size_t event_tokens = 0;
+    std::vector<core::OrchestratorEvent> events;
     auto run_or = orchestrator->Run(
-        item.question, [&event_tokens](const core::OrchestratorEvent& event) {
+        item.question, [&](const core::OrchestratorEvent& event) {
           event_tokens = std::max(event_tokens, event.total_tokens);
+          if (observer) events.push_back(event);
         });
+    if (observer) observer(events, run_or);
     ++result.queries;
     if (!run_or.ok()) {
       ++result.failed_queries;

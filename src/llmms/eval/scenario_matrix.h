@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -134,6 +135,13 @@ Json CellToJson(const CellResult& result);
 // trace (tests/golden/frontier_row.golden).
 std::string CellTraceLine(const CellResult& result);
 
+// Per-query hook for tests that pin a cell event by event: receives one
+// query's events in emission order, then its outcome (an error status for a
+// shed query).
+using QueryObserver =
+    std::function<void(const std::vector<core::OrchestratorEvent>& events,
+                       const StatusOr<core::OrchestrationResult>& outcome)>;
+
 class ScenarioMatrix {
  public:
   explicit ScenarioMatrix(const MatrixConfig& config);
@@ -143,8 +151,9 @@ class ScenarioMatrix {
   std::vector<CellSpec> Cells() const;
 
   // Runs one cell in a fresh world. Deterministic in (spec, config) except
-  // for CellResult::wall_seconds.
-  StatusOr<CellResult> RunCell(const CellSpec& spec) const;
+  // for CellResult::wall_seconds. `observer` (optional) sees every query.
+  StatusOr<CellResult> RunCell(const CellSpec& spec,
+                               const QueryObserver& observer = nullptr) const;
 
   // Runs every cell; `progress` (optional) is called after each.
   StatusOr<std::vector<CellResult>> Run(
