@@ -1,20 +1,10 @@
 #include "llmms/core/hybrid.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <unordered_map>
-#include <unordered_set>
+
+#include "llmms/core/query_run.h"
 
 namespace llmms::core {
-
-HybridOrchestrator::HybridOrchestrator(
-    llm::ModelRuntime* runtime, std::vector<std::string> models,
-    std::shared_ptr<const embedding::Embedder> embedder, const Config& config)
-    : runtime_(runtime),
-      models_(std::move(models)),
-      scorer_(std::move(embedder), config.weights),
-      config_(config) {}
 
 StatusOr<OrchestrationResult> HybridOrchestrator::Run(
     const std::string& prompt, const EventCallback& callback) {
@@ -25,311 +15,79 @@ StatusOr<OrchestrationResult> HybridOrchestrator::Run(
       config_.mab_chunk_tokens == 0) {
     return Status::InvalidArgument("budgets and chunk sizes must be > 0");
   }
+  QueryRun run(name(), prompt, config_, scorer_, config_.reward_feed,
+               callback);
+  LLMMS_RETURN_NOT_OK(run.Start(runtime_, models_));
 
-  llm::GenerationRequest request;
-  request.prompt = prompt;
-  request.context = config_.context;
-  request.token_budget = config_.token_budget;
-  request.scheduler_weight = config_.scheduler_weight;
-  LLMMS_ASSIGN_OR_RETURN(auto generation,
-                         runtime_->StartGeneration(models_, request));
-
-  OrchestrationResult result;
-  std::unordered_set<std::string> pruned;
-  std::unordered_set<std::string> failed;
-  std::unordered_map<std::string, std::string> failure_messages;
-  Status last_failure = Status::OK();
-  std::unordered_map<std::string, RoundScore> last_scores;
-  size_t used_tokens = 0;
-  size_t round = 0;
-  size_t stalled_rounds = 0;
-
-  auto emit = [&](EventType type, const std::string& model, double score,
-                  const std::string& text = "") {
-    OrchestratorEvent event;
-    event.type = type;
-    event.model = model;
-    event.text = text;
-    event.score = score;
-    event.round = round;
-    event.total_tokens = used_tokens;
-    internal::Emit(event, callback, &result.trace);
-  };
-
-  auto survivors = [&]() {
-    std::vector<std::string> out;
-    for (const auto& m : models_) {
-      if (pruned.count(m) == 0 && failed.count(m) == 0) out.push_back(m);
-    }
-    return out;
-  };
-
-  // A failed model is out of both phases; the shared budget flows to the
-  // survivors automatically since allocation is per pull.
-  auto quarantine = [&](const std::string& model, const Status& error) {
-    failed.insert(model);
-    failure_messages[model] = error.message();
-    last_failure = error;
-    internal::EmitFailure(model, error, round, used_tokens, callback,
-                          &result.trace);
-  };
-
-  // Models that refused to start join the run pre-failed.
-  for (const auto& m : models_) {
-    LLMMS_ASSIGN_OR_RETURN(auto stats, generation->StatsOf(m));
-    if (stats.failed) quarantine(m, Status::Internal(stats.error));
-  }
-
-  auto score_candidates = [&](const std::vector<std::string>& candidates)
-      -> Status {
-    std::vector<std::string> responses;
-    for (const auto& m : candidates) {
-      LLMMS_ASSIGN_OR_RETURN(auto text, generation->TextOf(m));
-      responses.push_back(std::move(text));
-    }
-    const auto scores = scorer_.ScoreRound(prompt, responses);
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      last_scores[candidates[i]] = scores[i];
-      emit(EventType::kScore, candidates[i], scores[i].combined);
-      internal::PublishReward(config_.reward_feed, candidates[i],
-                              scores[i].combined, round, used_tokens,
-                              callback, &result.trace);
-    }
-    return Status::OK();
-  };
-
-  // ---------------- Phase 1: OUA-style round-robin screening. ----------------
+  // ---------------- Phase 1: OUA-style round-robin screening. Every
+  // unfinished survivor draws from one shared budget, and each chunk is
+  // charged as it is reported. ----------------
+  RoundRobinPrune screen(&run);
   for (size_t screening = 0; screening < config_.screening_rounds; ++screening) {
-    if (config_.context != nullptr) {
-      LLMMS_RETURN_NOT_OK(config_.context->Check());
-    }
-    ++round;
+    LLMMS_RETURN_NOT_OK(run.Check());
+    run.NextRound();
     std::vector<std::pair<std::string, size_t>> requests;
-    for (const auto& m : survivors()) {
-      LLMMS_ASSIGN_OR_RETURN(auto stats, generation->StatsOf(m));
+    for (const auto& m : run.Survivors()) {
+      LLMMS_ASSIGN_OR_RETURN(auto stats, run.generation().StatsOf(m));
       if (stats.finished) continue;
-      const size_t remaining = config_.token_budget - used_tokens;
+      const size_t remaining = config_.token_budget - run.charged();
       if (remaining == 0) break;
       requests.emplace_back(m, std::min(config_.chunk_tokens, remaining));
     }
     if (!requests.empty()) {
-      LLMMS_ASSIGN_OR_RETURN(auto batch, generation->NextChunks(requests));
+      LLMMS_ASSIGN_OR_RETURN(auto batch,
+                             run.generation().NextChunks(requests));
       for (const auto& [model, error] : batch.errors) {
-        quarantine(model, error);
+        run.Quarantine(model, error);
       }
       size_t round_tokens = 0;
       for (const auto& [model, chunk] : batch.chunks) {
-        used_tokens += chunk.num_tokens;
+        run.Record(model, chunk);
         round_tokens += chunk.num_tokens;
-        internal::EmitHedge(model, chunk, round, used_tokens, callback,
-                            &result.trace);
-        if (chunk.num_tokens > 0 && callback) {
-          emit(EventType::kChunk, model, 0.0, chunk.text);
-        }
       }
-      if (round_tokens == 0) {
-        if (++stalled_rounds >= kMaxStalledRounds) break;
-      } else {
-        stalled_rounds = 0;
-      }
+      if (run.Stalled(round_tokens > 0)) break;
     }
 
-    const auto active = survivors();
+    const auto active = run.Survivors();
     if (active.empty()) break;  // everyone failed: handled after phase 2
-    LLMMS_RETURN_NOT_OK(score_candidates(active));
+    LLMMS_RETURN_NOT_OK(screen.Score(active).status());
     if (active.size() <= config_.min_survivors) continue;
-
-    std::string worst;
-    double worst_score = std::numeric_limits<double>::infinity();
-    double second_worst = std::numeric_limits<double>::infinity();
-    for (const auto& m : active) {
-      const double s = last_scores[m].combined;
-      if (s < worst_score) {
-        second_worst = worst_score;
-        worst_score = s;
-        worst = m;
-      } else if (s < second_worst) {
-        second_worst = s;
-      }
-    }
-    if (!worst.empty() && second_worst - worst_score > config_.prune_margin) {
-      pruned.insert(worst);
-      emit(EventType::kPrune, worst, worst_score);
-    }
+    const auto [victim, victim_score] =
+        screen.Victim(active, config_.prune_margin);
+    if (!victim.empty()) run.Prune(victim, victim_score);
   }
 
-  // ---------------- Phase 2: UCB1 allocation among the survivors. -------------
-  struct Arm {
-    double reward_sum = 0.0;
-    size_t pulls = 0;
-    // Feed-prior virtual evidence (Config::feed_prior_weight), folded into
-    // the value estimate and the UCB pull count as virtual pulls.
-    double prior_sum = 0.0;
-    double prior_weight = 0.0;
-    bool finished = false;
-    double EffectivePulls() const {
-      return static_cast<double>(pulls) + prior_weight;
-    }
-    double MeanReward() const {
-      const double effective = EffectivePulls();
-      return effective > 0.0 ? (reward_sum + prior_sum) / effective : 0.0;
-    }
-  };
-  std::unordered_map<std::string, Arm> arms;
-  const auto contenders = survivors();
-  for (const auto& m : contenders) {
-    LLMMS_ASSIGN_OR_RETURN(auto stats, generation->StatsOf(m));
-    Arm arm;
-    arm.finished = stats.finished;
-    internal::SeedArmFromFeed(config_.reward_feed, m,
-                              config_.feed_prior_weight, &arm.prior_sum,
-                              &arm.prior_weight);
-    arms[m] = arm;
-  }
-  size_t total_pulls = 0;
-
-  while (used_tokens < config_.token_budget) {
-    // Both phases stop buying tokens the moment the request dies.
-    if (config_.context != nullptr) {
-      LLMMS_RETURN_NOT_OK(config_.context->Check());
-    }
-    ++round;
-    const double gamma =
-        config_.gamma0 *
-        std::max(0.0, 1.0 - static_cast<double>(used_tokens) /
-                               static_cast<double>(config_.token_budget));
-    std::string chosen;
-    for (const auto& m : contenders) {
-      if (!arms[m].finished && arms[m].EffectivePulls() <= 0.0) {
-        chosen = m;
-        break;
-      }
-    }
-    if (chosen.empty()) {
-      double best_ucb = -std::numeric_limits<double>::infinity();
-      for (const auto& m : contenders) {
-        const Arm& arm = arms[m];
-        if (arm.finished) continue;
-        const double bonus =
-            gamma * std::sqrt(2.0 *
-                              std::log(static_cast<double>(
-                                  std::max<size_t>(total_pulls, 1))) /
-                              arm.EffectivePulls());
-        if (arm.MeanReward() + bonus > best_ucb) {
-          best_ucb = arm.MeanReward() + bonus;
-          chosen = m;
-        }
-      }
-    }
+  // ---------------- Phase 2: UCB1 allocation among the survivors, with the
+  // decaying exploration coefficient. ----------------
+  const auto contenders = run.Survivors();
+  Ucb1Allocate bandit(&run, config_.gamma0, config_.mab_chunk_tokens);
+  LLMMS_RETURN_NOT_OK(bandit.Open(contenders, config_.feed_prior_weight));
+  while (run.charged() < config_.token_budget) {
+    LLMMS_RETURN_NOT_OK(run.Check());
+    run.NextRound();
+    const std::string chosen = bandit.Pick(bandit.DecayedGamma());
     if (chosen.empty()) break;  // every survivor finished
-
-    const size_t ask = std::min(config_.mab_chunk_tokens,
-                                config_.token_budget - used_tokens);
-    auto chunk_or = generation->NextChunk(chosen, ask);
-    if (!chunk_or.ok()) {
-      quarantine(chosen, chunk_or.status());
-      arms[chosen].finished = true;
-      if (failed.size() == models_.size()) {
-        return internal::AllModelsFailed(name(), models_.size(),
-                                         last_failure);
-      }
-      continue;
-    }
-    const llm::Chunk chunk = std::move(chunk_or).value();
-    used_tokens += chunk.num_tokens;
-    internal::EmitHedge(chosen, chunk, round, used_tokens, callback,
-                        &result.trace);
-    if (chunk.num_tokens == 0 && !chunk.done) {
-      if (++stalled_rounds >= kMaxStalledRounds) break;
-    } else {
-      stalled_rounds = 0;
-    }
-    if (chunk.num_tokens > 0 && callback) {
-      emit(EventType::kChunk, chosen, 0.0, chunk.text);
-    }
-
-    LLMMS_ASSIGN_OR_RETURN(auto response, generation->TextOf(chosen));
-    std::vector<std::string> others;
-    for (const auto& m : contenders) {
-      if (m == chosen) continue;
-      LLMMS_ASSIGN_OR_RETURN(auto text, generation->TextOf(m));
-      others.push_back(std::move(text));
-    }
-    const double reward = scorer_.ScoreOne(prompt, response, others);
-    Arm& arm = arms[chosen];
-    arm.reward_sum += reward;
-    ++arm.pulls;
-    ++total_pulls;
-    if (chunk.done) arm.finished = true;
-    emit(EventType::kScore, chosen, reward);
-    internal::PublishReward(config_.reward_feed, chosen, reward, round,
-                            used_tokens, callback, &result.trace);
+    LLMMS_ASSIGN_OR_RETURN(const auto pull, bandit.PullArm(chosen));
+    if (pull == Ucb1Allocate::Pull::kStalled) break;
   }
 
-  // ---------------- Final selection. Failed models never win; a fully
-  // failed pool is a typed error. ----------------
-  if (failed.size() == models_.size()) {
-    return internal::AllModelsFailed(name(), models_.size(), last_failure);
-  }
-  std::string winner;
-  double best = -std::numeric_limits<double>::infinity();
-  for (const auto& m : contenders) {
-    if (failed.count(m) > 0) continue;
-    // Mean reward when the arm was pulled in phase 2; phase-1 score as the
-    // fallback for arms that finished during screening.
-    const double value = arms[m].pulls > 0 ? arms[m].MeanReward()
-                                           : last_scores[m].combined;
-    if (value > best) {
-      best = value;
-      winner = m;
-    }
-  }
-  if (winner.empty()) {
-    // Every contender failed mid-phase-2: fall back to any healthy model
-    // (possibly one pruned during screening).
-    for (const auto& m : models_) {
-      if (failed.count(m) == 0) {
-        winner = m;
-        break;
-      }
-    }
-  }
-
-  // Final per-model scores for reporting.
-  std::vector<std::string> final_responses;
-  for (const auto& m : models_) {
-    LLMMS_ASSIGN_OR_RETURN(auto text, generation->TextOf(m));
-    final_responses.push_back(std::move(text));
-  }
-  const auto final_scores = scorer_.ScoreRound(prompt, final_responses);
-
-  result.best_model = winner;
-  LLMMS_ASSIGN_OR_RETURN(result.answer, generation->TextOf(winner));
-  result.total_tokens = generation->TotalTokens();
-  result.rounds = round;
-  result.simulated_seconds = generation->SimulatedWallSeconds();
-  for (size_t i = 0; i < models_.size(); ++i) {
-    const auto& m = models_[i];
-    ModelOutcome outcome;
-    outcome.response = final_responses[i];
-    LLMMS_ASSIGN_OR_RETURN(auto stats, generation->StatsOf(m));
-    outcome.tokens = stats.tokens;
-    outcome.finished = stats.finished;
-    outcome.stop_reason = stats.stop_reason;
-    outcome.pruned = pruned.count(m) > 0;
-    outcome.failed = failed.count(m) > 0;
-    auto fail_it = failure_messages.find(m);
-    if (fail_it != failure_messages.end()) outcome.error = fail_it->second;
-    outcome.final_score = arms.count(m) > 0 && arms[m].pulls > 0
-                              ? arms[m].MeanReward()
-                              : last_scores[m].combined;
-    outcome.query_similarity = final_scores[i].query_similarity;
-    outcome.inter_similarity = final_scores[i].inter_similarity;
-    result.per_model[m] = std::move(outcome);
-  }
-  result.answer_tokens = result.per_model[winner].tokens;
-  emit(EventType::kFinal, winner, best, result.answer);
-  return result;
+  // ---------------- Final selection: the mean reward of arms pulled in
+  // phase 2, the phase-1 score of arms that finished during screening.
+  // Failed models never win; a fully failed pool is a typed error. ---------
+  if (run.all_failed()) return run.AllModelsFailed(run.last_failure());
+  auto value = [&](const std::string& m) {
+    const Arm& arm = bandit.arm(m);
+    if (arm.pulls > 0) return arm.MeanReward();
+    const RoundScore* last = screen.last(m);
+    return last != nullptr ? last->combined : 0.0;
+  };
+  const auto [winner, best] = run.PickWinner(contenders, value);
+  LLMMS_ASSIGN_OR_RETURN(const auto final_scores, run.ScoreAll());
+  return run.Finish(winner, best, [&](size_t i) {
+    RoundScore score = final_scores[i];
+    score.combined = value(models_[i]);
+    return score;
+  });
 }
 
 }  // namespace llmms::core

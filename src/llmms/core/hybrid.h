@@ -1,14 +1,10 @@
 #ifndef LLMMS_CORE_HYBRID_H_
 #define LLMMS_CORE_HYBRID_H_
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "llmms/core/orchestrator.h"
 #include "llmms/core/reward_feed.h"
-#include "llmms/core/scoring.h"
-#include "llmms/llm/runtime.h"
 
 namespace llmms::core {
 
@@ -25,52 +21,32 @@ namespace llmms::core {
 //
 // The answer is the survivor with the highest mean reward. Compared in
 // bench/ablation_hybrid against its two parents.
-class HybridOrchestrator final : public Orchestrator {
+struct HybridConfig : QueryConfig {
+  size_t chunk_tokens = 8;       // phase-1 round-robin chunk
+  size_t screening_rounds = 3;   // phase-1 length
+  double prune_margin = 0.02;    // phase-1 pruning threshold
+  size_t min_survivors = 2;      // phase 1 never prunes below this
+  size_t mab_chunk_tokens = 16;  // phase-2 pull size
+  double gamma0 = 0.3;           // phase-2 exploration coefficient
+  // When set, both phases publish their reward observations so adaptive
+  // hedged models can move their thresholds (DESIGN.md §11). Must outlive
+  // the orchestrator; null disables the feedback loop.
+  RewardFeed* reward_feed = nullptr;
+  // Feed-prior re-ranking for phase 2 (DESIGN.md §16): when > 0 and
+  // `reward_feed` is set, each surviving arm starts with the feed's
+  // current estimate as up to this many virtual pulls (capped by the
+  // estimate's retained weight) and skips the guaranteed cold-start
+  // pull. 0 preserves the per-query cold start exactly (the default).
+  double feed_prior_weight = 0.0;
+};
+
+class HybridOrchestrator final : public PoolOrchestrator<HybridConfig> {
  public:
-  struct Config {
-    ScoringWeights weights;
-    size_t token_budget = 2048;
-    size_t chunk_tokens = 8;       // phase-1 round-robin chunk
-    size_t screening_rounds = 3;   // phase-1 length
-    double prune_margin = 0.02;    // phase-1 pruning threshold
-    size_t min_survivors = 2;      // phase 1 never prunes below this
-    size_t mab_chunk_tokens = 16;  // phase-2 pull size
-    double gamma0 = 0.3;           // phase-2 exploration coefficient
-    // When set, both phases publish their reward observations so adaptive
-    // hedged models can move their thresholds (DESIGN.md §11). Must outlive
-    // the orchestrator; null disables the feedback loop.
-    RewardFeed* reward_feed = nullptr;
-    // Feed-prior re-ranking for phase 2 (DESIGN.md §16): when > 0 and
-    // `reward_feed` is set, each surviving arm starts with the feed's
-    // current estimate as up to this many virtual pulls (capped by the
-    // estimate's retained weight) and skips the guaranteed cold-start
-    // pull. 0 preserves the per-query cold start exactly (the default).
-    double feed_prior_weight = 0.0;
-    // Deadline/cancellation of the request driving this run (null =
-    // unbounded); checked at both phases' loop boundaries (DESIGN.md §12).
-    std::shared_ptr<RequestContext> context;
-    // Explicit continuous-batching weight (DESIGN.md §13); <= 0 derives it
-    // from token_budget and deadline slack. Ignored without a scheduler.
-    double scheduler_weight = 0.0;
-  };
-
-  HybridOrchestrator(llm::ModelRuntime* runtime,
-                     std::vector<std::string> models,
-                     std::shared_ptr<const embedding::Embedder> embedder,
-                     const Config& config);
-
+  using PoolOrchestrator::PoolOrchestrator;
+  using Orchestrator::Run;
   StatusOr<OrchestrationResult> Run(const std::string& prompt,
                                     const EventCallback& callback) override;
-  using Orchestrator::Run;
-
   std::string name() const override { return "llm-ms-hybrid"; }
-  const Config& config() const { return config_; }
-
- private:
-  llm::ModelRuntime* runtime_;
-  std::vector<std::string> models_;
-  ResponseScorer scorer_;
-  Config config_;
 };
 
 }  // namespace llmms::core

@@ -1,45 +1,10 @@
 #include "llmms/core/mab.h"
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
-#include <unordered_map>
+
+#include "llmms/core/query_run.h"
 
 namespace llmms::core {
-namespace {
-
-struct Arm {
-  double reward_sum = 0.0;
-  size_t pulls = 0;
-  // Feed-prior virtual evidence (Config::feed_prior_weight): folded into
-  // the value estimate and the UCB pull count as virtual pulls.
-  double prior_sum = 0.0;
-  double prior_weight = 0.0;
-  double last_reward = 0.0;
-  RoundScore last_round;
-  bool finished = false;
-  bool failed = false;  // stream errored; the arm is out of the tournament
-  std::string error;
-  llm::StopReason stop_reason = llm::StopReason::kLength;
-
-  double EffectivePulls() const {
-    return static_cast<double>(pulls) + prior_weight;
-  }
-  double MeanReward() const {
-    const double effective = EffectivePulls();
-    return effective > 0.0 ? (reward_sum + prior_sum) / effective : 0.0;
-  }
-};
-
-}  // namespace
-
-MabOrchestrator::MabOrchestrator(
-    llm::ModelRuntime* runtime, std::vector<std::string> models,
-    std::shared_ptr<const embedding::Embedder> embedder, const Config& config)
-    : runtime_(runtime),
-      models_(std::move(models)),
-      scorer_(std::move(embedder), config.weights),
-      config_(config) {}
 
 StatusOr<OrchestrationResult> MabOrchestrator::Run(
     const std::string& prompt, const EventCallback& callback) {
@@ -49,277 +14,50 @@ StatusOr<OrchestrationResult> MabOrchestrator::Run(
   if (config_.token_budget == 0 || config_.chunk_tokens == 0) {
     return Status::InvalidArgument("token_budget and chunk_tokens must be > 0");
   }
-
-  llm::GenerationRequest request;
-  request.prompt = prompt;
-  request.max_tokens = 0;
-  request.context = config_.context;
-  request.token_budget = config_.token_budget;
-  request.scheduler_weight = config_.scheduler_weight;
-  LLMMS_ASSIGN_OR_RETURN(auto generation,
-                         runtime_->StartGeneration(models_, request));
-
-  OrchestrationResult result;
-  std::unordered_map<std::string, Arm> arms;
-  for (const auto& m : models_) {
-    Arm arm;
-    internal::SeedArmFromFeed(config_.reward_feed, m,
-                              config_.feed_prior_weight, &arm.prior_sum,
-                              &arm.prior_weight);
-    arms[m] = arm;
-  }
-
-  size_t used_tokens = 0;
-  size_t total_pulls = 0;
-  size_t round = 0;
-  size_t failed_arms = 0;
-  Status last_failure = Status::OK();
-  size_t stalled_pulls = 0;
-
-  // A failed arm leaves the tournament; the shared budget it can no longer
-  // draw from flows to the surviving arms automatically.
-  auto quarantine = [&](const std::string& model, const Status& error) {
-    Arm& arm = arms[model];
-    arm.failed = true;
-    arm.finished = true;
-    arm.error = error.message();
-    ++failed_arms;
-    last_failure = error;
-    internal::EmitFailure(model, error, round, used_tokens, callback,
-                          &result.trace);
+  QueryRun run(name(), prompt, config_, scorer_, config_.reward_feed,
+               callback);
+  LLMMS_RETURN_NOT_OK(run.Start(runtime_, models_));
+  Ucb1Allocate bandit(&run, config_.gamma0, config_.chunk_tokens);
+  LLMMS_RETURN_NOT_OK(bandit.Open(models_, config_.feed_prior_weight));
+  auto gamma = [&]() {
+    return config_.decay_gamma ? bandit.DecayedGamma() : config_.gamma0;
   };
 
-  // Models that refused to start join the run pre-failed.
-  for (const auto& m : models_) {
-    LLMMS_ASSIGN_OR_RETURN(auto stats, generation->StatsOf(m));
-    if (stats.failed) quarantine(m, Status::Internal(stats.error));
-  }
-
-  auto gamma_now = [&]() {
-    if (!config_.decay_gamma) return config_.gamma0;
-    const double remaining_fraction =
-        1.0 - static_cast<double>(used_tokens) /
-                  static_cast<double>(config_.token_budget);
-    return config_.gamma0 * std::max(0.0, remaining_fraction);
-  };
-
-  while (used_tokens < config_.token_budget) {
-    // An expired or cancelled request ends the tournament with the typed
-    // status before any more pulls are bought on its behalf.
-    if (config_.context != nullptr) {
-      LLMMS_RETURN_NOT_OK(config_.context->Check());
-    }
-    ++round;
-    const double gamma = gamma_now();
-
-    // --- Arm selection (Algorithm 2 lines 3-6): unpulled live arms first
-    // (UCB1 cold start), then the highest upper confidence bound. An arm
-    // seeded with a feed prior is not "unpulled" — the session has already
-    // paid for its evidence, so it competes on UCB immediately instead of
-    // collecting a guaranteed exploration chunk every query. ---
-    std::string chosen;
-    for (const auto& m : models_) {
-      if (!arms[m].finished && arms[m].EffectivePulls() <= 0.0) {
-        chosen = m;
-        break;
-      }
-    }
-    if (chosen.empty()) {
-      double best_ucb = -std::numeric_limits<double>::infinity();
-      for (const auto& m : models_) {
-        const Arm& arm = arms[m];
-        if (arm.finished) continue;
-        const double bonus =
-            gamma * std::sqrt(2.0 *
-                              std::log(static_cast<double>(
-                                  std::max<size_t>(total_pulls, 1))) /
-                              arm.EffectivePulls());
-        const double ucb = arm.MeanReward() + bonus;
-        if (ucb > best_ucb) {
-          best_ucb = ucb;
-          chosen = m;
-        }
-      }
-    }
+  while (run.charged() < config_.token_budget) {
+    LLMMS_RETURN_NOT_OK(run.Check());
+    run.NextRound();
+    // --- Arm selection, pull and reward (Algorithm 2 lines 3-10). ---
+    const std::string chosen = bandit.Pick(gamma());
     if (chosen.empty()) break;  // every arm finished
-
-    // --- Pull: generate the next token chunk (line 7). A failing pull
-    // quarantines the arm and the tournament continues with the rest. ---
-    const size_t ask =
-        std::min(config_.chunk_tokens, config_.token_budget - used_tokens);
-    auto chunk_or = generation->NextChunk(chosen, ask);
-    if (!chunk_or.ok()) {
-      quarantine(chosen, chunk_or.status());
-      if (failed_arms == models_.size()) {
-        return internal::AllModelsFailed(name(), models_.size(),
-                                         last_failure);
-      }
-      continue;
-    }
-    const llm::Chunk chunk = std::move(chunk_or).value();
-    used_tokens += chunk.num_tokens;
-    internal::EmitHedge(chosen, chunk, round, used_tokens, callback,
-                        &result.trace);
-    if (chunk.num_tokens == 0 && !chunk.done) {
-      // Anti-hang guard against a pool of stalled backends.
-      if (++stalled_pulls >= kMaxStalledRounds) break;
-    } else {
-      stalled_pulls = 0;
-    }
-    if (chunk.num_tokens > 0 && callback) {
-      OrchestratorEvent event;
-      event.type = EventType::kChunk;
-      event.model = chosen;
-      event.text = chunk.text;
-      event.round = round;
-      event.total_tokens = used_tokens;
-      internal::Emit(event, callback, &result.trace);
-    }
-
-    // --- Reward (lines 8-10): score the arm's accumulated response against
-    // the query and the other arms' current responses. ---
-    LLMMS_ASSIGN_OR_RETURN(auto response, generation->TextOf(chosen));
-    std::vector<std::string> others;
-    for (const auto& m : models_) {
-      if (m == chosen) continue;
-      LLMMS_ASSIGN_OR_RETURN(auto text, generation->TextOf(m));
-      others.push_back(std::move(text));
-    }
-    const double reward = scorer_.ScoreOne(prompt, response, others);
-
-    Arm& arm = arms[chosen];
-    arm.reward_sum += reward;
-    arm.last_reward = reward;
-    ++arm.pulls;
-    ++total_pulls;
-    if (chunk.done) {
-      arm.finished = true;
-      arm.stop_reason = chunk.stop_reason;
-    }
-    {
-      OrchestratorEvent event;
-      event.type = EventType::kScore;
-      event.model = chosen;
-      event.score = reward;
-      event.round = round;
-      event.total_tokens = used_tokens;
-      internal::Emit(event, callback, &result.trace);
-    }
-    internal::PublishReward(config_.reward_feed, chosen, reward, round,
-                            used_tokens, callback, &result.trace);
-
-    // --- Termination (lines 12-14): stop early when a finished arm's mean
-    // reward dominates the optimistic bound of every live arm. ---
-    std::string best_finished;
-    double best_finished_mean = -std::numeric_limits<double>::infinity();
-    for (const auto& m : models_) {
-      const Arm& a = arms[m];
-      if (a.finished && a.pulls > 0 &&
-          a.stop_reason == llm::StopReason::kStop &&
-          a.MeanReward() > best_finished_mean) {
-        best_finished_mean = a.MeanReward();
-        best_finished = m;
-      }
-    }
-    if (!best_finished.empty()) {
-      bool dominated = true;
-      for (const auto& m : models_) {
-        const Arm& a = arms[m];
-        if (a.finished) continue;
-        if (a.EffectivePulls() <= 0.0) {
-          dominated = false;
-          break;
-        }
-        const double bonus =
-            gamma_now() *
-            std::sqrt(2.0 *
-                      std::log(static_cast<double>(
-                          std::max<size_t>(total_pulls, 1))) /
-                      a.EffectivePulls());
-        if (a.MeanReward() + bonus >= best_finished_mean) {
-          dominated = false;
-          break;
-        }
-      }
-      if (dominated) {
-        result.early_stopped = true;
-        OrchestratorEvent event;
-        event.type = EventType::kEarlyStop;
-        event.model = best_finished;
-        event.score = best_finished_mean;
-        event.round = round;
-        event.total_tokens = used_tokens;
-        internal::Emit(event, callback, &result.trace);
-        break;
-      }
+    LLMMS_ASSIGN_OR_RETURN(const auto pull, bandit.PullArm(chosen));
+    if (pull == Ucb1Allocate::Pull::kStalled) break;
+    if (pull == Ucb1Allocate::Pull::kFailed) continue;
+    // --- Termination (lines 12-14). ---
+    const auto [dominant, mean] = bandit.Dominant(gamma());
+    if (!dominant.empty()) {
+      run.EarlyStop(dominant, mean);
+      break;
     }
   }
 
-  // --- Final selection (line 16): the arm with the highest reward, i.e.
-  // the highest mean reward across its pulls — the bandit's estimate of the
-  // arm's value, averaged over many partial-response observations. Failed
-  // arms never win; a fully failed pool is a typed error. ---
-  if (failed_arms == models_.size()) {
-    return internal::AllModelsFailed(name(), models_.size(), last_failure);
-  }
-  std::vector<std::string> final_responses;
-  for (const auto& m : models_) {
-    LLMMS_ASSIGN_OR_RETURN(auto text, generation->TextOf(m));
-    final_responses.push_back(std::move(text));
-  }
-  const auto final_scores = scorer_.ScoreRound(prompt, final_responses);
-
-  std::string winner;
-  double best_reward = -std::numeric_limits<double>::infinity();
-  for (const auto& m : models_) {
-    const Arm& arm = arms[m];
-    if (arm.failed || arm.pulls == 0) continue;
-    if (arm.MeanReward() > best_reward) {
-      best_reward = arm.MeanReward();
-      winner = m;
-    }
-  }
-  if (winner.empty()) {
-    for (const auto& m : models_) {
-      if (!arms[m].failed) {
-        winner = m;
-        break;
-      }
-    }
-  }
-
-  result.best_model = winner;
-  LLMMS_ASSIGN_OR_RETURN(result.answer, generation->TextOf(winner));
-  result.total_tokens = generation->TotalTokens();
-  result.rounds = round;
-  result.simulated_seconds = generation->SimulatedWallSeconds();
-
-  for (size_t i = 0; i < models_.size(); ++i) {
-    const auto& m = models_[i];
-    ModelOutcome outcome;
-    outcome.response = final_responses[i];
-    LLMMS_ASSIGN_OR_RETURN(auto stats, generation->StatsOf(m));
-    outcome.tokens = stats.tokens;
-    outcome.finished = stats.finished;
-    outcome.stop_reason = stats.stop_reason;
-    outcome.failed = arms[m].failed;
-    outcome.error = arms[m].error;
-    outcome.final_score = arms[m].MeanReward();
-    outcome.query_similarity = final_scores[i].query_similarity;
-    outcome.inter_similarity = final_scores[i].inter_similarity;
-    result.per_model[m] = std::move(outcome);
-  }
-  result.answer_tokens = result.per_model[winner].tokens;
-
-  OrchestratorEvent event;
-  event.type = EventType::kFinal;
-  event.model = winner;
-  event.text = result.answer;
-  event.score = best_reward;
-  event.round = round;
-  event.total_tokens = result.total_tokens;
-  internal::Emit(event, callback, &result.trace);
-  return result;
+  // --- Final selection (line 16): the highest mean reward across the arm's
+  // pulls — the bandit's value estimate, averaged over many partial-response
+  // observations. Failed arms never win; a fully failed pool is a typed
+  // error. ---
+  if (run.all_failed()) return run.AllModelsFailed(run.last_failure());
+  LLMMS_ASSIGN_OR_RETURN(const auto final_scores, run.ScoreAll());
+  const auto [winner, best] =
+      run.PickWinner(models_, [&bandit](const std::string& m) {
+        const Arm& arm = bandit.arm(m);
+        return arm.pulls > 0 ? arm.MeanReward()
+                             : -std::numeric_limits<double>::infinity();
+      });
+  return run.Finish(winner, best, [&](size_t i) {
+    RoundScore score = final_scores[i];
+    // A never-pulled arm reports its prior mean.
+    score.combined = bandit.arm(models_[i]).MeanReward();
+    return score;
+  });
 }
 
 }  // namespace llmms::core

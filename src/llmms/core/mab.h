@@ -1,14 +1,10 @@
 #ifndef LLMMS_CORE_MAB_H_
 #define LLMMS_CORE_MAB_H_
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "llmms/core/orchestrator.h"
 #include "llmms/core/reward_feed.h"
-#include "llmms/core/scoring.h"
-#include "llmms/llm/runtime.h"
 
 namespace llmms::core {
 
@@ -27,52 +23,33 @@ namespace llmms::core {
 // The answer is the response of the arm with the highest mean reward across
 // its pulls (the bandit's value estimate, averaged over many
 // partial-response observations).
-class MabOrchestrator final : public Orchestrator {
+struct MabConfig : QueryConfig {
+  size_t chunk_tokens = 16;    // tokens per pull
+  double gamma0 = 0.3;         // initial exploration coefficient
+  bool decay_gamma = true;     // gamma = gamma0*(1 - used/budget)
+  // When set, every pull reward is published so adaptive hedged models
+  // can move their thresholds (DESIGN.md §11). Must outlive the
+  // orchestrator; null disables the feedback loop.
+  RewardFeed* reward_feed = nullptr;
+  // Feed-prior re-ranking (DESIGN.md §16): when > 0 and `reward_feed` is
+  // set, each arm starts with the feed's current estimate for its model
+  // as `feed_prior_weight` virtual pulls (capped by the estimate's own
+  // retained weight, so a barely observed model gets a barely weighted
+  // prior). Arms carrying a prior skip the guaranteed cold-start pull —
+  // across a session the bandit stops spending a free exploration chunk
+  // per query on models the pool already knows are bad, which is where
+  // the reward/token win comes from. 0 preserves the per-query cold
+  // start exactly (the default).
+  double feed_prior_weight = 0.0;
+};
+
+class MabOrchestrator final : public PoolOrchestrator<MabConfig> {
  public:
-  struct Config {
-    ScoringWeights weights;      // alpha=0.7, beta=0.3
-    size_t token_budget = 2048;  // lambda_max
-    size_t chunk_tokens = 16;    // tokens per pull
-    double gamma0 = 0.3;         // initial exploration coefficient
-    bool decay_gamma = true;     // gamma = gamma0*(1 - used/budget)
-    // When set, every pull reward is published so adaptive hedged models
-    // can move their thresholds (DESIGN.md §11). Must outlive the
-    // orchestrator; null disables the feedback loop.
-    RewardFeed* reward_feed = nullptr;
-    // Feed-prior re-ranking (DESIGN.md §16): when > 0 and `reward_feed` is
-    // set, each arm starts with the feed's current estimate for its model
-    // as `feed_prior_weight` virtual pulls (capped by the estimate's own
-    // retained weight, so a barely observed model gets a barely weighted
-    // prior). Arms carrying a prior skip the guaranteed cold-start pull —
-    // across a session the bandit stops spending a free exploration chunk
-    // per query on models the pool already knows are bad, which is where
-    // the reward/token win comes from. 0 preserves the per-query cold
-    // start exactly (the default).
-    double feed_prior_weight = 0.0;
-    // Deadline/cancellation of the request driving this run (null =
-    // unbounded); checked at every pull boundary (DESIGN.md §12).
-    std::shared_ptr<RequestContext> context;
-    // Explicit continuous-batching weight (DESIGN.md §13); <= 0 derives it
-    // from token_budget and deadline slack. Ignored without a scheduler.
-    double scheduler_weight = 0.0;
-  };
-
-  MabOrchestrator(llm::ModelRuntime* runtime, std::vector<std::string> models,
-                  std::shared_ptr<const embedding::Embedder> embedder,
-                  const Config& config);
-
+  using PoolOrchestrator::PoolOrchestrator;
+  using Orchestrator::Run;
   StatusOr<OrchestrationResult> Run(const std::string& prompt,
                                     const EventCallback& callback) override;
-  using Orchestrator::Run;
-
   std::string name() const override { return "llm-ms-mab"; }
-  const Config& config() const { return config_; }
-
- private:
-  llm::ModelRuntime* runtime_;
-  std::vector<std::string> models_;
-  ResponseScorer scorer_;
-  Config config_;
 };
 
 }  // namespace llmms::core

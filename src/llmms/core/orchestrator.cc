@@ -40,45 +40,5 @@ void Emit(const OrchestratorEvent& event, const EventCallback& callback,
   }
 }
 
-void EmitFailure(const std::string& model, const Status& error, size_t round,
-                 size_t total_tokens, const EventCallback& callback,
-                 std::vector<TraceEntry>* trace) {
-  OrchestratorEvent event;
-  event.type = EventType::kFailure;
-  event.model = model;
-  event.text = error.message();
-  event.round = round;
-  event.total_tokens = total_tokens;
-  Emit(event, callback, trace);
-}
-
-void EmitHedge(const std::string& model, const llm::Chunk& chunk,
-               size_t round, size_t total_tokens,
-               const EventCallback& callback,
-               std::vector<TraceEntry>* trace) {
-  if (chunk.hedge == llm::HedgeOutcome::kNone) return;
-  OrchestratorEvent event;
-  event.type = EventType::kHedge;
-  event.model = model;
-  event.text = llm::HedgeOutcomeToString(chunk.hedge);
-  event.round = round;
-  event.total_tokens = total_tokens;
-  Emit(event, callback, trace);
-}
-
-Status AllModelsFailed(const std::string& orchestrator, size_t pool_size,
-                       const Status& last_error) {
-  // A pool that "failed" because the request's deadline expired (or the
-  // client went away) is not an internal fault: keep the typed code so the
-  // HTTP layer can answer 504 instead of 500.
-  const StatusCode code =
-      last_error.IsDeadlineExceeded() || last_error.IsCancelled()
-          ? last_error.code()
-          : StatusCode::kInternal;
-  return Status(code, orchestrator + ": all " + std::to_string(pool_size) +
-                          " models failed; last error: " +
-                          last_error.ToString());
-}
-
 }  // namespace internal
 }  // namespace llmms::core

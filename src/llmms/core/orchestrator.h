@@ -53,7 +53,9 @@ inline constexpr size_t kMaxStalledRounds = 32;
 struct TraceEntry {
   size_t round = 0;
   std::string model;
-  std::string action;  // "chunk", "score", "prune", "early-stop", "final"
+  // EventTypeToString of the event: "score", "prune", "early-stop",
+  // "failure", "hedge", "hedge-adapt" or "final" (chunks are not traced).
+  std::string action;
   std::string detail;
   double score = 0.0;
 };
@@ -88,8 +90,25 @@ struct OrchestrationResult {
   std::vector<TraceEntry> trace;
 };
 
+// The fields every orchestrator's Config shares.
+struct QueryConfig {
+  ScoringWeights weights;      // alpha=0.7, beta=0.3 (Eq. 6.1)
+  size_t token_budget = 2048;  // lambda_max (§6.3)
+  // Deadline/cancellation of the request driving this run (null =
+  // unbounded). Checked at every round or pull boundary and by the runtime
+  // before every chunk; an expired or cancelled request unwinds with the
+  // typed DeadlineExceeded / Cancelled status (DESIGN.md §12).
+  std::shared_ptr<RequestContext> context;
+  // Explicit continuous-batching weight for this query's streams
+  // (DESIGN.md §13); <= 0 lets the scheduler derive it from token_budget
+  // and deadline slack. Ignored when the runtime has no BatchScheduler.
+  double scheduler_weight = 0.0;
+};
+
 // A model-selection / token-allocation strategy over a pool of models.
-// Implementations: OuaOrchestrator, MabOrchestrator, SingleModelOrchestrator.
+// Implementations: OuaOrchestrator, MabOrchestrator, HybridOrchestrator,
+// SingleModelOrchestrator — all running on the QueryRun round engine
+// (core/query_run.h).
 class Orchestrator {
  public:
   virtual ~Orchestrator() = default;
@@ -106,33 +125,37 @@ class Orchestrator {
   virtual std::string name() const = 0;
 };
 
+// What every orchestrator holds: the runtime, the pool, a scorer with the
+// config's weights, and the config.
+template <typename ConfigT>
+class PoolOrchestrator : public Orchestrator {
+ public:
+  using Config = ConfigT;
+
+  // `runtime` must outlive the orchestrator; `models` must all be loaded.
+  PoolOrchestrator(llm::ModelRuntime* runtime, std::vector<std::string> models,
+                   std::shared_ptr<const embedding::Embedder> embedder,
+                   const Config& config)
+      : runtime_(runtime),
+        models_(std::move(models)),
+        scorer_(std::move(embedder), config.weights),
+        config_(config) {}
+
+  const Config& config() const { return config_; }
+
+ protected:
+  llm::ModelRuntime* runtime_;
+  std::vector<std::string> models_;
+  ResponseScorer scorer_;
+  Config config_;
+};
+
 namespace internal {
 
 // Shared helper: emit an event to the callback (if any) and mirror it into
 // the trace.
 void Emit(const OrchestratorEvent& event, const EventCallback& callback,
           std::vector<TraceEntry>* trace);
-
-// Emits the kFailure event recording a model's quarantine; the trace entry
-// carries the stream error as its detail.
-void EmitFailure(const std::string& model, const Status& error, size_t round,
-                 size_t total_tokens, const EventCallback& callback,
-                 std::vector<TraceEntry>* trace);
-
-// Emits the kHedge event for a chunk whose Chunk::hedge says a hedge race
-// or failover fired while it was in flight; the trace detail carries the
-// outcome ("primary-won", "backup-won", "failover"). No-op for plain
-// chunks.
-void EmitHedge(const std::string& model, const llm::Chunk& chunk,
-               size_t round, size_t total_tokens,
-               const EventCallback& callback,
-               std::vector<TraceEntry>* trace);
-
-// The typed terminal error for a query where every pool model failed. Keeps
-// the last stream error for diagnosis; orchestrators return it instead of
-// fabricating an answer from a failed model.
-Status AllModelsFailed(const std::string& orchestrator, size_t pool_size,
-                       const Status& last_error);
 
 }  // namespace internal
 }  // namespace llmms::core

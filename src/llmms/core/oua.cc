@@ -3,17 +3,10 @@
 #include <algorithm>
 #include <limits>
 #include <unordered_map>
-#include <unordered_set>
+
+#include "llmms/core/query_run.h"
 
 namespace llmms::core {
-
-OuaOrchestrator::OuaOrchestrator(
-    llm::ModelRuntime* runtime, std::vector<std::string> models,
-    std::shared_ptr<const embedding::Embedder> embedder, const Config& config)
-    : runtime_(runtime),
-      models_(std::move(models)),
-      scorer_(std::move(embedder), config.weights),
-      config_(config) {}
 
 StatusOr<OrchestrationResult> OuaOrchestrator::Run(
     const std::string& prompt, const EventCallback& callback) {
@@ -23,42 +16,23 @@ StatusOr<OrchestrationResult> OuaOrchestrator::Run(
   if (config_.token_budget == 0) {
     return Status::InvalidArgument("token_budget must be positive");
   }
+  QueryRun run(name(), prompt, config_, scorer_, config_.reward_feed,
+               callback);
+  LLMMS_RETURN_NOT_OK(run.Start(runtime_, models_));
+  RoundRobinPrune screen(&run);
 
-  llm::GenerationRequest request;
-  request.prompt = prompt;
-  request.max_tokens = 0;  // the orchestrator enforces budgets itself
-  request.context = config_.context;
-  request.token_budget = config_.token_budget;
-  request.scheduler_weight = config_.scheduler_weight;
-  LLMMS_ASSIGN_OR_RETURN(auto generation,
-                         runtime_->StartGeneration(models_, request));
-
-  OrchestrationResult result;
-  const size_t n = models_.size();
+  // Each model draws from its own allowance, lambda = lambda_max / N.
+  // `active`: still generating; finished models stay candidates to win.
   std::unordered_map<std::string, size_t> allowance;
   std::unordered_map<std::string, size_t> spent;
   for (const auto& m : models_) {
-    allowance[m] = config_.token_budget / n;  // lambda = lambda_max / N
-    spent[m] = 0;
+    allowance[m] = config_.token_budget / models_.size();
   }
-
-  // `active`: still generating. `candidates`: eligible to win (everything
-  // not pruned or failed, including models that finished naturally).
   std::vector<std::string> active = models_;
-  std::unordered_set<std::string> pruned;
-  std::unordered_set<std::string> failed;
-  std::unordered_map<std::string, Status> failure_reasons;
-  std::unordered_map<std::string, RoundScore> last_scores;
 
-  size_t round = 0;
-  std::string early_winner;
-
-  // Quarantine: mark the model failed, record the failure, drop it from the
-  // active set, and hand its unspent allowance to the survivors (the same
-  // reallocation pruning performs — a dead model must not strand budget).
-  auto quarantine = [&](const std::string& model, const Status& error) {
-    failed.insert(model);
-    failure_reasons[model] = error;
+  // A pruned or failed model leaves the active set and hands its unspent
+  // allowance to the survivors — a model that is out must not strand budget.
+  auto retire = [&](const std::string& model) {
     const size_t leftover =
         allowance[model] > spent[model] ? allowance[model] - spent[model] : 0;
     active.erase(std::remove(active.begin(), active.end(), model),
@@ -67,27 +41,19 @@ StatusOr<OrchestrationResult> OuaOrchestrator::Run(
       const size_t share = leftover / active.size();
       for (const auto& m : active) allowance[m] += share;
     }
-    internal::EmitFailure(model, error, round, generation->TotalTokens(),
-                          callback, &result.trace);
   };
-
-  // Models that refused to start join the run pre-failed.
   for (const auto& m : models_) {
-    LLMMS_ASSIGN_OR_RETURN(auto stats, generation->StatsOf(m));
-    if (stats.failed) quarantine(m, Status::Internal(stats.error));
+    if (run.failed(m)) retire(m);
   }
 
-  size_t stalled_rounds = 0;  // rounds with zero progress across the pool
+  std::string winner;  // set by an early stop
+  while (!active.empty() && winner.empty()) {
+    LLMMS_RETURN_NOT_OK(run.Check());
+    run.NextRound();
 
-  while (!active.empty() && early_winner.empty()) {
-    // An expired or cancelled request ends the query with the typed status
-    // before any more tokens are bought on its behalf.
-    if (config_.context != nullptr) {
-      LLMMS_RETURN_NOT_OK(config_.context->Check());
-    }
-    ++round;
-
-    // --- Round-robin chunk generation (Algorithm 1 lines 5-9). ---
+    // --- Round-robin chunk generation (Algorithm 1 lines 5-9). The round's
+    // chunks run in parallel, so it is charged as one: every event of the
+    // round carries the ledger after the whole batch. ---
     std::vector<std::pair<std::string, size_t>> requests;
     for (const auto& m : active) {
       const size_t remaining = allowance[m] - spent[m];
@@ -95,65 +61,27 @@ StatusOr<OrchestrationResult> OuaOrchestrator::Run(
       requests.emplace_back(m, std::min(config_.chunk_tokens, remaining));
     }
     if (requests.empty()) break;  // every active model exhausted its budget
-    LLMMS_ASSIGN_OR_RETURN(auto batch, generation->NextChunks(requests));
-    for (const auto& [model, error] : batch.errors) quarantine(model, error);
+    LLMMS_ASSIGN_OR_RETURN(auto batch, run.generation().NextChunks(requests));
     size_t round_tokens = 0;
     for (const auto& [model, chunk] : batch.chunks) {
       spent[model] += chunk.num_tokens;
       round_tokens += chunk.num_tokens;
-      internal::EmitHedge(model, chunk, round, generation->TotalTokens(),
-                          callback, &result.trace);
-      if (chunk.num_tokens > 0 && callback) {
-        OrchestratorEvent event;
-        event.type = EventType::kChunk;
-        event.model = model;
-        event.text = chunk.text;
-        event.round = round;
-        event.total_tokens = generation->TotalTokens();
-        internal::Emit(event, callback, &result.trace);
-      }
     }
-    // Anti-hang guard: a pool of stalled (but not erroring) backends makes
-    // no progress; after enough empty rounds treat them as exhausted
-    // rather than spinning forever.
-    if (round_tokens == 0) {
-      if (++stalled_rounds >= kMaxStalledRounds) break;
-    } else {
-      stalled_rounds = 0;
+    run.Charge(round_tokens);
+    for (const auto& [model, error] : batch.errors) {
+      run.Quarantine(model, error);
+      retire(model);
     }
+    for (const auto& [model, chunk] : batch.chunks) run.Report(model, chunk);
+    if (run.Stalled(round_tokens > 0)) break;
 
     // --- Scoring (Algorithm 1 lines 10-15). ---
-    std::vector<std::string> candidates;
-    for (const auto& m : models_) {
-      if (pruned.count(m) == 0 && failed.count(m) == 0) {
-        candidates.push_back(m);
-      }
-    }
+    const std::vector<std::string> candidates = run.Survivors();
     if (candidates.empty()) break;  // everyone failed: handled below
-    std::vector<std::string> responses;
-    responses.reserve(candidates.size());
-    for (const auto& m : candidates) {
-      LLMMS_ASSIGN_OR_RETURN(auto text, generation->TextOf(m));
-      responses.push_back(std::move(text));
-    }
-    const auto scores = scorer_.ScoreRound(prompt, responses);
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      last_scores[candidates[i]] = scores[i];
-      OrchestratorEvent event;
-      event.type = EventType::kScore;
-      event.model = candidates[i];
-      event.score = scores[i].combined;
-      event.round = round;
-      event.total_tokens = generation->TotalTokens();
-      internal::Emit(event, callback, &result.trace);
-      internal::PublishReward(config_.reward_feed, candidates[i],
-                              scores[i].combined, round,
-                              generation->TotalTokens(), callback,
-                              &result.trace);
-    }
+    LLMMS_ASSIGN_OR_RETURN(const auto scores, screen.Score(candidates));
 
-    // --- Early stop (Algorithm 1 lines 16-19): the best candidate wins now
-    // when it leads by the margin and finished with done reason "stop". ---
+    // --- Early stop (lines 16-19): the best candidate wins now when it
+    // leads by the margin and finished with done reason "stop". ---
     size_t best_index = 0;
     double best_score = -std::numeric_limits<double>::infinity();
     double second_best = -std::numeric_limits<double>::infinity();
@@ -168,143 +96,56 @@ StatusOr<OrchestrationResult> OuaOrchestrator::Run(
     }
     if (candidates.size() > 1 &&
         best_score > second_best + config_.early_stop_margin) {
-      LLMMS_ASSIGN_OR_RETURN(auto stats,
-                             generation->StatsOf(candidates[best_index]));
+      LLMMS_ASSIGN_OR_RETURN(
+          auto stats, run.generation().StatsOf(candidates[best_index]));
       if (stats.finished && stats.stop_reason == llm::StopReason::kStop) {
-        early_winner = candidates[best_index];
-        OrchestratorEvent event;
-        event.type = EventType::kEarlyStop;
-        event.model = early_winner;
-        event.score = best_score;
-        event.round = round;
-        event.total_tokens = generation->TotalTokens();
-        internal::Emit(event, callback, &result.trace);
+        winner = candidates[best_index];
+        run.EarlyStop(winner, best_score);
         break;
       }
     }
 
-    // --- Pruning (Algorithm 1 lines 20-23): drop the round's worst active
-    // model when the second-worst leads it by the margin; its unspent
-    // allowance goes to the survivors. ---
-    if (active.size() > 1 && round >= config_.min_rounds_before_prune) {
-      std::string worst;
-      double worst_score = std::numeric_limits<double>::infinity();
-      double second_worst = std::numeric_limits<double>::infinity();
-      for (const auto& m : active) {
-        const double s = last_scores[m].combined;
-        if (s < worst_score) {
-          second_worst = worst_score;
-          worst_score = s;
-          worst = m;
-        } else if (s < second_worst) {
-          second_worst = s;
-        }
-      }
-      if (!worst.empty() && second_worst - worst_score > config_.prune_margin) {
-        pruned.insert(worst);
-        const size_t leftover = allowance[worst] - spent[worst];
-        active.erase(std::remove(active.begin(), active.end(), worst),
-                     active.end());
-        if (!active.empty() && leftover > 0) {
-          const size_t share = leftover / active.size();
-          for (const auto& m : active) allowance[m] += share;
-        }
-        OrchestratorEvent event;
-        event.type = EventType::kPrune;
-        event.model = worst;
-        event.score = worst_score;
-        event.round = round;
-        event.total_tokens = generation->TotalTokens();
-        internal::Emit(event, callback, &result.trace);
+    // --- Pruning (lines 20-23), among the models still generating. ---
+    if (active.size() > 1 && run.round() >= config_.min_rounds_before_prune) {
+      const auto [victim, victim_score] =
+          screen.Victim(active, config_.prune_margin);
+      if (!victim.empty()) {
+        run.Prune(victim, victim_score);
+        retire(victim);
       }
     }
 
-    // --- Retire models that finished naturally or exhausted their budget;
-    // they stay candidates but stop consuming tokens. ---
+    // --- Models that finished naturally or exhausted their allowance stop
+    // consuming tokens but stay candidates. ---
     std::vector<std::string> still_active;
     for (const auto& m : active) {
-      LLMMS_ASSIGN_OR_RETURN(auto stats, generation->StatsOf(m));
-      const bool exhausted = spent[m] >= allowance[m];
-      if (!stats.finished && !exhausted) still_active.push_back(m);
+      LLMMS_ASSIGN_OR_RETURN(auto stats, run.generation().StatsOf(m));
+      if (!stats.finished && spent[m] < allowance[m]) still_active.push_back(m);
     }
     active = std::move(still_active);
   }
 
-  // --- Final selection (Algorithm 1 line 25). Failed models can never
-  // win; when the whole pool failed the query fails with a typed error. ---
-  if (failed.size() == models_.size()) {
-    Status last = Status::Internal("unknown failure");
-    for (const auto& m : models_) {
-      auto it = failure_reasons.find(m);
-      if (it != failure_reasons.end()) last = it->second;
-    }
-    return internal::AllModelsFailed(name(), models_.size(), last);
+  // --- Final selection (line 25): the best last round score among the
+  // models neither pruned nor failed. Failed models never win; a fully
+  // failed pool is a typed error naming the failure of the pool's last
+  // model. ---
+  if (run.all_failed()) {
+    return run.AllModelsFailed(run.failure(models_.back()));
   }
-  std::string winner = early_winner;
   if (winner.empty()) {
-    double best = -std::numeric_limits<double>::infinity();
-    for (const auto& m : models_) {
-      if (pruned.count(m) > 0 || failed.count(m) > 0) continue;
-      auto it = last_scores.find(m);
-      const double s =
-          it != last_scores.end()
-              ? it->second.combined
-              : -std::numeric_limits<double>::infinity();
-      if (s > best) {
-        best = s;
-        winner = m;
-      }
-    }
-    if (winner.empty()) {
-      // All survivors pruned: degenerate, fall back to any healthy model.
-      for (const auto& m : models_) {
-        if (failed.count(m) == 0) {
-          winner = m;
-          break;
-        }
-      }
-    }
+    winner = run.PickWinner(run.Survivors(), [&screen](const std::string& m) {
+                  const RoundScore* last = screen.last(m);
+                  return last != nullptr
+                             ? last->combined
+                             : -std::numeric_limits<double>::infinity();
+                }).first;
   }
-
-  result.best_model = winner;
-  LLMMS_ASSIGN_OR_RETURN(result.answer, generation->TextOf(winner));
-  result.total_tokens = generation->TotalTokens();
-  result.rounds = round;
-  result.early_stopped = !early_winner.empty();
-  result.simulated_seconds = generation->SimulatedWallSeconds();
-
-  for (const auto& m : models_) {
-    ModelOutcome outcome;
-    LLMMS_ASSIGN_OR_RETURN(outcome.response, generation->TextOf(m));
-    LLMMS_ASSIGN_OR_RETURN(auto stats, generation->StatsOf(m));
-    outcome.tokens = stats.tokens;
-    outcome.finished = stats.finished;
-    outcome.stop_reason = stats.stop_reason;
-    outcome.pruned = pruned.count(m) > 0;
-    outcome.failed = failed.count(m) > 0;
-    auto fail_it = failure_reasons.find(m);
-    if (fail_it != failure_reasons.end()) {
-      outcome.error = fail_it->second.message();
-    }
-    auto it = last_scores.find(m);
-    if (it != last_scores.end()) {
-      outcome.final_score = it->second.combined;
-      outcome.query_similarity = it->second.query_similarity;
-      outcome.inter_similarity = it->second.inter_similarity;
-    }
-    result.per_model[m] = std::move(outcome);
-  }
-  result.answer_tokens = result.per_model[winner].tokens;
-
-  OrchestratorEvent event;
-  event.type = EventType::kFinal;
-  event.model = winner;
-  event.text = result.answer;
-  event.score = result.per_model[winner].final_score;
-  event.round = round;
-  event.total_tokens = result.total_tokens;
-  internal::Emit(event, callback, &result.trace);
-  return result;
+  auto final_score = [&screen](const std::string& m) {
+    const RoundScore* last = screen.last(m);
+    return last != nullptr ? *last : RoundScore();
+  };
+  return run.Finish(winner, final_score(winner).combined,
+                    [&](size_t i) { return final_score(models_[i]); });
 }
 
 }  // namespace llmms::core

@@ -1,14 +1,10 @@
 #ifndef LLMMS_CORE_OUA_H_
 #define LLMMS_CORE_OUA_H_
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "llmms/core/orchestrator.h"
 #include "llmms/core/reward_feed.h"
-#include "llmms/core/scoring.h"
-#include "llmms/llm/runtime.h"
 
 namespace llmms::core {
 
@@ -27,48 +23,25 @@ namespace llmms::core {
 // Margin defaults are calibrated to this library's hash-embedding cosine
 // scale (the thesis's 0.5 presumes a different embedding scale; see
 // DESIGN.md §5 and the prune-margin ablation bench).
-class OuaOrchestrator final : public Orchestrator {
+struct OuaConfig : QueryConfig {
+  size_t chunk_tokens = 8;         // tokens per getChunk call per round
+  double early_stop_margin = 0.0;  // best > 2nd best + margin => return
+  double prune_margin = 0.02;      // 2nd worst - worst > margin => prune
+  // Pruning starts after this many rounds so every model gets a hearing.
+  size_t min_rounds_before_prune = 1;
+  // When set, every round score is published as a reward observation so
+  // adaptive hedged models can move their thresholds (DESIGN.md §11).
+  // Must outlive the orchestrator; null disables the feedback loop.
+  RewardFeed* reward_feed = nullptr;
+};
+
+class OuaOrchestrator final : public PoolOrchestrator<OuaConfig> {
  public:
-  struct Config {
-    ScoringWeights weights;          // alpha=0.7, beta=0.3 (Algorithm 1)
-    size_t token_budget = 2048;      // lambda_max (§6.3)
-    size_t chunk_tokens = 8;         // tokens per getChunk call per round
-    double early_stop_margin = 0.0;  // best > 2nd best + margin => return
-    double prune_margin = 0.02;      // 2nd worst - worst > margin => prune
-    // Pruning starts after this many rounds so every model gets a hearing.
-    size_t min_rounds_before_prune = 1;
-    // When set, every round score is published as a reward observation so
-    // adaptive hedged models can move their thresholds (DESIGN.md §11).
-    // Must outlive the orchestrator; null disables the feedback loop.
-    RewardFeed* reward_feed = nullptr;
-    // Deadline/cancellation of the request driving this run (null =
-    // unbounded). Checked at every round boundary and by the runtime before
-    // every chunk; an expired or cancelled request unwinds with the typed
-    // DeadlineExceeded / Cancelled status (DESIGN.md §12).
-    std::shared_ptr<RequestContext> context;
-    // Explicit continuous-batching weight for this query's streams
-    // (DESIGN.md §13); <= 0 lets the scheduler derive it from token_budget
-    // and deadline slack. Ignored when the runtime has no BatchScheduler.
-    double scheduler_weight = 0.0;
-  };
-
-  // `runtime` must outlive the orchestrator; `models` must all be loaded.
-  OuaOrchestrator(llm::ModelRuntime* runtime, std::vector<std::string> models,
-                  std::shared_ptr<const embedding::Embedder> embedder,
-                  const Config& config);
-
+  using PoolOrchestrator::PoolOrchestrator;
+  using Orchestrator::Run;
   StatusOr<OrchestrationResult> Run(const std::string& prompt,
                                     const EventCallback& callback) override;
-  using Orchestrator::Run;
-
   std::string name() const override { return "llm-ms-oua"; }
-  const Config& config() const { return config_; }
-
- private:
-  llm::ModelRuntime* runtime_;
-  std::vector<std::string> models_;
-  ResponseScorer scorer_;
-  Config config_;
 };
 
 }  // namespace llmms::core

@@ -270,19 +270,6 @@ void AttachRewardFeed(llm::StateStore* store, RewardFeed* feed) {
 
 namespace internal {
 
-void SeedArmFromFeed(const RewardFeed* feed, const std::string& model,
-                     double feed_prior_weight, double* prior_sum,
-                     double* prior_weight) {
-  *prior_sum = 0.0;
-  *prior_weight = 0.0;
-  if (feed == nullptr || feed_prior_weight <= 0.0) return;
-  const RewardFeed::Estimate estimate = feed->EstimateFor(model);
-  const double weight = std::min(feed_prior_weight, estimate.weight);
-  if (weight <= 0.0) return;
-  *prior_weight = weight;
-  *prior_sum = estimate.mean * weight;
-}
-
 void PublishReward(RewardFeed* feed, const std::string& model, double reward,
                    size_t round, size_t total_tokens,
                    const EventCallback& callback,

@@ -229,18 +229,6 @@ void PublishReward(RewardFeed* feed, const std::string& model, double reward,
                    const EventCallback& callback,
                    std::vector<TraceEntry>* trace);
 
-// Feed-prior helper shared by MAB and hybrid phase 2
-// (Config::feed_prior_weight): seeds a UCB arm with the feed's current
-// estimate for `model` as virtual pulls. The prior's weight is
-// min(feed_prior_weight, retained evidence), so a model the feed has all
-// but forgotten — evicted window, decayed weight — contributes almost
-// nothing, which is exactly what lets a pool re-rank after a competence
-// drift. A no-op (both outputs 0) when `feed` is null, the weight knob is
-// off, or the feed retains nothing.
-void SeedArmFromFeed(const RewardFeed* feed, const std::string& model,
-                     double feed_prior_weight, double* prior_sum,
-                     double* prior_weight);
-
 }  // namespace internal
 }  // namespace llmms::core
 

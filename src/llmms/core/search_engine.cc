@@ -106,44 +106,35 @@ StatusOr<SearchEngine::AskResult> SearchEngine::Ask(
   switch (options.algorithm) {
     case Algorithm::kOua: {
       OuaOrchestrator::Config config;
-      config.weights = options.weights;
-      config.token_budget = options.token_budget;
+      static_cast<QueryConfig&>(config) = options;
       config.chunk_tokens = options.oua_chunk_tokens;
       config.early_stop_margin = options.oua_early_stop_margin;
       config.prune_margin = options.oua_prune_margin;
       config.reward_feed = &reward_feed_;
-      config.context = options.context;
-      config.scheduler_weight = options.scheduler_weight;
       orchestrator = std::make_unique<OuaOrchestrator>(runtime_, models,
                                                        embedder_, config);
       break;
     }
     case Algorithm::kMab: {
       MabOrchestrator::Config config;
-      config.weights = options.weights;
-      config.token_budget = options.token_budget;
+      static_cast<QueryConfig&>(config) = options;
       config.chunk_tokens = options.mab_chunk_tokens;
       config.gamma0 = options.mab_gamma0;
       config.reward_feed = &reward_feed_;
       config.feed_prior_weight = options.feed_prior_weight;
-      config.context = options.context;
-      config.scheduler_weight = options.scheduler_weight;
       orchestrator = std::make_unique<MabOrchestrator>(runtime_, models,
                                                        embedder_, config);
       break;
     }
     case Algorithm::kHybrid: {
       HybridOrchestrator::Config config;
-      config.weights = options.weights;
-      config.token_budget = options.token_budget;
+      static_cast<QueryConfig&>(config) = options;
       config.chunk_tokens = options.oua_chunk_tokens;
       config.prune_margin = options.oua_prune_margin;
       config.mab_chunk_tokens = options.mab_chunk_tokens;
       config.gamma0 = options.mab_gamma0;
       config.reward_feed = &reward_feed_;
       config.feed_prior_weight = options.feed_prior_weight;
-      config.context = options.context;
-      config.scheduler_weight = options.scheduler_weight;
       orchestrator = std::make_unique<HybridOrchestrator>(runtime_, models,
                                                           embedder_, config);
       break;
@@ -152,10 +143,7 @@ StatusOr<SearchEngine::AskResult> SearchEngine::Ask(
       std::string model = options.single_model;
       if (model.empty()) model = models.front();
       SingleModelOrchestrator::Config config;
-      config.weights = options.weights;
-      config.token_budget = options.token_budget;
-      config.context = options.context;
-      config.scheduler_weight = options.scheduler_weight;
+      static_cast<QueryConfig&>(config) = options;
       orchestrator = std::make_unique<SingleModelOrchestrator>(
           runtime_, model, embedder_, config);
       break;

@@ -34,14 +34,14 @@ const char* AlgorithmToString(Algorithm algorithm);
 // query lifecycle of Chapter 6.
 class SearchEngine {
  public:
-  struct QueryOptions {
+  // The shared orchestrator fields (weights, token budget, deadline context,
+  // scheduler weight) come from QueryConfig and pass through unchanged.
+  struct QueryOptions : QueryConfig {
     Algorithm algorithm = Algorithm::kOua;
     // Model for Algorithm::kSingle; must be loaded.
     std::string single_model;
     // Models to orchestrate over; empty = every loaded model.
     std::vector<std::string> models;
-    size_t token_budget = 2048;
-    ScoringWeights weights;           // alpha/beta, user-tunable (§5.3)
     double oua_early_stop_margin = 0.0;
     double oua_prune_margin = 0.02;
     size_t oua_chunk_tokens = 8;
@@ -56,15 +56,6 @@ class SearchEngine {
     // Contextual memory graphs (§9.5): recall related past exchanges from
     // the session's memory graph and inject them alongside the history.
     bool use_memory_graph = false;
-    // Deadline/cancellation of the request driving this query (null =
-    // unbounded). Threaded into the chosen orchestrator and the runtime's
-    // chunk loop so a client timeout or disconnect stops generation at the
-    // next chunk boundary with a typed status (DESIGN.md §12).
-    std::shared_ptr<RequestContext> context;
-    // Explicit continuous-batching weight for this query's streams
-    // (DESIGN.md §13); <= 0 lets the runtime's BatchScheduler derive it
-    // from token_budget and deadline slack. Inert when batching is off.
-    double scheduler_weight = 0.0;
   };
 
   struct AskResult {

@@ -2,117 +2,51 @@
 
 #include <algorithm>
 
-namespace llmms::core {
+#include "llmms/core/query_run.h"
 
-SingleModelOrchestrator::SingleModelOrchestrator(
-    llm::ModelRuntime* runtime, std::string model,
-    std::shared_ptr<const embedding::Embedder> embedder, const Config& config)
-    : runtime_(runtime),
-      model_(std::move(model)),
-      scorer_(std::move(embedder), config.weights),
-      config_(config) {}
+namespace llmms::core {
 
 StatusOr<OrchestrationResult> SingleModelOrchestrator::Run(
     const std::string& prompt, const EventCallback& callback) {
   if (config_.token_budget == 0) {
     return Status::InvalidArgument("token_budget must be positive");
   }
-  llm::GenerationRequest request;
-  request.prompt = prompt;
-  request.max_tokens = 0;
-  request.context = config_.context;
-  request.token_budget = config_.token_budget;
-  request.scheduler_weight = config_.scheduler_weight;
-  LLMMS_ASSIGN_OR_RETURN(auto generation,
-                         runtime_->StartGeneration({model_}, request));
-
-  OrchestrationResult result;
-  size_t used = 0;
-  size_t round = 0;
-  size_t stalled = 0;
+  const std::string& model = models_.front();
+  QueryRun run(name(), prompt, config_, scorer_, /*feed=*/nullptr, callback);
+  LLMMS_RETURN_NOT_OK(run.Start(runtime_, models_));
 
   // With a single model there is nobody to fail over to: a stream error is
   // the query's outcome, surfaced as a typed Status naming the model and
   // the round so callers (and the API error payload) can say *what* died
   // and *when* — not just bubble a raw stream error.
-  auto typed_failure = [this, &callback](const Status& error,
-                                         size_t at_round) {
-    internal::EmitFailure(model_, error, at_round, 0, callback, nullptr);
+  auto typed_failure = [&](const Status& error) {
     return Status(error.code(), "single-model orchestration failed: model '" +
-                                    model_ + "' failed in round " +
-                                    std::to_string(at_round) + ": " +
+                                    model + "' failed in round " +
+                                    std::to_string(run.round()) + ": " +
                                     error.message());
   };
-
-  {
-    LLMMS_ASSIGN_OR_RETURN(auto stats, generation->StatsOf(model_));
-    if (stats.failed) {
-      return typed_failure(Status::Internal(stats.error), 0);
-    }
-  }
+  if (run.all_failed()) return typed_failure(run.failure(model));
 
   for (;;) {
-    if (config_.context != nullptr) {
-      LLMMS_RETURN_NOT_OK(config_.context->Check());
+    LLMMS_RETURN_NOT_OK(run.Check());
+    LLMMS_ASSIGN_OR_RETURN(auto stats, run.generation().StatsOf(model));
+    if (stats.finished || run.charged() >= config_.token_budget) break;
+    run.NextRound();
+    const size_t ask = std::min(config_.chunk_tokens,
+                                config_.token_budget - run.charged());
+    auto chunk_or = run.generation().NextChunk(model, ask);
+    if (!chunk_or.ok()) {
+      run.Quarantine(model, chunk_or.status());
+      return typed_failure(chunk_or.status());
     }
-    LLMMS_ASSIGN_OR_RETURN(auto stats, generation->StatsOf(model_));
-    if (stats.finished || used >= config_.token_budget) break;
-    ++round;
-    const size_t ask =
-        std::min(config_.chunk_tokens, config_.token_budget - used);
-    auto chunk_or = generation->NextChunk(model_, ask);
-    if (!chunk_or.ok()) return typed_failure(chunk_or.status(), round);
     const llm::Chunk chunk = std::move(chunk_or).value();
-    used += chunk.num_tokens;
-    internal::EmitHedge(model_, chunk, round, used, callback, &result.trace);
-    if (chunk.num_tokens == 0 && !chunk.done) {
-      if (++stalled >= kMaxStalledRounds) break;
-    } else {
-      stalled = 0;
-    }
-    if (chunk.num_tokens > 0 && callback) {
-      OrchestratorEvent event;
-      event.type = EventType::kChunk;
-      event.model = model_;
-      event.text = chunk.text;
-      event.round = round;
-      event.total_tokens = used;
-      internal::Emit(event, callback, &result.trace);
-    }
-    if (chunk.done) break;
+    run.Record(model, chunk);
+    if (run.Stalled(chunk.num_tokens > 0 || chunk.done) || chunk.done) break;
   }
 
-  LLMMS_ASSIGN_OR_RETURN(result.answer, generation->TextOf(model_));
-  const auto scores = scorer_.ScoreRound(prompt, {result.answer});
-
-  result.best_model = model_;
-  result.total_tokens = generation->TotalTokens();
-  result.rounds = round;
-  result.simulated_seconds = generation->SimulatedWallSeconds();
-
-  ModelOutcome outcome;
-  outcome.response = result.answer;
-  LLMMS_ASSIGN_OR_RETURN(auto stats, generation->StatsOf(model_));
-  outcome.tokens = stats.tokens;
-  outcome.finished = stats.finished;
-  outcome.stop_reason = stats.stop_reason;
-  if (!scores.empty()) {
-    outcome.final_score = scores[0].combined;
-    outcome.query_similarity = scores[0].query_similarity;
-    outcome.inter_similarity = scores[0].inter_similarity;
-  }
-  result.per_model[model_] = std::move(outcome);
-  result.answer_tokens = result.per_model[model_].tokens;
-
-  OrchestratorEvent event;
-  event.type = EventType::kFinal;
-  event.model = model_;
-  event.text = result.answer;
-  event.score = result.per_model[model_].final_score;
-  event.round = round;
-  event.total_tokens = result.total_tokens;
-  internal::Emit(event, callback, &result.trace);
-  return result;
+  LLMMS_ASSIGN_OR_RETURN(const auto scores, run.ScoreAll());
+  return run.Finish(model, scores[0].combined,
+                    [&scores](size_t) { return scores[0]; });
 }
 
 }  // namespace llmms::core

@@ -14,35 +14,22 @@ namespace llmms::core {
 // to one fixed model, bounded by the same token budget the orchestrators
 // get. Scores are still computed (query similarity only; there are no other
 // models to agree with) so results are comparable.
-class SingleModelOrchestrator final : public Orchestrator {
- public:
-  struct Config {
-    ScoringWeights weights;
-    size_t token_budget = 2048;
-    size_t chunk_tokens = 32;  // streaming granularity for events
-    // Deadline/cancellation of the request driving this run (null =
-    // unbounded); checked at every chunk boundary (DESIGN.md §12).
-    std::shared_ptr<RequestContext> context;
-    // Explicit continuous-batching weight (DESIGN.md §13); <= 0 derives it
-    // from token_budget and deadline slack. Ignored without a scheduler.
-    double scheduler_weight = 0.0;
-  };
+struct SingleModelConfig : QueryConfig {
+  size_t chunk_tokens = 32;  // streaming granularity for events
+};
 
+class SingleModelOrchestrator final
+    : public PoolOrchestrator<SingleModelConfig> {
+ public:
   SingleModelOrchestrator(llm::ModelRuntime* runtime, std::string model,
                           std::shared_ptr<const embedding::Embedder> embedder,
-                          const Config& config);
-
+                          const Config& config)
+      : PoolOrchestrator(runtime, {std::move(model)}, std::move(embedder),
+                         config) {}
+  using Orchestrator::Run;
   StatusOr<OrchestrationResult> Run(const std::string& prompt,
                                     const EventCallback& callback) override;
-  using Orchestrator::Run;
-
-  std::string name() const override { return "single:" + model_; }
-
- private:
-  llm::ModelRuntime* runtime_;
-  std::string model_;
-  ResponseScorer scorer_;
-  Config config_;
+  std::string name() const override { return "single:" + models_.front(); }
 };
 
 }  // namespace llmms::core
