@@ -20,12 +20,15 @@ StatusOr<std::shared_ptr<Session>> SessionStore::Create(
 
 StatusOr<std::shared_ptr<Session>> SessionStore::GetOrCreate(
     const std::string& id) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = sessions_.find(id);
-    if (it != sessions_.end()) return it->second;
+  if (id.empty()) {
+    return Status::InvalidArgument("session id must not be empty");
   }
-  return Create(id);
+  // Find and insert under one lock: two first requests for the same id
+  // must share one session, not race into AlreadyExists.
+  std::lock_guard<std::mutex> lock(mu_);
+  auto& session = sessions_[id];
+  if (session == nullptr) session = std::make_shared<Session>(id, defaults_);
+  return session;
 }
 
 StatusOr<std::shared_ptr<Session>> SessionStore::Get(
