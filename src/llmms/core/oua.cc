@@ -51,9 +51,7 @@ StatusOr<OrchestrationResult> OuaOrchestrator::Run(
     LLMMS_RETURN_NOT_OK(run.Check());
     run.NextRound();
 
-    // --- Round-robin chunk generation (Algorithm 1 lines 5-9). The round's
-    // chunks run in parallel, so it is charged as one: every event of the
-    // round carries the ledger after the whole batch. ---
+    // --- Round-robin chunk generation (Algorithm 1 lines 5-9). ---
     std::vector<std::pair<std::string, size_t>> requests;
     for (const auto& m : active) {
       const size_t remaining = allowance[m] - spent[m];
@@ -62,6 +60,8 @@ StatusOr<OrchestrationResult> OuaOrchestrator::Run(
     }
     if (requests.empty()) break;  // every active model exhausted its budget
     LLMMS_ASSIGN_OR_RETURN(auto batch, run.generation().NextChunks(requests));
+    // The round's chunks ran in parallel, so the round is charged as one:
+    // every event of the round carries the ledger after the whole batch.
     size_t round_tokens = 0;
     for (const auto& [model, chunk] : batch.chunks) {
       spent[model] += chunk.num_tokens;
@@ -133,12 +133,12 @@ StatusOr<OrchestrationResult> OuaOrchestrator::Run(
     return run.AllModelsFailed(run.failure(models_.back()));
   }
   if (winner.empty()) {
-    winner = run.PickWinner(run.Survivors(), [&screen](const std::string& m) {
-                  const RoundScore* last = screen.last(m);
-                  return last != nullptr
-                             ? last->combined
+    auto last_score = [&screen](const std::string& m) {
+      const RoundScore* last = screen.last(m);
+      return last != nullptr ? last->combined
                              : -std::numeric_limits<double>::infinity();
-                }).first;
+    };
+    winner = run.PickWinner(run.Survivors(), last_score).first;
   }
   auto final_score = [&screen](const std::string& m) {
     const RoundScore* last = screen.last(m);
