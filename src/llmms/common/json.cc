@@ -135,7 +135,7 @@ class Parser {
   }
 
   StatusOr<std::string> ParseString() {
-    if (text_[pos_] != '"') {
+    if (pos_ >= text_.size() || text_[pos_] != '"') {
       return Status::InvalidArgument("expected string at offset " +
                                      std::to_string(pos_));
     }
