@@ -1,38 +1,25 @@
-# Runs every paper-evaluation harness at its default scale, concatenates
+# Runs every `bench_frontier --preset` at its default scale, concatenates
 # their stdout under one "== <preset> ==" header each, and compares the
 # result byte for byte with tests/golden/paper_presets.golden. Pins the
 # numbers EXPERIMENTS.md reports as bit-reproducible.
 #
-#   cmake -DBENCH_DIR=<dir with the harness binaries> -DGOLDEN=<file>
+#   cmake -DBENCH_FRONTIER=<bench_frontier binary> -DGOLDEN=<file>
 #         -P paper_presets_golden.cmake
 #
 # LLMMS_UPDATE_GOLDEN=1 rewrites the golden instead of comparing.
 
-set(presets
-  fig8_1:fig8_1_avg_reward
-  fig8_2:fig8_2_avg_f1
-  fig8_3:fig8_3_reward_per_token
-  report:make_report
-  alpha_beta:ablation_alpha_beta
-  prune_margin:ablation_prune_margin
-  gamma:ablation_gamma
-  budget:ablation_budget
-  hybrid:ablation_hybrid
-  routing:ablation_routing
-  multi_agent:multi_agent)
+set(presets fig8_1 fig8_2 fig8_3 report alpha_beta prune_margin gamma budget
+  hybrid routing multi_agent)
 
 # The golden is taken at the default scale.
 unset(ENV{LLMMS_BENCH_QPD})
 
 set(actual "")
-foreach(entry IN LISTS presets)
-  string(REPLACE ":" ";" parts "${entry}")
-  list(GET parts 0 preset)
-  list(GET parts 1 binary)
-  execute_process(COMMAND "${BENCH_DIR}/${binary}"
+foreach(preset IN LISTS presets)
+  execute_process(COMMAND "${BENCH_FRONTIER}" --preset ${preset}
     OUTPUT_VARIABLE out RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "preset ${preset} (${binary}) exited with ${rc}")
+    message(FATAL_ERROR "preset ${preset} exited with ${rc}")
   endif()
   string(APPEND actual "== ${preset} ==\n${out}")
 endforeach()

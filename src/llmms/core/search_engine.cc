@@ -107,9 +107,6 @@ StatusOr<SearchEngine::AskResult> SearchEngine::Ask(
     case Algorithm::kOua: {
       OuaOrchestrator::Config config;
       static_cast<QueryConfig&>(config) = options;
-      config.chunk_tokens = options.oua_chunk_tokens;
-      config.early_stop_margin = options.oua_early_stop_margin;
-      config.prune_margin = options.oua_prune_margin;
       config.reward_feed = &reward_feed_;
       orchestrator = std::make_unique<OuaOrchestrator>(runtime_, models,
                                                        embedder_, config);
@@ -118,8 +115,6 @@ StatusOr<SearchEngine::AskResult> SearchEngine::Ask(
     case Algorithm::kMab: {
       MabOrchestrator::Config config;
       static_cast<QueryConfig&>(config) = options;
-      config.chunk_tokens = options.mab_chunk_tokens;
-      config.gamma0 = options.mab_gamma0;
       config.reward_feed = &reward_feed_;
       config.feed_prior_weight = options.feed_prior_weight;
       orchestrator = std::make_unique<MabOrchestrator>(runtime_, models,
@@ -129,10 +124,6 @@ StatusOr<SearchEngine::AskResult> SearchEngine::Ask(
     case Algorithm::kHybrid: {
       HybridOrchestrator::Config config;
       static_cast<QueryConfig&>(config) = options;
-      config.chunk_tokens = options.oua_chunk_tokens;
-      config.prune_margin = options.oua_prune_margin;
-      config.mab_chunk_tokens = options.mab_chunk_tokens;
-      config.gamma0 = options.mab_gamma0;
       config.reward_feed = &reward_feed_;
       config.feed_prior_weight = options.feed_prior_weight;
       orchestrator = std::make_unique<HybridOrchestrator>(runtime_, models,

@@ -42,11 +42,6 @@ class SearchEngine {
     std::string single_model;
     // Models to orchestrate over; empty = every loaded model.
     std::vector<std::string> models;
-    double oua_early_stop_margin = 0.0;
-    double oua_prune_margin = 0.02;
-    size_t oua_chunk_tokens = 8;
-    double mab_gamma0 = 0.3;
-    size_t mab_chunk_tokens = 16;
     // Feed-prior re-ranking for MAB/hybrid arms (DESIGN.md §16): how many
     // virtual pulls of the engine feed's current estimate each arm starts
     // with. 0 keeps the per-query UCB cold start (the default).

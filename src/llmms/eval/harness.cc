@@ -18,18 +18,18 @@ EvaluationHarness::EvaluationHarness(
       models_(std::move(models)),
       config_(config) {}
 
-StatusOr<StrategyRun> EvaluationHarness::RunStrategy(
-    const std::string& label, core::Orchestrator* orchestrator,
-    const std::vector<llm::QaItem>& dataset,
-    const std::function<void(const std::string&, size_t, size_t)>& progress) {
+StatusOr<StrategyRun> RunStrategy(const std::string& label,
+                                  core::Orchestrator* orchestrator,
+                                  const embedding::Embedder& embedder,
+                                  const std::vector<llm::QaItem>& dataset,
+                                  const ProgressFn& progress) {
   StrategyRun run;
   run.strategy = label;
   run.per_question.reserve(dataset.size());
   for (size_t i = 0; i < dataset.size(); ++i) {
     const llm::QaItem& item = dataset[i];
     LLMMS_ASSIGN_OR_RETURN(auto result, orchestrator->Run(item.question));
-    QuestionMetrics metrics = ScoreResponse(*embedder_, item, result.answer,
-                                            config_.reward_weights);
+    QuestionMetrics metrics = ScoreResponse(embedder, item, result.answer);
     metrics.total_tokens = result.total_tokens;
     metrics.answer_tokens = result.answer_tokens;
     metrics.simulated_seconds = result.simulated_seconds;
@@ -41,9 +41,7 @@ StatusOr<StrategyRun> EvaluationHarness::RunStrategy(
 }
 
 StatusOr<EvaluationReport> EvaluationHarness::Run(
-    const std::vector<llm::QaItem>& dataset,
-    const std::function<void(const std::string& strategy, size_t done,
-                             size_t total)>& progress) {
+    const std::vector<llm::QaItem>& dataset, const ProgressFn& progress) {
   if (models_.empty()) {
     return Status::FailedPrecondition("harness needs at least one model");
   }
@@ -56,8 +54,9 @@ StatusOr<EvaluationReport> EvaluationHarness::Run(
       config.token_budget = config_.token_budget;
       core::SingleModelOrchestrator orchestrator(runtime_, model, embedder_,
                                                  config);
-      LLMMS_ASSIGN_OR_RETURN(
-          auto run, RunStrategy(model, &orchestrator, dataset, progress));
+      LLMMS_ASSIGN_OR_RETURN(auto run, RunStrategy(model, &orchestrator,
+                                                   *embedder_, dataset,
+                                                   progress));
       report.runs.push_back(std::move(run));
     }
   }
@@ -66,13 +65,12 @@ StatusOr<EvaluationReport> EvaluationHarness::Run(
     core::OuaOrchestrator::Config config;
     config.weights = config_.weights;
     config.token_budget = config_.token_budget;
-    config.chunk_tokens = config_.oua_chunk_tokens;
     config.early_stop_margin = config_.oua_early_stop_margin;
     config.prune_margin = config_.oua_prune_margin;
     core::OuaOrchestrator orchestrator(runtime_, models_, embedder_, config);
-    LLMMS_ASSIGN_OR_RETURN(
-        auto run,
-        RunStrategy("llm-ms-oua", &orchestrator, dataset, progress));
+    LLMMS_ASSIGN_OR_RETURN(auto run,
+                           RunStrategy("llm-ms-oua", &orchestrator,
+                                       *embedder_, dataset, progress));
     report.runs.push_back(std::move(run));
   }
 
@@ -80,12 +78,10 @@ StatusOr<EvaluationReport> EvaluationHarness::Run(
     core::MabOrchestrator::Config config;
     config.weights = config_.weights;
     config.token_budget = config_.token_budget;
-    config.chunk_tokens = config_.mab_chunk_tokens;
-    config.gamma0 = config_.mab_gamma0;
     core::MabOrchestrator orchestrator(runtime_, models_, embedder_, config);
-    LLMMS_ASSIGN_OR_RETURN(
-        auto run,
-        RunStrategy("llm-ms-mab", &orchestrator, dataset, progress));
+    LLMMS_ASSIGN_OR_RETURN(auto run,
+                           RunStrategy("llm-ms-mab", &orchestrator,
+                                       *embedder_, dataset, progress));
     report.runs.push_back(std::move(run));
   }
 

@@ -18,13 +18,9 @@ namespace llmms::eval {
 // LLM-MS strategies.
 struct HarnessConfig {
   size_t token_budget = 2048;
-  core::ScoringWeights weights;        // alpha=0.7, beta=0.3
-  core::RewardWeights reward_weights;  // w=(1, 0.5, 0.5)
+  core::ScoringWeights weights;  // alpha=0.7, beta=0.3
   double oua_early_stop_margin = 0.0;
   double oua_prune_margin = 0.02;
-  size_t oua_chunk_tokens = 8;
-  double mab_gamma0 = 0.3;
-  size_t mab_chunk_tokens = 16;
   bool run_singles = true;
   bool run_oua = true;
   bool run_mab = true;
@@ -43,6 +39,20 @@ struct EvaluationReport {
   const StrategyRun* Find(const std::string& strategy) const;
 };
 
+// Called after each (strategy, question) pair with the questions done so far.
+using ProgressFn =
+    std::function<void(const std::string& strategy, size_t done, size_t total)>;
+
+// Runs every question of `dataset` through `orchestrator` and scores each
+// answer (Eq. 8.1 reward, F1, accuracy, tokens, simulated time). The one
+// per-strategy evaluation loop: EvaluationHarness::Run and the ablation
+// presets of bench_frontier both go through it.
+StatusOr<StrategyRun> RunStrategy(const std::string& label,
+                                  core::Orchestrator* orchestrator,
+                                  const embedding::Embedder& embedder,
+                                  const std::vector<llm::QaItem>& dataset,
+                                  const ProgressFn& progress = nullptr);
+
 // Runs the paper's evaluation protocol: every question of the dataset goes
 // through every execution mode; per-question reward (Eq. 8.1), F1, accuracy,
 // and token usage are recorded and averaged.
@@ -56,20 +66,12 @@ class EvaluationHarness {
                     std::shared_ptr<const embedding::Embedder> embedder,
                     std::vector<std::string> models, HarnessConfig config);
 
-  // `progress` (optional) is called after each (strategy, question) pair.
-  StatusOr<EvaluationReport> Run(
-      const std::vector<llm::QaItem>& dataset,
-      const std::function<void(const std::string& strategy, size_t done,
-                               size_t total)>& progress = nullptr);
+  StatusOr<EvaluationReport> Run(const std::vector<llm::QaItem>& dataset,
+                                 const ProgressFn& progress = nullptr);
 
   const HarnessConfig& config() const { return config_; }
 
  private:
-  StatusOr<StrategyRun> RunStrategy(
-      const std::string& label, core::Orchestrator* orchestrator,
-      const std::vector<llm::QaItem>& dataset,
-      const std::function<void(const std::string&, size_t, size_t)>& progress);
-
   llm::ModelRuntime* runtime_;
   std::shared_ptr<const embedding::Embedder> embedder_;
   std::vector<std::string> models_;

@@ -243,7 +243,6 @@ std::unique_ptr<core::Orchestrator> BuildOrchestrator(
       core::OuaOrchestrator::Config oua;
       oua.weights = config.weights;
       oua.token_budget = spec.token_budget;
-      oua.chunk_tokens = config.oua_chunk_tokens;
       oua.reward_feed = feed;
       return std::make_unique<core::OuaOrchestrator>(
           world->runtime.get(), world->model_names, world->embedder, oua);
@@ -252,8 +251,6 @@ std::unique_ptr<core::Orchestrator> BuildOrchestrator(
       core::MabOrchestrator::Config mab;
       mab.weights = config.weights;
       mab.token_budget = spec.token_budget;
-      mab.chunk_tokens = config.mab_chunk_tokens;
-      mab.gamma0 = config.mab_gamma0;
       mab.reward_feed = feed;
       if (feed != nullptr) mab.feed_prior_weight = config.feed_prior_weight;
       return std::make_unique<core::MabOrchestrator>(
@@ -263,9 +260,6 @@ std::unique_ptr<core::Orchestrator> BuildOrchestrator(
       core::HybridOrchestrator::Config hybrid;
       hybrid.weights = config.weights;
       hybrid.token_budget = spec.token_budget;
-      hybrid.chunk_tokens = config.oua_chunk_tokens;
-      hybrid.mab_chunk_tokens = config.mab_chunk_tokens;
-      hybrid.gamma0 = config.mab_gamma0;
       hybrid.reward_feed = feed;
       if (feed != nullptr) {
         hybrid.feed_prior_weight = config.feed_prior_weight;

@@ -79,11 +79,6 @@ struct MatrixConfig {
   // virtual-pull weight their MAB/hybrid arms are seeded with.
   core::RewardFeedConfig feed{/*warmup=*/4, /*window=*/48, /*half_life=*/0.0};
   double feed_prior_weight = 4.0;
-
-  // OUA / MAB knobs shared by every cell.
-  size_t oua_chunk_tokens = 8;
-  size_t mab_chunk_tokens = 16;
-  double mab_gamma0 = 0.3;
 };
 
 // The committed-bench matrix (BENCH_frontier.json): every orchestrator x
