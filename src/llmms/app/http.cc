@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 
 #include "llmms/common/string_util.h"
@@ -137,12 +138,38 @@ const char* HttpReasonPhrase(int status) {
   }
 }
 
+StatusOr<std::optional<size_t>> ContentLength(
+    const std::map<std::string, std::string>& headers) {
+  const auto it = headers.find("content-length");
+  if (it == headers.end()) return std::optional<size_t>();
+  const std::string& value = it->second;
+  size_t length = 0;
+  const auto [end, error] =
+      std::from_chars(value.data(), value.data() + value.size(), length);
+  if (value.empty() || error != std::errc() ||
+      end != value.data() + value.size()) {
+    return Status::InvalidArgument("invalid content-length: '" + value + "'");
+  }
+  return std::optional<size_t>(length);
+}
+
 StatusOr<HttpRequest> ParseHttpRequest(std::string_view raw) {
   std::string_view head;
   std::string_view body;
   if (!SplitHead(raw, &head, &body)) {
     return Status::InvalidArgument("incomplete HTTP request head");
   }
+  LLMMS_ASSIGN_OR_RETURN(HttpRequest request, ParseHttpRequestHead(head));
+  LLMMS_ASSIGN_OR_RETURN(const auto length, ContentLength(request.headers));
+  const size_t content_length = length.value_or(0);
+  if (body.size() < content_length) {
+    return Status::InvalidArgument("request body shorter than content-length");
+  }
+  request.body = std::string(body.substr(0, content_length));
+  return request;
+}
+
+StatusOr<HttpRequest> ParseHttpRequestHead(std::string_view head) {
   const size_t line_end = head.find("\r\n");
   const std::string_view request_line =
       line_end == std::string_view::npos ? head : head.substr(0, line_end);
@@ -165,17 +192,6 @@ StatusOr<HttpRequest> ParseHttpRequest(std::string_view raw) {
     LLMMS_RETURN_NOT_OK(
         ParseHeaderLines(head.substr(line_end + 2), &request.headers));
   }
-
-  size_t content_length = 0;
-  auto it = request.headers.find("content-length");
-  if (it != request.headers.end()) {
-    content_length = static_cast<size_t>(std::strtoull(it->second.c_str(),
-                                                       nullptr, 10));
-  }
-  if (body.size() < content_length) {
-    return Status::InvalidArgument("request body shorter than content-length");
-  }
-  request.body = std::string(body.substr(0, content_length));
   return request;
 }
 
@@ -225,14 +241,12 @@ StatusOr<HttpResponse> ParseHttpResponse(std::string_view raw) {
     LLMMS_ASSIGN_OR_RETURN(response.body, DecodeChunked(body));
     return response;
   }
-  auto cl = response.headers.find("content-length");
-  if (cl != response.headers.end()) {
-    const size_t n = static_cast<size_t>(std::strtoull(cl->second.c_str(),
-                                                       nullptr, 10));
-    if (body.size() < n) {
+  LLMMS_ASSIGN_OR_RETURN(const auto length, ContentLength(response.headers));
+  if (length.has_value()) {
+    if (body.size() < *length) {
       return Status::InvalidArgument("response body shorter than length");
     }
-    response.body = std::string(body.substr(0, n));
+    response.body = std::string(body.substr(0, *length));
   } else {
     response.body = std::string(body);  // close-delimited
   }

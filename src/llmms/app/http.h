@@ -2,6 +2,7 @@
 #define LLMMS_APP_HTTP_H_
 
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -32,6 +33,18 @@ struct HttpResponse {
 // Parses a complete request (head + body). Fails on malformed input or when
 // the body is shorter than Content-Length.
 StatusOr<HttpRequest> ParseHttpRequest(std::string_view raw);
+
+// Parses only the request line and headers — everything before the blank
+// line, excluded. Used by the server to size the body before reading it.
+// The returned request's `body` is empty.
+StatusOr<HttpRequest> ParseHttpRequestHead(std::string_view head);
+
+// The body length a message's Content-Length header announces, or nullopt
+// when there is none. InvalidArgument unless the value is all digits and
+// fits in a size_t. The one Content-Length parse of requests, responses and
+// streamed responses.
+StatusOr<std::optional<size_t>> ContentLength(
+    const std::map<std::string, std::string>& headers);
 
 // Serializes a response with Content-Length framing.
 std::string SerializeHttpResponse(const HttpResponse& response);

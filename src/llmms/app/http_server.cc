@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -70,13 +69,11 @@ StatusOr<std::string> ReadRequest(int fd, size_t max_head_bytes,
                                   size_t max_body_bytes) {
   std::string buffer;
   char chunk[4096];
-  size_t body_needed = std::string::npos;
+  size_t body_needed = 0;
   size_t head_end = std::string::npos;
   for (;;) {
     if (head_end != std::string::npos &&
-        buffer.size() >= head_end + 4 + (body_needed == std::string::npos
-                                             ? 0
-                                             : body_needed)) {
+        buffer.size() >= head_end + 4 + body_needed) {
       return buffer;
     }
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
@@ -107,18 +104,16 @@ StatusOr<std::string> ReadRequest(int fd, size_t max_head_bytes,
             "request head exceeds " + std::to_string(max_head_bytes) +
             " bytes");
       }
-      // Extract content-length from the (lower-cased) head.
-      body_needed = 0;
-      std::string head = buffer.substr(0, head_end);
-      for (char& c : head) {
-        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+      // Size the body from the parsed head. A head that does not parse, or
+      // whose Content-Length is invalid, reads no body: ParseHttpRequest
+      // then answers it with a 400.
+      const auto head =
+          ParseHttpRequestHead(std::string_view(buffer).substr(0, head_end));
+      if (head.ok()) {
+        const auto length = ContentLength(head->headers);
+        if (length.ok()) body_needed = length->value_or(0);
       }
-      const size_t pos = head.find("content-length:");
-      if (pos != std::string::npos) {
-        body_needed = static_cast<size_t>(std::strtoull(
-            head.c_str() + pos + strlen("content-length:"), nullptr, 10));
-      }
-      if (body_needed != std::string::npos && body_needed > max_body_bytes) {
+      if (body_needed > max_body_bytes) {
         return Status::ResourceExhausted(
             "request body of " + std::to_string(body_needed) +
             " bytes exceeds the " + std::to_string(max_body_bytes) +
@@ -685,12 +680,10 @@ StatusOr<std::unique_ptr<HttpClientStream>> HttpClientStream::Open(
   auto te = stream->head_.headers.find("transfer-encoding");
   stream->chunked_ =
       te != stream->head_.headers.end() && ToLower(te->second) == "chunked";
-  auto cl = stream->head_.headers.find("content-length");
-  if (cl != stream->head_.headers.end()) {
-    stream->has_content_length_ = true;
-    stream->content_remaining_ =
-        static_cast<size_t>(std::strtoull(cl->second.c_str(), nullptr, 10));
-  }
+  LLMMS_ASSIGN_OR_RETURN(const auto length,
+                         ContentLength(stream->head_.headers));
+  stream->has_content_length_ = length.has_value();
+  stream->content_remaining_ = length.value_or(0);
 
   const std::string_view rest = std::string_view(raw).substr(head_end + 4);
   if (stream->chunked_) {

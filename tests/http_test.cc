@@ -51,6 +51,36 @@ TEST(HttpParseTest, RejectsMalformedRequests) {
           .ok());
 }
 
+// Content-Length must be all digits: strtoull-style parsing would read
+// "abc" as 0 and "5abc" as 5 and mis-frame the body.
+TEST(HttpParseTest, RejectsNonNumericContentLength) {
+  for (const char* value :
+       {"abc", "5abc", "-1", "+5", "0x10", "1 2", "99999999999999999999999"}) {
+    const auto request = ParseHttpRequest(
+        std::string("POST /x HTTP/1.1\r\ncontent-length: ") + value +
+        "\r\n\r\nhello");
+    ASSERT_FALSE(request.ok()) << value;
+    EXPECT_TRUE(request.status().IsInvalidArgument()) << value;
+    EXPECT_NE(request.status().message().find("invalid content-length"),
+              std::string::npos)
+        << request.status().message();
+
+    const auto response = ParseHttpResponse(
+        std::string("HTTP/1.1 200 OK\r\ncontent-length: ") + value +
+        "\r\n\r\nhello");
+    ASSERT_FALSE(response.ok()) << value;
+    EXPECT_TRUE(response.status().IsInvalidArgument()) << value;
+  }
+  // Surrounding whitespace is trimmed with the header value; an empty value
+  // is still not a number.
+  auto padded =
+      ParseHttpRequest("POST /x HTTP/1.1\r\ncontent-length:  5 \r\n\r\nhello");
+  ASSERT_TRUE(padded.ok()) << padded.status().ToString();
+  EXPECT_EQ(padded->body, "hello");
+  EXPECT_FALSE(
+      ParseHttpRequest("POST /x HTTP/1.1\r\ncontent-length:\r\n\r\n").ok());
+}
+
 TEST(HttpParseTest, ResponseRoundTrip) {
   HttpResponse response;
   response.status = 404;

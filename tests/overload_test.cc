@@ -209,6 +209,36 @@ TEST_F(OverloadTest, OversizedHeadRejectedWith413) {
   EXPECT_GE(server_->stats().rejected_oversize.load(), 1u);
 }
 
+// The body is sized from the parsed Content-Length header alone: a header
+// whose name merely contains "content-length" neither trips the body cap
+// nor leaves the server waiting for bytes that never come, and a value that
+// is not a number is a 400.
+TEST_F(OverloadTest, BodySizedFromTheContentLengthHeaderOnly) {
+  HttpServerOptions options;
+  options.max_body_bytes = 1024;
+  StartServer(options);
+
+  auto send = [&](const std::string& headers) {
+    RawClient client(server_->port());
+    EXPECT_TRUE(client.connected());
+    EXPECT_TRUE(client.Send("GET /api/health HTTP/1.1\r\nhost: t\r\n" +
+                            headers + "connection: close\r\n\r\n{}"));
+    return client.ReadAll(5.0);
+  };
+  for (const char* decoy : {"4096", "100"}) {
+    const std::string response = send(std::string("x-content-length: ") +
+                                      decoy + "\r\ncontent-length: 2\r\n");
+    EXPECT_EQ(response.rfind("HTTP/1.1 200", 0), 0u)
+        << "x-content-length: " << decoy << "\n" << response;
+  }
+  EXPECT_EQ(server_->stats().rejected_oversize.load(), 0u);
+
+  const std::string invalid = send("content-length: 2abc\r\n");
+  EXPECT_EQ(invalid.rfind("HTTP/1.1 400", 0), 0u) << invalid;
+  EXPECT_NE(invalid.find("invalid content-length"), std::string::npos)
+      << invalid;
+}
+
 // The request's wall-clock budget starts at admission: a request whose
 // deadline has passed by the time the engine would run answers 504 without
 // generating anything.
