@@ -51,6 +51,12 @@ void AppendEscaped(std::string* out, const std::string& s) {
   out->push_back('"');
 }
 
+// Every parse error names the byte offset it refers to, so a malformed
+// request body yields a precise 400.
+Status ErrorAt(const std::string& what, size_t offset) {
+  return Status::InvalidArgument(what + " at offset " + std::to_string(offset));
+}
+
 // Recursive-descent parser over a string_view with an explicit cursor.
 class Parser {
  public:
@@ -60,8 +66,7 @@ class Parser {
     LLMMS_ASSIGN_OR_RETURN(Json value, ParseValue());
     SkipWhitespace();
     if (pos_ != text_.size()) {
-      return Status::InvalidArgument("trailing characters after JSON value at offset " +
-                                     std::to_string(pos_));
+      return ErrorAt("trailing characters after JSON value", pos_);
     }
     return value;
   }
@@ -69,11 +74,11 @@ class Parser {
  private:
   StatusOr<Json> ParseValue() {
     if (depth_ > kMaxDepth) {
-      return Status::InvalidArgument("JSON nesting too deep");
+      return ErrorAt("JSON nesting too deep", pos_);
     }
     SkipWhitespace();
     if (pos_ >= text_.size()) {
-      return Status::InvalidArgument("unexpected end of JSON input");
+      return ErrorAt("unexpected end of JSON input", pos_);
     }
     const char c = text_[pos_];
     switch (c) {
@@ -98,8 +103,7 @@ class Parser {
 
   StatusOr<Json> ParseLiteral(std::string_view literal, Json value) {
     if (text_.substr(pos_, literal.size()) != literal) {
-      return Status::InvalidArgument("invalid JSON literal at offset " +
-                                     std::to_string(pos_));
+      return ErrorAt("invalid JSON literal", pos_);
     }
     pos_ += literal.size();
     return value;
@@ -121,14 +125,13 @@ class Parser {
       }
     }
     if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) {
-      return Status::InvalidArgument("invalid JSON number at offset " +
-                                     std::to_string(start));
+      return ErrorAt("invalid JSON number", start);
     }
     const std::string token(text_.substr(start, pos_ - start));
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) {
-      return Status::InvalidArgument("invalid JSON number: " + token);
+      return ErrorAt("invalid JSON number: " + token, start);
     }
     if (is_integer) return Json(static_cast<int64_t>(value));
     return Json(value);
@@ -136,10 +139,9 @@ class Parser {
 
   StatusOr<std::string> ParseString() {
     if (pos_ >= text_.size() || text_[pos_] != '"') {
-      return Status::InvalidArgument("expected string at offset " +
-                                     std::to_string(pos_));
+      return ErrorAt("expected string", pos_);
     }
-    ++pos_;
+    const size_t start = pos_++;
     std::string out;
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
@@ -148,7 +150,7 @@ class Parser {
         return out;
       }
       if (c == '\\') {
-        ++pos_;
+        const size_t escape = pos_++;
         if (pos_ >= text_.size()) break;
         const char esc = text_[pos_++];
         switch (esc) {
@@ -178,7 +180,7 @@ class Parser {
             break;
           case 'u': {
             if (pos_ + 4 > text_.size()) {
-              return Status::InvalidArgument("truncated \\u escape");
+              return ErrorAt("truncated \\u escape", escape);
             }
             unsigned code = 0;
             for (int i = 0; i < 4; ++i) {
@@ -191,7 +193,7 @@ class Parser {
               } else if (h >= 'A' && h <= 'F') {
                 code |= static_cast<unsigned>(h - 'A' + 10);
               } else {
-                return Status::InvalidArgument("invalid \\u escape");
+                return ErrorAt("invalid \\u escape", escape);
               }
             }
             // UTF-8 encode the BMP code point (surrogate pairs are rare in
@@ -209,18 +211,18 @@ class Parser {
             break;
           }
           default:
-            return Status::InvalidArgument("invalid escape character");
+            return ErrorAt("invalid escape character", escape);
         }
       } else {
         out += c;
         ++pos_;
       }
     }
-    return Status::InvalidArgument("unterminated JSON string");
+    return ErrorAt("unterminated JSON string", start);
   }
 
   StatusOr<Json> ParseArray() {
-    ++pos_;  // consume '['
+    const size_t start = pos_++;  // consume '['
     ++depth_;
     Json::Array items;
     SkipWhitespace();
@@ -234,7 +236,7 @@ class Parser {
       items.push_back(std::move(item));
       SkipWhitespace();
       if (pos_ >= text_.size()) {
-        return Status::InvalidArgument("unterminated JSON array");
+        return ErrorAt("unterminated JSON array", start);
       }
       if (text_[pos_] == ',') {
         ++pos_;
@@ -245,13 +247,12 @@ class Parser {
         --depth_;
         return Json(std::move(items));
       }
-      return Status::InvalidArgument("expected ',' or ']' at offset " +
-                                     std::to_string(pos_));
+      return ErrorAt("expected ',' or ']'", pos_);
     }
   }
 
   StatusOr<Json> ParseObject() {
-    ++pos_;  // consume '{'
+    const size_t start = pos_++;  // consume '{'
     ++depth_;
     Json::Object fields;
     SkipWhitespace();
@@ -265,15 +266,14 @@ class Parser {
       LLMMS_ASSIGN_OR_RETURN(std::string key, ParseString());
       SkipWhitespace();
       if (pos_ >= text_.size() || text_[pos_] != ':') {
-        return Status::InvalidArgument("expected ':' at offset " +
-                                       std::to_string(pos_));
+        return ErrorAt("expected ':'", pos_);
       }
       ++pos_;
       LLMMS_ASSIGN_OR_RETURN(Json value, ParseValue());
       fields[std::move(key)] = std::move(value);
       SkipWhitespace();
       if (pos_ >= text_.size()) {
-        return Status::InvalidArgument("unterminated JSON object");
+        return ErrorAt("unterminated JSON object", start);
       }
       if (text_[pos_] == ',') {
         ++pos_;
@@ -284,8 +284,7 @@ class Parser {
         --depth_;
         return Json(std::move(fields));
       }
-      return Status::InvalidArgument("expected ',' or '}' at offset " +
-                                     std::to_string(pos_));
+      return ErrorAt("expected ',' or '}'", pos_);
     }
   }
 

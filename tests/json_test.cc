@@ -66,6 +66,48 @@ TEST(JsonTest, RejectsDeepNesting) {
   EXPECT_FALSE(Json::Parse(deep).ok());
 }
 
+// Every parse error names the byte offset it refers to: the failing byte,
+// or the start of the escape, string, array or object that is malformed.
+struct ParseErrorCase {
+  const char* name;
+  std::string input;
+  std::string message;
+};
+
+class JsonParseErrorTest : public ::testing::TestWithParam<ParseErrorCase> {};
+
+TEST_P(JsonParseErrorTest, MessageCarriesByteOffset) {
+  const auto parsed = Json::Parse(GetParam().input);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_TRUE(parsed.status().IsInvalidArgument());
+  EXPECT_EQ(parsed.status().message(), GetParam().message);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Messages, JsonParseErrorTest,
+    ::testing::Values(
+        ParseErrorCase{"NestingTooDeep", std::string(300, '['),
+                       "JSON nesting too deep at offset 257"},
+        ParseErrorCase{"UnexpectedEnd", "[1, ",
+                       "unexpected end of JSON input at offset 4"},
+        ParseErrorCase{"InvalidNumber", R"({"a": 1e+})",
+                       "invalid JSON number: 1e+ at offset 6"},
+        ParseErrorCase{"TruncatedUnicodeEscape", R"("ab\u12")",
+                       "truncated \\u escape at offset 3"},
+        ParseErrorCase{"InvalidUnicodeEscape", R"("\u12G4")",
+                       "invalid \\u escape at offset 1"},
+        ParseErrorCase{"InvalidEscapeCharacter", R"(["\q"])",
+                       "invalid escape character at offset 2"},
+        ParseErrorCase{"UnterminatedString", R"({"key": "abc)",
+                       "unterminated JSON string at offset 8"},
+        ParseErrorCase{"UnterminatedArray", " [1, 2",
+                       "unterminated JSON array at offset 1"},
+        ParseErrorCase{"UnterminatedObject", R"([{"a": 1)",
+                       "unterminated JSON object at offset 1"}),
+    [](const ::testing::TestParamInfo<ParseErrorCase>& info) {
+      return std::string(info.param.name);
+    });
+
 TEST(JsonTest, DumpRoundTrip) {
   const std::string text =
       R"({"arr":[1,2.5,"x"],"obj":{"nested":true},"s":"a\nb","z":null})";
