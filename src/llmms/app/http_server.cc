@@ -58,23 +58,26 @@ void HalfCloseAndDrain(int fd) {
   }
 }
 
-// Reads one full HTTP request (head + Content-Length body) from `fd`.
+// Reads and parses one HTTP request (head + Content-Length body) from `fd`.
 // Typed failures: DeadlineExceeded when SO_RCVTIMEO expires before the
 // request arrives (a slow-loris peer trickling bytes slower than the socket
 // deadline), ResourceExhausted when the head exceeds `max_head_bytes` or the
 // announced/observed body exceeds `max_body_bytes` — checked as soon as the
 // head (and its Content-Length) is parsed, so an oversized upload is
-// rejected before its body is pulled off the wire.
-StatusOr<std::string> ReadRequest(int fd, size_t max_head_bytes,
+// rejected before its body is pulled off the wire — InvalidArgument when
+// the head or its Content-Length does not parse or the body falls short of
+// it, and IOError when the peer leaves before sending a head.
+StatusOr<HttpRequest> ReadRequest(int fd, size_t max_head_bytes,
                                   size_t max_body_bytes) {
   std::string buffer;
   char chunk[4096];
+  HttpRequest request;
   size_t body_needed = 0;
   size_t head_end = std::string::npos;
   for (;;) {
     if (head_end != std::string::npos &&
         buffer.size() >= head_end + 4 + body_needed) {
-      return buffer;
+      break;
     }
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n < 0) {
@@ -85,7 +88,7 @@ StatusOr<std::string> ReadRequest(int fd, size_t max_head_bytes,
       return Status::IOError("recv failed");
     }
     if (n == 0) {
-      if (head_end != std::string::npos) return buffer;
+      if (head_end != std::string::npos) break;
       return Status::IOError("connection closed before request head");
     }
     buffer.append(chunk, static_cast<size_t>(n));
@@ -104,15 +107,11 @@ StatusOr<std::string> ReadRequest(int fd, size_t max_head_bytes,
             "request head exceeds " + std::to_string(max_head_bytes) +
             " bytes");
       }
-      // Size the body from the parsed head. A head that does not parse, or
-      // whose Content-Length is invalid, reads no body: ParseHttpRequest
-      // then answers it with a 400.
-      const auto head =
-          ParseHttpRequestHead(std::string_view(buffer).substr(0, head_end));
-      if (head.ok()) {
-        const auto length = ContentLength(head->headers);
-        if (length.ok()) body_needed = length->value_or(0);
-      }
+      LLMMS_ASSIGN_OR_RETURN(
+          request, ParseHttpRequestHead(std::string_view(buffer.data(),
+                                                         head_end)));
+      LLMMS_ASSIGN_OR_RETURN(const auto length, ContentLength(request.headers));
+      body_needed = length.value_or(0);
       if (body_needed > max_body_bytes) {
         return Status::ResourceExhausted(
             "request body of " + std::to_string(body_needed) +
@@ -125,6 +124,12 @@ StatusOr<std::string> ReadRequest(int fd, size_t max_head_bytes,
       return Status::ResourceExhausted("request too large");
     }
   }
+  const std::string_view body = std::string_view(buffer).substr(head_end + 4);
+  if (body.size() < body_needed) {
+    return Status::InvalidArgument("request body shorter than content-length");
+  }
+  request.body = std::string(body.substr(0, body_needed));
+  return request;
 }
 
 std::string ChunkEncode(std::string_view data) {
@@ -473,27 +478,26 @@ void HttpServer::HandleConnection(int fd,
     return;
   }
 
-  auto raw = ReadRequest(fd, options_.max_head_bytes, options_.max_body_bytes);
-  if (!raw.ok()) {
-    if (raw.status().IsResourceExhausted()) {
+  auto request =
+      ReadRequest(fd, options_.max_head_bytes, options_.max_body_bytes);
+  if (!request.ok()) {
+    const Status& status = request.status();
+    if (status.IsResourceExhausted()) {
       stats_->rejected_oversize.fetch_add(1);
-      fail(413, raw.status().message());
-      // Rejected before the body was consumed: linger-drain so the reset
-      // from closing on unread bytes cannot destroy the 413 in flight.
-      HalfCloseAndDrain(fd);
-    } else if (raw.status().IsDeadlineExceeded()) {
+      fail(413, status.message());
+    } else if (status.IsDeadlineExceeded()) {
       // Slow-loris: the peer held a worker without delivering a request
       // within the socket deadline.
       stats_->timeouts.fetch_add(1);
-      fail(408, raw.status().message());
-      HalfCloseAndDrain(fd);
+      fail(408, status.message());
+    } else if (status.IsInvalidArgument()) {
+      fail(400, status.message());
+    } else {
+      return;  // IOError: the peer vanished before sending anything
     }
-    // IOError (peer vanished before sending anything): nothing to answer.
-    return;
-  }
-  auto request = ParseHttpRequest(*raw);
-  if (!request.ok()) {
-    fail(400, request.status().message());
+    // Rejected before the body was consumed: linger-drain so the reset
+    // from closing on unread bytes cannot destroy the answer in flight.
+    HalfCloseAndDrain(fd);
     return;
   }
   if (request->method != "GET" && request->method != "POST") {
