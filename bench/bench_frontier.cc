@@ -115,7 +115,8 @@ World MakeWorld(size_t questions_per_domain) {
 }
 
 // The five execution modes of §8.1 (fewer if `config` switches some off).
-eval::EvaluationReport Evaluate(World& world, eval::HarnessConfig config = {}) {
+eval::EvaluationReport Evaluate(const World& world,
+                                eval::HarnessConfig config = {}) {
   eval::EvaluationHarness harness(world.runtime.get(), world.embedder,
                                   world.model_names, config);
   return OrDie(harness.Run(world.dataset), "evaluation");
@@ -147,8 +148,9 @@ struct Series {
 // Figures 8.1-8.3 share one shape: the scale line, the §8.1 run, the
 // figure's series, optionally a note and a second series, and the full
 // table.
-eval::EvaluationReport Figure(World& world, const char* figure, Series main,
-                              const char* note = nullptr, Series extra = {}) {
+eval::EvaluationReport Figure(const World& world, const char* figure,
+                              Series main, const char* note = nullptr,
+                              Series extra = {}) {
   std::cout << figure << " reproduction: " << world.dataset.size()
             << " TruthfulQA-style questions, token budget 2048\n\n";
   auto report = Evaluate(world);
@@ -176,7 +178,7 @@ void PrintRow(const std::string& label, const eval::StrategyAggregate& agg,
 // Figure 8.1: average reward per model/strategy. Expected shape (thesis
 // §8.3.1): the LLM-MS strategies out-reward every static single-model
 // baseline, with MAB on top.
-void Fig8_1(World& world) {
+void Fig8_1(const World& world) {
   const auto report = Figure(
       world, "Figure 8.1",
       {"Figure 8.1 - Average reward per model (Eq. 8.1)", "reward"});
@@ -194,7 +196,7 @@ void Fig8_1(World& world) {
 
 // Figure 8.2: average F1 per model/strategy. Expected shape (thesis §8.3.2):
 // LLM-MS OUA achieves the highest average F1.
-void Fig8_2(World& world) {
+void Fig8_2(const World& world) {
   Figure(world, "Figure 8.2", {"Figure 8.2 - Average F1 score per model", "f1"},
          "\nAccuracy (fraction of answers closer to the correct set than the "
          "misconception set):\n",
@@ -204,7 +206,7 @@ void Fig8_2(World& world) {
 // Figure 8.3: average reward-to-tokens ratio per model/strategy. Expected
 // shape (thesis §8.3.3): LLM-MS OUA shows the best trade-off between token
 // usage and answer quality (early pruning conserves tokens).
-void Fig8_3(World& world) {
+void Fig8_3(const World& world) {
   Figure(world, "Figure 8.3",
          {"Figure 8.3 - Average reward-to-tokens ratio per model (per 1k "
           "tokens)",
@@ -216,7 +218,7 @@ void Fig8_3(World& world) {
 // The measured tables of EXPERIMENTS.md as markdown: the five-mode
 // comparison plus one series per paper figure. Refresh the documentation
 // with `bench_frontier --preset report > report.md`.
-void Report(World& world) {
+void Report(const World& world) {
   const auto report = Evaluate(world);
   const auto rows = Aggregates(report);
 
@@ -263,7 +265,7 @@ void Report(World& world) {
 // agreement) of Eq. 6.1 / Algorithm 1. The paper fixes alpha=0.7, beta=0.3;
 // this sweep shows how the mix affects both LLM-MS strategies, with
 // beta = 1 - alpha throughout.
-void AlphaBeta(World& world) {
+void AlphaBeta(const World& world) {
   std::cout << "Alpha/beta ablation (" << world.dataset.size()
             << " questions): score = alpha*qSim + (1-alpha)*interSim\n\n";
   std::cout << "alpha   oua_reward  oua_f1   mab_reward  mab_f1\n";
@@ -291,7 +293,7 @@ void AlphaBeta(World& world) {
 // 17). Small margins prune/stop aggressively and save tokens at some F1
 // risk; the thesis's literal 0.5 (on its embedding scale) disables both
 // behaviors on our hash-embedding cosine scale — visible in the last row.
-void PruneMargin(World& world) {
+void PruneMargin(const World& world) {
   std::cout << "OUA margin ablation (" << world.dataset.size()
             << " questions); early_stop_margin = prune_margin + 0.02\n\n";
   std::cout << "margin  reward   f1      tokens   rew/1k_tok\n";
@@ -317,7 +319,7 @@ void PruneMargin(World& world) {
 // MAB's exploration coefficient gamma (Algorithm 2 line 11): the paper's
 // decaying schedule gamma = gamma0*(1 - used/budget) against fixed gamma,
 // across several gamma0 values.
-void Gamma(World& world) {
+void Gamma(const World& world) {
   std::cout << "MAB gamma ablation (" << world.dataset.size()
             << " questions)\n\n";
   std::cout << "gamma0  schedule  reward   f1      tokens\n";
@@ -346,7 +348,7 @@ void Gamma(World& world) {
 // The token budget lambda_max (§6.3 uses 2048): answer quality vs. cost for
 // both LLM-MS strategies — where the curves flatten is where extra tokens
 // stop buying quality.
-void Budget(World& world) {
+void Budget(const World& world) {
   std::cout << "Token budget sweep (" << world.dataset.size()
             << " questions)\n\n";
   std::cout << "budget  strategy     reward   f1      tokens\n";
@@ -369,7 +371,7 @@ void Budget(World& world) {
 // The hybrid strategy the thesis's analysis proposes (§8.4) — OUA-style
 // screening followed by UCB1 allocation among the survivors — against its
 // two parents on quality and token cost.
-void Hybrid(World& world) {
+void Hybrid(const World& world) {
   std::cout << "Hybrid ablation (" << world.dataset.size()
             << " questions): OUA screening + UCB allocation vs. parents\n\n";
 
@@ -400,7 +402,7 @@ void Hybrid(World& world) {
 // phase in which the router observes model performance per task, new
 // queries are routed to a subset of specialists — measuring what routing
 // buys in tokens at what quality cost, vs. full-pool orchestration.
-void Routing(World& world) {
+void Routing(const World& world) {
   core::IntentClassifier classifier(world.embedder);
   for (const auto& item : world.dataset) {
     Check(classifier.AddExample(item.question, item.domain), "classifier");
@@ -454,7 +456,7 @@ void Routing(World& world) {
 // question benchmark — decompose/research/verify/compose vs. a single
 // orchestration pass over the fused question. MultiAgentPipeline is not an
 // Orchestrator, so its half keeps its own loop.
-void MultiAgent(World& world) {
+void MultiAgent(const World& world) {
   const auto composites =
       eval::GenerateCompositeDataset(world.dataset, world.dataset.size() / 2);
   std::cout << "Multi-agent pipeline on " << composites.size()
@@ -486,7 +488,7 @@ void MultiAgent(World& world) {
 struct Preset {
   const char* name;
   size_t max_qpd;  // cap on LLMMS_BENCH_QPD
-  void (*run)(World& world);
+  void (*run)(const World& world);
 };
 
 constexpr size_t kUncapped = SIZE_MAX;
@@ -502,7 +504,7 @@ constexpr Preset kPresets[] = {
 int RunPreset(const std::string& name) {
   for (const Preset& preset : kPresets) {
     if (name != preset.name) continue;
-    World world = MakeWorld(std::min(EnvQpd(50), preset.max_qpd));
+    const World world = MakeWorld(std::min(EnvQpd(50), preset.max_qpd));
     preset.run(world);
     return 0;
   }
