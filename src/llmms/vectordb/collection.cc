@@ -159,6 +159,7 @@ StatusOr<std::vector<IndexHit>> Collection::CandidatesLocked(
   // exact distance against the stored full-precision vector re-ranks them.
   const size_t overfetch = quant_overfetch_.load(std::memory_order_relaxed);
   LLMMS_ASSIGN_OR_RETURN(auto qhits, qindex_->Search(query, fetch * overfetch));
+  const double query_norm = Norm(query);
   std::vector<IndexHit> hits;
   hits.reserve(qhits.size());
   for (const IndexHit& qh : qhits) {
@@ -166,7 +167,8 @@ StatusOr<std::vector<IndexHit>> Collection::CandidatesLocked(
     if (it == qslot_to_slot_.end()) continue;
     const Vector* v = index_->GetVector(it->second);
     if (v == nullptr) continue;
-    hits.push_back(IndexHit{it->second, Distance(options_.metric, query, *v)});
+    hits.push_back(IndexHit{it->second, Distance(options_.metric, query,
+                                                 query_norm, *v, Norm(*v))});
   }
   std::sort(hits.begin(), hits.end(), [](const IndexHit& a, const IndexHit& b) {
     if (a.distance != b.distance) return a.distance < b.distance;

@@ -5,16 +5,47 @@
 namespace llmms::vectordb {
 namespace {
 
-double Dot(const Vector& a, const Vector& b) {
-  double sum = 0.0;
-  const size_t n = a.size();
-  for (size_t i = 0; i < n; ++i) {
-    sum += static_cast<double>(a[i]) * static_cast<double>(b[i]);
+constexpr size_t kLanes = 16;
+
+// Sums term(a[i], b[i]) over i < n. Each lane accumulates every 16th term
+// in fp32, so the lanes carry no dependency on each other and the compiler
+// keeps them in vector registers; the lanes and the tail meet in a double.
+// Both terms are symmetric in their arguments, so swapping a and b gives
+// bit-equal sums.
+template <typename Term>
+double LaneSum(const float* a, const float* b, size_t n, Term term) {
+  float lanes[kLanes] = {};
+  size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (size_t l = 0; l < kLanes; ++l) lanes[l] += term(a[i + l], b[i + l]);
   }
+  double sum = 0.0;
+  for (; i < n; ++i) sum += term(a[i], b[i]);
+  for (float lane : lanes) sum += lane;
   return sum;
 }
 
+double SquaredL2(const float* a, const float* b, size_t n) {
+  return LaneSum(a, b, n, [](float x, float y) {
+    const float d = x - y;
+    return d * d;
+  });
+}
+
 }  // namespace
+
+double Dot(const float* a, const float* b, size_t n) {
+  return LaneSum(a, b, n, [](float x, float y) { return x * y; });
+}
+
+double Norm(const Vector& v) {
+  return std::sqrt(Dot(v.data(), v.data(), v.size()));
+}
+
+double CosineFrom(double dot, double norm_a, double norm_b) {
+  if (norm_a <= 0.0 || norm_b <= 0.0) return 1.0;
+  return 1.0 - dot / (norm_a * norm_b);
+}
 
 const char* DistanceMetricToString(DistanceMetric metric) {
   switch (metric) {
@@ -29,33 +60,21 @@ const char* DistanceMetricToString(DistanceMetric metric) {
 }
 
 double Distance(DistanceMetric metric, const Vector& a, const Vector& b) {
+  if (metric == DistanceMetric::kCosine) {
+    return Distance(metric, a, Norm(a), b, Norm(b));
+  }
+  return Distance(metric, a, 0.0, b, 0.0);
+}
+
+double Distance(DistanceMetric metric, const Vector& a, double norm_a,
+                const Vector& b, double norm_b) {
   switch (metric) {
-    case DistanceMetric::kCosine: {
-      double dot = 0.0;
-      double na = 0.0;
-      double nb = 0.0;
-      const size_t n = a.size();
-      for (size_t i = 0; i < n; ++i) {
-        const double x = a[i];
-        const double y = b[i];
-        dot += x * y;
-        na += x * x;
-        nb += y * y;
-      }
-      if (na <= 0.0 || nb <= 0.0) return 1.0;
-      return 1.0 - dot / (std::sqrt(na) * std::sqrt(nb));
-    }
-    case DistanceMetric::kL2: {
-      double sum = 0.0;
-      const size_t n = a.size();
-      for (size_t i = 0; i < n; ++i) {
-        const double d = static_cast<double>(a[i]) - static_cast<double>(b[i]);
-        sum += d * d;
-      }
-      return sum;
-    }
+    case DistanceMetric::kCosine:
+      return CosineFrom(Dot(a.data(), b.data(), a.size()), norm_a, norm_b);
+    case DistanceMetric::kL2:
+      return SquaredL2(a.data(), b.data(), a.size());
     case DistanceMetric::kInnerProduct:
-      return -Dot(a, b);
+      return -Dot(a.data(), b.data(), a.size());
   }
   return 0.0;
 }

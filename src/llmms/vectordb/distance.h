@@ -1,13 +1,35 @@
 #ifndef LLMMS_VECTORDB_DISTANCE_H_
 #define LLMMS_VECTORDB_DISTANCE_H_
 
+#include <cstddef>
+
 #include "llmms/vectordb/types.h"
 
 namespace llmms::vectordb {
 
+// The vector database's one distance kernel. Every index, the quantized
+// rerank and the sharded merge reach the same out-of-line Dot, so a
+// distance never depends on the path that computed it.
+
+// a·b over n floats: 16 independent fp32 lanes plus a scalar tail, summed
+// into a double at the end. A plain loop that -O3 vectorizes as it stands.
+double Dot(const float* a, const float* b, size_t n);
+
+// sqrt(Dot(v, v)). Indexes compute it once per stored vector.
+double Norm(const Vector& v);
+
+// 1 - dot / (norm_a * norm_b); 1.0 when either norm is 0.
+double CosineFrom(double dot, double norm_a, double norm_b);
+
 // Distance for index-internal ordering: smaller = closer, for every metric.
 // kCosine -> 1 - cos, kL2 -> squared L2, kInnerProduct -> -dot.
 double Distance(DistanceMetric metric, const Vector& a, const Vector& b);
+
+// The same distance from norms the caller already holds (only kCosine
+// reads them). Bit-equal to Distance(metric, a, b) when norm_a == Norm(a)
+// and norm_b == Norm(b).
+double Distance(DistanceMetric metric, const Vector& a, double norm_a,
+                const Vector& b, double norm_b);
 
 // User-facing similarity: larger = closer. kCosine -> cos, kL2 -> -sqrt(d2),
 // kInnerProduct -> dot.

@@ -13,6 +13,7 @@ StatusOr<SlotId> FlatIndex::Add(const Vector& vector) {
         " does not match index dimension " + std::to_string(dimension_));
   }
   vectors_.push_back(vector);
+  norms_.push_back(Norm(vector));
   removed_.push_back(false);
   ++live_count_;
   return static_cast<SlotId>(vectors_.size() - 1);
@@ -34,12 +35,14 @@ StatusOr<std::vector<IndexHit>> FlatIndex::Search(const Vector& query,
   if (query.size() != dimension_) {
     return Status::InvalidArgument("query dimension mismatch");
   }
+  const double query_norm = Norm(query);
   std::vector<IndexHit> hits;
   hits.reserve(vectors_.size());
   for (size_t i = 0; i < vectors_.size(); ++i) {
     if (removed_[i]) continue;
-    hits.push_back(
-        IndexHit{static_cast<SlotId>(i), Distance(metric_, query, vectors_[i])});
+    hits.push_back(IndexHit{
+        static_cast<SlotId>(i),
+        Distance(metric_, query, query_norm, vectors_[i], norms_[i])});
   }
   const size_t limit = std::min(k, hits.size());
   std::partial_sort(hits.begin(), hits.begin() + static_cast<ptrdiff_t>(limit),

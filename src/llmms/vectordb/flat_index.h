@@ -28,6 +28,7 @@ class FlatIndex final : public VectorIndex {
   size_t dimension_;
   DistanceMetric metric_;
   std::vector<Vector> vectors_;
+  std::vector<double> norms_;  // Norm(vectors_[slot]), fixed at Add
   std::vector<bool> removed_;
   size_t live_count_ = 0;
 };

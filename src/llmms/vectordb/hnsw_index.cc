@@ -18,8 +18,13 @@ HnswIndex::HnswIndex(size_t dimension, DistanceMetric metric,
                               options.M > 1 ? options.M : 2))),
       rng_(options.seed) {}
 
-double HnswIndex::Dist(const Vector& a, SlotId b) const {
-  return Distance(metric_, a, vectors_[b]);
+double HnswIndex::Dist(const Vector& query, double query_norm,
+                       SlotId b) const {
+  return Distance(metric_, query, query_norm, vectors_[b], norms_[b]);
+}
+
+double HnswIndex::Dist(SlotId a, SlotId b) const {
+  return Distance(metric_, vectors_[a], norms_[a], vectors_[b], norms_[b]);
 }
 
 int HnswIndex::DrawLevel() {
@@ -29,7 +34,31 @@ int HnswIndex::DrawLevel() {
   return std::min(level, 32);
 }
 
+SlotId HnswIndex::GreedyDescend(const Vector& query, double query_norm,
+                                SlotId entry, int top, int bottom) const {
+  SlotId current = entry;
+  double best = Dist(query, query_norm, current);
+  for (int l = top; l > bottom; --l) {
+    bool improved = true;
+    while (improved) {
+      improved = false;
+      const auto& nbrs = nodes_[current].neighbors;
+      if (l >= static_cast<int>(nbrs.size())) break;
+      for (SlotId nbr : nbrs[static_cast<size_t>(l)]) {
+        const double d = Dist(query, query_norm, nbr);
+        if (d < best) {
+          best = d;
+          current = nbr;
+          improved = true;
+        }
+      }
+    }
+  }
+  return current;
+}
+
 std::vector<HnswIndex::Candidate> HnswIndex::SearchLayer(const Vector& query,
+                                                         double query_norm,
                                                          SlotId entry,
                                                          size_t ef,
                                                          int level) const {
@@ -42,7 +71,7 @@ std::vector<HnswIndex::Candidate> HnswIndex::SearchLayer(const Vector& query,
   std::priority_queue<Candidate> results;
   std::unordered_set<SlotId> visited;
 
-  const Candidate start{Dist(query, entry), entry};
+  const Candidate start{Dist(query, query_norm, entry), entry};
   candidates.push(start);
   results.push(start);
   visited.insert(entry);
@@ -58,7 +87,7 @@ std::vector<HnswIndex::Candidate> HnswIndex::SearchLayer(const Vector& query,
     if (level >= static_cast<int>(nbrs.size())) continue;
     for (SlotId nbr : nbrs[static_cast<size_t>(level)]) {
       if (!visited.insert(nbr).second) continue;
-      const double d = Dist(query, nbr);
+      const double d = Dist(query, query_norm, nbr);
       if (results.size() < ef || d < results.top().distance) {
         candidates.push(Candidate{d, nbr});
         results.push(Candidate{d, nbr});
@@ -78,7 +107,7 @@ std::vector<HnswIndex::Candidate> HnswIndex::SearchLayer(const Vector& query,
 }
 
 std::vector<SlotId> HnswIndex::SelectNeighbors(
-    const Vector& query, std::vector<Candidate> candidates, size_t m) const {
+    std::vector<Candidate> candidates, size_t m) const {
   // Heuristic from the HNSW paper: keep a candidate only if it is closer to
   // the query than to every already-selected neighbor. This preserves edge
   // diversity, which is what gives the graph its navigability.
@@ -90,7 +119,7 @@ std::vector<SlotId> HnswIndex::SelectNeighbors(
     if (selected.size() >= m) break;
     bool keep = true;
     for (SlotId s : selected) {
-      if (Distance(metric_, vectors_[c.slot], vectors_[s]) < c.distance) {
+      if (Dist(c.slot, s) < c.distance) {
         keep = false;
         break;
       }
@@ -118,7 +147,9 @@ StatusOr<SlotId> HnswIndex::Add(const Vector& vector) {
   const SlotId slot = static_cast<SlotId>(vectors_.size());
   const int level = DrawLevel();
 
+  const double norm = Norm(vector);
   vectors_.push_back(vector);
+  norms_.push_back(norm);
   Node node;
   node.level = level;
   node.neighbors.resize(static_cast<size_t>(level) + 1);
@@ -131,32 +162,15 @@ StatusOr<SlotId> HnswIndex::Add(const Vector& vector) {
     return slot;
   }
 
-  SlotId current = entry_point_;
   // Greedy descent through levels above the new node's level.
-  for (int l = max_level_; l > level; --l) {
-    bool improved = true;
-    while (improved) {
-      improved = false;
-      const auto& nbrs = nodes_[current].neighbors;
-      if (l >= static_cast<int>(nbrs.size())) break;
-      double best = Dist(vector, current);
-      for (SlotId nbr : nbrs[static_cast<size_t>(l)]) {
-        const double d = Dist(vector, nbr);
-        if (d < best) {
-          best = d;
-          current = nbr;
-          improved = true;
-        }
-      }
-    }
-  }
+  SlotId current = GreedyDescend(vector, norm, entry_point_, max_level_, level);
 
   // Connect on each level from min(level, max_level_) down to 0.
   for (int l = std::min(level, max_level_); l >= 0; --l) {
-    auto candidates = SearchLayer(vector, current, options_.ef_construction, l);
+    auto candidates =
+        SearchLayer(vector, norm, current, options_.ef_construction, l);
     if (!candidates.empty()) current = candidates.front().slot;
-    const auto neighbors =
-        SelectNeighbors(vector, candidates, options_.M);
+    const auto neighbors = SelectNeighbors(std::move(candidates), options_.M);
     auto& my_links = nodes_[slot].neighbors[static_cast<size_t>(l)];
     my_links = neighbors;
     // Add reverse edges, shrinking neighbor lists that overflow.
@@ -167,12 +181,8 @@ StatusOr<SlotId> HnswIndex::Add(const Vector& vector) {
       if (links.size() > cap) {
         std::vector<Candidate> cands;
         cands.reserve(links.size());
-        for (SlotId s : links) {
-          cands.push_back(Candidate{Distance(metric_, vectors_[nbr],
-                                             vectors_[s]),
-                                    s});
-        }
-        links = SelectNeighbors(vectors_[nbr], std::move(cands), cap);
+        for (SlotId s : links) cands.push_back(Candidate{Dist(nbr, s), s});
+        links = SelectNeighbors(std::move(cands), cap);
       }
     }
   }
@@ -209,29 +219,15 @@ StatusOr<std::vector<IndexHit>> HnswIndex::SearchWithEf(const Vector& query,
   std::vector<IndexHit> hits;
   if (vectors_.empty() || live_count_ == 0 || k == 0) return hits;
 
-  SlotId current = entry_point_;
-  for (int l = max_level_; l > 0; --l) {
-    bool improved = true;
-    while (improved) {
-      improved = false;
-      const auto& nbrs = nodes_[current].neighbors;
-      if (l >= static_cast<int>(nbrs.size())) break;
-      double best = Dist(query, current);
-      for (SlotId nbr : nbrs[static_cast<size_t>(l)]) {
-        const double d = Dist(query, nbr);
-        if (d < best) {
-          best = d;
-          current = nbr;
-          improved = true;
-        }
-      }
-    }
-  }
+  const double query_norm = Norm(query);
+  const SlotId current =
+      GreedyDescend(query, query_norm, entry_point_, max_level_, /*bottom=*/0);
 
   // Over-fetch when tombstones exist so k live results survive filtering.
   const size_t tombstones = vectors_.size() - live_count_;
   const size_t ef = std::max(ef_search, k) + tombstones;
-  const auto candidates = SearchLayer(query, current, ef, /*level=*/0);
+  const auto candidates =
+      SearchLayer(query, query_norm, current, ef, /*level=*/0);
   hits.reserve(std::min(k, candidates.size()));
   for (const Candidate& c : candidates) {
     if (nodes_[c.slot].removed) continue;

@@ -70,17 +70,23 @@ class HnswIndex final : public VectorIndex {
     bool operator>(const Candidate& other) const { return other < *this; }
   };
 
-  double Dist(const Vector& a, SlotId b) const;
+  // Distances through the cached norms: query-to-slot and slot-to-slot.
+  double Dist(const Vector& query, double query_norm, SlotId b) const;
+  double Dist(SlotId a, SlotId b) const;
   int DrawLevel();
+
+  // Greedy descent from `entry` through levels top..bottom+1, moving to a
+  // closer neighbor until none is closer; returns the last slot reached.
+  SlotId GreedyDescend(const Vector& query, double query_norm, SlotId entry,
+                       int top, int bottom) const;
 
   // Greedy best-first search restricted to one level; returns up to `ef`
   // closest candidates to `query` starting from `entry`.
-  std::vector<Candidate> SearchLayer(const Vector& query, SlotId entry,
-                                     size_t ef, int level) const;
+  std::vector<Candidate> SearchLayer(const Vector& query, double query_norm,
+                                     SlotId entry, size_t ef, int level) const;
 
   // Select-neighbors heuristic (keeps diverse edges).
-  std::vector<SlotId> SelectNeighbors(const Vector& query,
-                                      std::vector<Candidate> candidates,
+  std::vector<SlotId> SelectNeighbors(std::vector<Candidate> candidates,
                                       size_t m) const;
 
   size_t MaxNeighbors(int level) const {
@@ -93,6 +99,7 @@ class HnswIndex final : public VectorIndex {
   double level_lambda_;  // 1 / ln(M)
 
   std::vector<Vector> vectors_;
+  std::vector<double> norms_;  // Norm(vectors_[slot]), fixed at Add
   std::vector<Node> nodes_;
   SlotId entry_point_ = 0;
   int max_level_ = -1;

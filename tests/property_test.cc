@@ -237,13 +237,22 @@ TEST_P(HnswPropertyTest, ResultsSortedLiveAndWithinK) {
       if (i > 0) {
         EXPECT_LE((*hits)[i - 1].distance, (*hits)[i].distance + 1e-12);
       }
-      // Reported distance must equal the true distance to that vector.
+      // Reported distance must equal the true distance to that vector, bit
+      // for bit: the index reaches the same kernel through cached norms.
       const auto* vec = index.GetVector((*hits)[i].slot);
       ASSERT_NE(vec, nullptr);
-      EXPECT_NEAR((*hits)[i].distance,
-                  vectordb::Distance(vectordb::DistanceMetric::kCosine, query,
-                                     *vec),
-                  1e-9);
+      EXPECT_EQ((*hits)[i].distance,
+                vectordb::Distance(vectordb::DistanceMetric::kCosine, query,
+                                   *vec));
+    }
+    auto exact = flat.Search(query, 12);
+    ASSERT_TRUE(exact.ok());
+    for (const auto& hit : *exact) {
+      const auto* vec = flat.GetVector(hit.slot);
+      ASSERT_NE(vec, nullptr);
+      EXPECT_EQ(hit.distance,
+                vectordb::Distance(vectordb::DistanceMetric::kCosine, query,
+                                   *vec));
     }
   }
 }

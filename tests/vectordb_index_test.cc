@@ -39,6 +39,76 @@ TEST(DistanceTest, L2AndInnerProduct) {
   EXPECT_DOUBLE_EQ(Distance(DistanceMetric::kInnerProduct, a, b), -11.0);
 }
 
+// The kernel against a double-precision reference, across dimensions that
+// cover the scalar tail alone (1, 7, 15), exact lanes (16, 64) and lanes
+// plus a tail (17, 385).
+class DistanceKernelTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(DistanceKernelTest, MatchesDoubleReference) {
+  const size_t dim = GetParam();
+  Rng rng(1000 + dim);
+  for (int trial = 0; trial < 20; ++trial) {
+    Vector a(dim);
+    Vector b(dim);
+    for (auto& x : a) x = static_cast<float>(rng.Normal());
+    for (auto& x : b) x = static_cast<float>(rng.Normal());
+    double dot = 0.0, abs_dot = 0.0, na = 0.0, nb = 0.0, l2 = 0.0;
+    for (size_t i = 0; i < dim; ++i) {
+      const double x = a[i];
+      const double y = b[i];
+      dot += x * y;
+      abs_dot += std::abs(x * y);
+      na += x * x;
+      nb += y * y;
+      l2 += (x - y) * (x - y);
+    }
+    EXPECT_NEAR(Distance(DistanceMetric::kCosine, a, b),
+                1.0 - dot / (std::sqrt(na) * std::sqrt(nb)), 1e-6)
+        << "dim=" << dim;
+    EXPECT_NEAR(Distance(DistanceMetric::kL2, a, b), l2, 1e-5 * l2)
+        << "dim=" << dim;
+    // Relative to sum |a_i * b_i|: a dot of independent vectors can cancel
+    // to near zero, where no fp32 sum is accurate relative to the result.
+    EXPECT_NEAR(Distance(DistanceMetric::kInnerProduct, a, b), -dot,
+                1e-5 * abs_dot)
+        << "dim=" << dim;
+    EXPECT_NEAR(Norm(a), std::sqrt(na), 1e-5 * std::sqrt(na));
+  }
+}
+
+TEST_P(DistanceKernelTest, SymmetricAndEqualThroughCachedNorms) {
+  const size_t dim = GetParam();
+  Rng rng(2000 + dim);
+  for (int trial = 0; trial < 20; ++trial) {
+    Vector a(dim);
+    Vector b(dim);
+    for (auto& x : a) x = static_cast<float>(rng.Normal());
+    for (auto& x : b) x = static_cast<float>(rng.Normal());
+    for (DistanceMetric metric :
+         {DistanceMetric::kCosine, DistanceMetric::kL2,
+          DistanceMetric::kInnerProduct}) {
+      const double ab = Distance(metric, a, b);
+      EXPECT_EQ(ab, Distance(metric, b, a)) << "dim=" << dim;
+      EXPECT_EQ(ab, Distance(metric, a, Norm(a), b, Norm(b))) << "dim=" << dim;
+    }
+  }
+}
+
+TEST_P(DistanceKernelTest, ZeroVectorIsCosineOne) {
+  const size_t dim = GetParam();
+  Rng rng(3000 + dim);
+  Vector a(dim);
+  for (auto& x : a) x = static_cast<float>(rng.Normal());
+  const Vector zero(dim, 0.0f);
+  EXPECT_EQ(Distance(DistanceMetric::kCosine, a, zero), 1.0);
+  EXPECT_EQ(Distance(DistanceMetric::kCosine, zero, a), 1.0);
+  EXPECT_EQ(Distance(DistanceMetric::kCosine, zero, zero), 1.0);
+  EXPECT_EQ(Norm(zero), 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, DistanceKernelTest,
+                         ::testing::Values(1, 7, 15, 16, 17, 64, 384, 385));
+
 TEST(DistanceTest, SimilarityInversion) {
   EXPECT_DOUBLE_EQ(SimilarityFromDistance(DistanceMetric::kCosine, 0.25), 0.75);
   EXPECT_DOUBLE_EQ(SimilarityFromDistance(DistanceMetric::kL2, 9.0), -3.0);
