@@ -26,10 +26,11 @@ StatusOr<size_t> DocumentStore::AddDocument(const std::string& document_id,
   if (document_id.find('#') != std::string::npos) {
     return Status::InvalidArgument("document_id must not contain '#'");
   }
+  std::lock_guard<std::mutex> lock(mu_);
   // Replace semantics: drop any previous chunks of this document.
   if (std::find(document_ids_.begin(), document_ids_.end(), document_id) !=
       document_ids_.end()) {
-    LLMMS_RETURN_NOT_OK(RemoveDocument(document_id));
+    LLMMS_RETURN_NOT_OK(RemoveDocumentLocked(document_id));
   }
 
   const auto chunks = chunker_.Chunk(text);
@@ -47,6 +48,11 @@ StatusOr<size_t> DocumentStore::AddDocument(const std::string& document_id,
 }
 
 Status DocumentStore::RemoveDocument(const std::string& document_id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return RemoveDocumentLocked(document_id);
+}
+
+Status DocumentStore::RemoveDocumentLocked(const std::string& document_id) {
   auto it = std::find(document_ids_.begin(), document_ids_.end(), document_id);
   if (it == document_ids_.end()) {
     return Status::NotFound("document '" + document_id + "' is not indexed");
@@ -58,6 +64,11 @@ Status DocumentStore::RemoveDocument(const std::string& document_id) {
   }
   document_ids_.erase(it);
   return Status::OK();
+}
+
+std::vector<std::string> DocumentStore::document_ids() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return document_ids_;
 }
 
 StatusOr<std::vector<RetrievedChunk>> DocumentStore::Retrieve(

@@ -2,6 +2,7 @@
 #define LLMMS_RAG_DOCUMENT_STORE_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,10 @@ struct RetrievedChunk {
 // chunked, embedded, and upserted; queries are embedded and matched against
 // the chunks (§6.2, §7.2 steps 2-3). Works against any CollectionBase —
 // plain or sharded — so session stores scale without changing this layer.
+//
+// Thread-safe: the HTTP server runs uploads into one session on several
+// workers. Adds and removes of documents are serialized; retrieval runs
+// beside them under the collection's own lock.
 class DocumentStore {
  public:
   DocumentStore(std::shared_ptr<vectordb::CollectionBase> collection,
@@ -45,14 +50,17 @@ class DocumentStore {
       const std::string& document_id = "") const;
 
   size_t chunk_count() const { return collection_->size(); }
-  const std::vector<std::string>& document_ids() const {
-    return document_ids_;
-  }
+  std::vector<std::string> document_ids() const;
 
  private:
+  Status RemoveDocumentLocked(const std::string& document_id);
+
   std::shared_ptr<vectordb::CollectionBase> collection_;
   std::shared_ptr<const embedding::Embedder> embedder_;
   Chunker chunker_;
+  // Held across a whole add or remove, so two uploads of one id cannot both
+  // miss the lookup and leave a duplicate entry.
+  mutable std::mutex mu_;
   std::vector<std::string> document_ids_;
 };
 

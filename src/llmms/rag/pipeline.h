@@ -70,6 +70,9 @@ class RagPipeline {
   Status Expire();
 
   size_t chunk_count() const { return store_->chunk_count(); }
+  std::vector<std::string> document_ids() const {
+    return store_->document_ids();
+  }
   const std::string& collection_name() const { return collection_name_; }
 
  private:

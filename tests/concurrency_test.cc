@@ -11,6 +11,7 @@
 #include "llmms/common/thread_pool.h"
 #include "llmms/embedding/embedding_cache.h"
 #include "llmms/llm/batch_scheduler.h"
+#include "llmms/rag/pipeline.h"
 #include "llmms/vectordb/sharded_collection.h"
 #include "testutil.h"
 
@@ -70,6 +71,44 @@ TEST(ConcurrencyTest, ParallelCollectionUpsertsAndQueries) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(collection.size(), 600u);
+}
+
+// The HTTP server serves /api/upload on several workers, so two uploads can
+// land in one session's document store at once.
+TEST(ConcurrencyTest, ParallelUploadsIntoOnePipeline) {
+  auto db = std::make_shared<vectordb::VectorDatabase>();
+  auto pipeline = rag::RagPipeline::Create(
+      db, std::make_shared<embedding::HashEmbedder>(), "uploads");
+  ASSERT_TRUE(pipeline.ok());
+
+  constexpr int kThreads = 2;
+  constexpr int kUploads = 50;
+  std::atomic<int> failures{0};
+  std::atomic<size_t> chunks{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      for (int i = 0; i < kUploads; ++i) {
+        const std::string id = "t" + std::to_string(t) + "-" + std::to_string(i);
+        std::string text;
+        for (int s = 0; s <= i % 12; ++s) {
+          text += "Document " + id + " records fact number " +
+                  std::to_string(s) + " about the reactor cooling loop. ";
+        }
+        auto n = (*pipeline)->Upload(id, text);
+        if (!n.ok()) {
+          ++failures;
+        } else {
+          chunks += *n;
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ((*pipeline)->document_ids().size(),
+            static_cast<size_t>(kThreads * kUploads));
+  EXPECT_EQ((*pipeline)->chunk_count(), chunks.load());
 }
 
 TEST(ConcurrencyTest, ParallelRegistryMutations) {
