@@ -25,7 +25,6 @@
 //                         concurrency; 1 disables the pool)
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -42,6 +41,8 @@
 #include "llmms/vectordb/database.h"
 #include "llmms/vectordb/sharded_collection.h"
 #include "llmms/vectordb/wal.h"
+
+#include "clustered_sampler.h"
 
 namespace llmms::bench {
 namespace {
@@ -65,44 +66,6 @@ size_t EnvSize(const char* name, size_t fallback) {
   }
   return fallback;
 }
-
-// Text embeddings cluster by topic; model that with a Gaussian mixture
-// (uniform random high-dimensional vectors are a distance-concentration
-// worst case no real embedding workload resembles).
-class ClusteredSampler {
- public:
-  ClusteredSampler(Rng* rng, size_t dim, size_t num_clusters)
-      : rng_(rng), dim_(dim) {
-    for (size_t c = 0; c < num_clusters; ++c) {
-      Vector center(dim);
-      for (auto& x : center) x = static_cast<float>(rng->Normal());
-      centers_.push_back(Normalized(center));
-    }
-  }
-
-  Vector Sample() {
-    const auto& center = centers_[static_cast<size_t>(
-        rng_->UniformInt(0, static_cast<int64_t>(centers_.size()) - 1))];
-    Vector v(dim_);
-    for (size_t i = 0; i < dim_; ++i) {
-      v[i] = center[i] + static_cast<float>(rng_->Normal(0.0, 0.15));
-    }
-    return Normalized(v);
-  }
-
- private:
-  static Vector Normalized(Vector v) {
-    double norm_sq = 0.0;
-    for (float x : v) norm_sq += static_cast<double>(x) * x;
-    const float inv = static_cast<float>(1.0 / std::sqrt(norm_sq));
-    for (auto& x : v) x *= inv;
-    return v;
-  }
-
-  Rng* rng_;
-  size_t dim_;
-  std::vector<Vector> centers_;
-};
 
 // --- Phase 1: durability ---------------------------------------------------
 

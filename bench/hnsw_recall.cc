@@ -8,7 +8,6 @@
 // largest corpus (e.g. 1000000); the default keeps the quick-run sizes.
 
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <unordered_set>
@@ -18,54 +17,12 @@
 #include "llmms/vectordb/flat_index.h"
 #include "llmms/vectordb/hnsw_index.h"
 
+#include "clustered_sampler.h"
+
 namespace {
 
 using namespace llmms;
 using namespace llmms::vectordb;
-
-Vector RandomUnitVector(Rng* rng, size_t dim) {
-  Vector v(dim);
-  double norm_sq = 0.0;
-  for (auto& x : v) {
-    x = static_cast<float>(rng->Normal());
-    norm_sq += static_cast<double>(x) * x;
-  }
-  const float inv = static_cast<float>(1.0 / std::sqrt(norm_sq));
-  for (auto& x : v) x *= inv;
-  return v;
-}
-
-// Text embeddings cluster by topic; model that with a Gaussian mixture
-// (uniform random high-dimensional vectors are a distance-concentration
-// worst case no real embedding workload resembles).
-class ClusteredSampler {
- public:
-  ClusteredSampler(Rng* rng, size_t dim, size_t num_clusters)
-      : rng_(rng), dim_(dim) {
-    for (size_t c = 0; c < num_clusters; ++c) {
-      centers_.push_back(RandomUnitVector(rng, dim));
-    }
-  }
-
-  Vector Sample() {
-    const auto& center = centers_[static_cast<size_t>(
-        rng_->UniformInt(0, static_cast<int64_t>(centers_.size()) - 1))];
-    Vector v(dim_);
-    double norm_sq = 0.0;
-    for (size_t i = 0; i < dim_; ++i) {
-      v[i] = center[i] + static_cast<float>(rng_->Normal(0.0, 0.15));
-      norm_sq += static_cast<double>(v[i]) * v[i];
-    }
-    const float inv = static_cast<float>(1.0 / std::sqrt(norm_sq));
-    for (auto& x : v) x *= inv;
-    return v;
-  }
-
- private:
-  Rng* rng_;
-  size_t dim_;
-  std::vector<Vector> centers_;
-};
 
 size_t EnvSize(const char* name, size_t fallback) {
   const char* env = std::getenv(name);
@@ -96,7 +53,7 @@ int main() {
 
   for (size_t n : sizes) {
     Rng rng(0xBEEF);
-    ClusteredSampler sampler(&rng, kDim, /*num_clusters=*/64);
+    bench::ClusteredSampler sampler(&rng, kDim, /*num_clusters=*/64);
     std::vector<Vector> corpus;
     corpus.reserve(n);
     for (size_t i = 0; i < n; ++i) corpus.push_back(sampler.Sample());

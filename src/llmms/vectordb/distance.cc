@@ -32,6 +32,12 @@ double SquaredL2(const float* a, const float* b, size_t n) {
   });
 }
 
+// 1 - dot / (norm_a * norm_b); 1.0 when either norm is 0.
+double CosineFrom(double dot, double norm_a, double norm_b) {
+  if (norm_a <= 0.0 || norm_b <= 0.0) return 1.0;
+  return 1.0 - dot / (norm_a * norm_b);
+}
+
 }  // namespace
 
 double Dot(const float* a, const float* b, size_t n) {
@@ -40,11 +46,6 @@ double Dot(const float* a, const float* b, size_t n) {
 
 double Norm(const Vector& v) {
   return std::sqrt(Dot(v.data(), v.data(), v.size()));
-}
-
-double CosineFrom(double dot, double norm_a, double norm_b) {
-  if (norm_a <= 0.0 || norm_b <= 0.0) return 1.0;
-  return 1.0 - dot / (norm_a * norm_b);
 }
 
 const char* DistanceMetricToString(DistanceMetric metric) {

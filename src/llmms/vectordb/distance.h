@@ -7,9 +7,10 @@
 
 namespace llmms::vectordb {
 
-// The vector database's one distance kernel. Every index, the quantized
-// rerank and the sharded merge reach the same out-of-line Dot, so a
-// distance never depends on the path that computed it.
+// The vector database's one distance kernel. Every index and the quantized
+// rerank compute distances through the same two out-of-line functions, Norm
+// and the norm-taking Distance, so a distance never depends on the path
+// that computed it.
 
 // a·b over n floats: 16 independent fp32 lanes plus a scalar tail, summed
 // into a double at the end. A plain loop that -O3 vectorizes as it stands.
@@ -17,9 +18,6 @@ double Dot(const float* a, const float* b, size_t n);
 
 // sqrt(Dot(v, v)). Indexes compute it once per stored vector.
 double Norm(const Vector& v);
-
-// 1 - dot / (norm_a * norm_b); 1.0 when either norm is 0.
-double CosineFrom(double dot, double norm_a, double norm_b);
 
 // Distance for index-internal ordering: smaller = closer, for every metric.
 // kCosine -> 1 - cos, kL2 -> squared L2, kInnerProduct -> -dot.

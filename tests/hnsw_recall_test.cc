@@ -1,13 +1,13 @@
-// HNSW recall floors on the clustered 128-d corpus of bench/hnsw_recall.cc
-// at n=2000. Pins the graph's quality so a change to the distance kernel or
+// HNSW recall floors on bench/hnsw_recall.cc's clustered 128-d corpus at
+// n=2000. Pins the graph's quality so a change to the distance kernel or
 // to neighbor selection cannot trade recall for speed unnoticed.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <unordered_set>
 #include <vector>
 
+#include "clustered_sampler.h"
 #include "llmms/common/rng.h"
 #include "llmms/vectordb/flat_index.h"
 #include "llmms/vectordb/hnsw_index.h"
@@ -20,44 +20,10 @@ constexpr size_t kCorpus = 2000;
 constexpr size_t kQueries = 50;
 constexpr size_t kK = 10;
 
-Vector Normalized(Vector v) {
-  double norm_sq = 0.0;
-  for (float x : v) norm_sq += static_cast<double>(x) * x;
-  const float inv = static_cast<float>(1.0 / std::sqrt(norm_sq));
-  for (auto& x : v) x *= inv;
-  return v;
-}
-
-// Gaussian mixture around 64 unit centers, drawn in the same order as
-// bench/hnsw_recall.cc so the two see the same corpus and queries.
-class ClusteredSampler {
- public:
-  explicit ClusteredSampler(Rng* rng) : rng_(rng) {
-    for (int c = 0; c < 64; ++c) {
-      Vector center(kDim);
-      for (auto& x : center) x = static_cast<float>(rng_->Normal());
-      centers_.push_back(Normalized(std::move(center)));
-    }
-  }
-
-  Vector Sample() {
-    const auto& center = centers_[static_cast<size_t>(
-        rng_->UniformInt(0, static_cast<int64_t>(centers_.size()) - 1))];
-    Vector v(kDim);
-    for (size_t i = 0; i < kDim; ++i) {
-      v[i] = center[i] + static_cast<float>(rng_->Normal(0.0, 0.15));
-    }
-    return Normalized(std::move(v));
-  }
-
- private:
-  Rng* rng_;
-  std::vector<Vector> centers_;
-};
-
 TEST(HnswRecallFloorTest, ClusteredCorpusAtTwoThousand) {
+  // The seed and cluster count of bench/hnsw_recall.cc.
   Rng rng(0xBEEF);
-  ClusteredSampler sampler(&rng);
+  bench::ClusteredSampler sampler(&rng, kDim, /*num_clusters=*/64);
   FlatIndex flat(kDim, DistanceMetric::kCosine);
   HnswIndex hnsw(kDim, DistanceMetric::kCosine);
   for (size_t i = 0; i < kCorpus; ++i) {
