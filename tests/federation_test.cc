@@ -13,8 +13,12 @@
 #include <unistd.h>
 
 #include <condition_variable>
+#include <cstdlib>
+#include <fstream>
 #include <mutex>
+#include <sstream>
 #include <thread>
+#include <utility>
 
 #include "llmms/app/http_server.h"
 #include "llmms/app/remote_model.h"
@@ -108,6 +112,80 @@ class GatedModel final : public llm::LanguageModel {
   mutable std::condition_variable gate_cv_;
   bool gate_open_ = false;
 };
+
+// One POST over a raw socket; returns every response byte up to the
+// server's close, undecoded.
+std::string RawExchange(int port, const std::string& target,
+                        const std::string& body) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return "<socket failed>";
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  std::string raw;
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
+    const std::string request =
+        "POST " + target + " HTTP/1.1\r\ncontent-type: application/json\r\n" +
+        "content-length: " + std::to_string(body.size()) +
+        "\r\nconnection: close\r\n\r\n" + body;
+    (void)::send(fd, request.data(), request.size(), MSG_NOSIGNAL);
+    char buf[4096];
+    for (ssize_t n; (n = ::recv(fd, buf, sizeof(buf), 0)) > 0;) {
+      raw.append(buf, static_cast<size_t>(n));
+    }
+  }
+  ::close(fd);
+  return raw;
+}
+
+// Makes wire bytes line-oriented and diffable: every CR and LF is spelled
+// out, and each LF also ends the golden line.
+std::string EscapeWire(const std::string& raw) {
+  std::string out;
+  for (const char c : raw) {
+    if (c == '\\') {
+      out += "\\\\";
+    } else if (c == '\r') {
+      out += "\\r";
+    } else if (c == '\n') {
+      out += "\\n\n";
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+// Compares `fresh` with tests/golden/<name>, reporting the first diverging
+// line. LLMMS_UPDATE_GOLDEN=1 rewrites the golden instead.
+void ExpectMatchesGolden(const std::string& name, const std::string& fresh) {
+  const std::string path = std::string(LLMMS_TESTS_DIR) + "/golden/" + name;
+  if (std::getenv("LLMMS_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream(path, std::ios::trunc) << fresh;
+    GTEST_SKIP() << "golden file regenerated at " << path;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing golden file; regenerate with "
+                            "LLMMS_UPDATE_GOLDEN=1 "
+                         << path;
+  std::stringstream golden_text;
+  golden_text << in.rdbuf();
+  std::istringstream golden(golden_text.str());
+  std::istringstream current(fresh);
+  std::string golden_line;
+  std::string fresh_line;
+  for (size_t line = 1;; ++line) {
+    const bool more_fresh = static_cast<bool>(std::getline(current, fresh_line));
+    const bool more_golden =
+        static_cast<bool>(std::getline(golden, golden_line));
+    if (!more_fresh && !more_golden) break;
+    ASSERT_TRUE(more_fresh == more_golden && fresh_line == golden_line)
+        << name << " line " << line << " diverged\n"
+        << "  golden: " << (more_golden ? golden_line : "<eof>") << "\n"
+        << "  fresh:  " << (more_fresh ? fresh_line : "<eof>");
+  }
+}
 
 class FederationTest : public ::testing::Test {
  protected:
@@ -273,6 +351,34 @@ TEST_F(FederationTest, StreamingEndpointSpeaksTheWireProtocol) {
   ASSERT_TRUE(oneshot_result.ok());
   EXPECT_EQ(chunk_text, (*oneshot_result)["text"].AsString());
   EXPECT_EQ(chunk_token_sum, (*oneshot_result)["tokens"].AsInt());
+
+  // Byte-for-byte pin of the seeded wire output — head, chunk framing, SSE
+  // frames, terminal frame — of both streamed endpoints and the one-shot
+  // generate JSON, so a refactor of the serving path cannot change a byte.
+  Json capped = body;
+  capped.Set("max_tokens", 10);  // ends mid-chunk: 4 + 4 + 2, "length"
+  Json unknown = body;
+  unknown.Set("model", "missing:1b");  // a terminal `error` frame only
+  Json query = Json::MakeObject();
+  query.Set("session", "wire-pin");
+  query.Set("query", remote_world_.dataset[0].question);
+  query.Set("algorithm", "oua");
+  const std::pair<std::string, Json> exchanges[] = {
+      {"/api/query?stream=1", query},
+      {"/api/generate?stream=1", body},
+      {"/api/generate?stream=1", capped},
+      {"/api/generate?stream=1", unknown},
+      {"/api/generate", body},
+      {"/api/generate", capped},
+  };
+  std::string wire;
+  for (const auto& [target, request] : exchanges) {
+    wire += "== POST " + target + " " + request.Dump() + "\n";
+    wire += EscapeWire(RawExchange(remote_server_->port(), target,
+                                   request.Dump())) +
+            "\n";
+  }
+  ExpectMatchesGolden("wire_protocol.golden", wire);
 }
 
 TEST_F(FederationTest, StreamingAdapterMatchesOneShotAccounting) {
