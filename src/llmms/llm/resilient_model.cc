@@ -312,17 +312,12 @@ ResilientModel::ResilientModel(std::shared_ptr<LanguageModel> inner,
 StatusOr<std::unique_ptr<GenerationStream>> ResilientModel::StartGeneration(
     const GenerationRequest& request) const {
   if (!breaker_.AllowRequest()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++health_.fast_rejections;
-    }
     return Status::ResourceExhausted("circuit open for model '" + name() +
                                      "': failing fast");
   }
   Rng stream_rng;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++health_.starts;
     stream_rng = rng_.Fork();
   }
   double pending_backoff = 0.0;
@@ -351,10 +346,6 @@ StatusOr<std::unique_ptr<GenerationStream>> ResilientModel::StartGeneration(
     }
   }
   breaker_.RecordFailure();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++health_.total_failures;
-  }
   return Status(last_error.code(),
                 "model '" + name() + "' failed to start after " +
                     std::to_string(config_.max_start_retries + 1) +

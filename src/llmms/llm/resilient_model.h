@@ -210,9 +210,10 @@ class ResilientModel final : public LanguageModel {
   struct Health {
     CircuitBreaker::State circuit = CircuitBreaker::State::kClosed;
     size_t consecutive_failures = 0;
-    size_t total_failures = 0;   // retry-exhausted failures
-    size_t fast_rejections = 0;  // starts rejected while the circuit was open
-    size_t starts = 0;
+    // The breaker's counts: retry-exhausted failures, and starts rejected
+    // while the circuit was open.
+    size_t total_failures = 0;
+    size_t fast_rejections = 0;
     size_t start_retries = 0;
     size_t chunk_retries = 0;
     size_t deadlines_exceeded = 0;
