@@ -253,6 +253,17 @@ Status ParseGenerateRequest(const Json& request, std::string* model,
   return Status::OK();
 }
 
+// The accounting both generate endpoints answer with; the one-shot
+// endpoint adds the text.
+Json GenerateResponse(const llm::GenerationResult& result) {
+  Json response = Json::MakeObject();
+  response.Set("ok", true);
+  response.Set("tokens", result.num_tokens);
+  response.Set("done_reason", llm::StopReasonToString(result.stop_reason));
+  response.Set("simulated_seconds", result.simulated_seconds);
+  return response;
+}
+
 }  // namespace
 
 Json ApiService::HandleGenerate(
@@ -266,12 +277,8 @@ Json ApiService::HandleGenerate(
   generation.context = context;
   auto result = engine_->runtime()->Generate(model, generation);
   if (!result.ok()) return ErrorResponse(result.status());
-  Json response = Json::MakeObject();
-  response.Set("ok", true);
+  Json response = GenerateResponse(*result);
   response.Set("text", result->text);
-  response.Set("tokens", result->num_tokens);
-  response.Set("done_reason", llm::StopReasonToString(result->stop_reason));
-  response.Set("simulated_seconds", result->simulated_seconds);
   return response;
 }
 
@@ -297,52 +304,28 @@ Json ApiService::HandleGenerateStream(
     chunk_tokens = static_cast<size_t>(requested);
   }
 
-  auto generation_or =
-      engine_->runtime()->StartGeneration({model}, generation);
-  if (!generation_or.ok()) return ErrorResponse(generation_or.status());
-  auto& parallel = *generation_or;
+  // The chunk's *simulated* latency rides along so the peer's congestion
+  // (injected spikes, backoff, hedge re-pricing) is visible to the
+  // consuming node's accounting — and to its hedging layer. Token-free
+  // chunks are not framed; their latency is carried by the next one.
   double extra_carry = 0.0;
-  for (;;) {
-    auto stats = parallel->StatsOf(model);
-    if (!stats.ok()) return ErrorResponse(stats.status());
-    if (stats->finished) break;
-    size_t ask = chunk_tokens;
-    if (generation.max_tokens > 0) {
-      const size_t remaining = generation.max_tokens - stats->tokens;
-      if (remaining == 0) break;
-      ask = std::min(ask, remaining);
-    }
-    auto chunk = parallel->NextChunk(model, ask);
-    // A mid-generation stream failure terminates the SSE stream with an
-    // error event — after any chunks already emitted, exactly like a peer
-    // dying mid-response.
-    if (!chunk.ok()) return ErrorResponse(chunk.status());
-    // The chunk's *simulated* latency rides along so the peer's congestion
-    // (injected spikes, backoff, hedge re-pricing) is visible to the
-    // consuming node's accounting — and to its hedging layer. Token-free
-    // chunks are not framed; their latency is carried by the next one.
-    extra_carry += chunk->extra_seconds;
-    if (stream && chunk->num_tokens > 0) {
-      Json event = Json::MakeObject();
-      event.Set("text", chunk->text);
-      event.Set("tokens", chunk->num_tokens);
-      if (extra_carry > 0.0) event.Set("extra_seconds", extra_carry);
-      stream(event);
-      extra_carry = 0.0;
-    }
-    if (chunk->done) break;
-  }
-  auto stats = parallel->StatsOf(model);
-  if (!stats.ok()) return ErrorResponse(stats.status());
-  Json response = Json::MakeObject();
-  response.Set("ok", true);
-  response.Set("tokens", stats->tokens);
-  response.Set("done_reason",
-               llm::StopReasonToString(stats->finished
-                                           ? stats->stop_reason
-                                           : llm::StopReason::kLength));
-  response.Set("simulated_seconds", stats->simulated_seconds);
-  return response;
+  auto result = engine_->runtime()->Generate(
+      model, generation, chunk_tokens,
+      [&stream, &extra_carry](const llm::Chunk& chunk) {
+        extra_carry += chunk.extra_seconds;
+        if (!stream || chunk.num_tokens == 0) return;
+        Json event = Json::MakeObject();
+        event.Set("text", chunk.text);
+        event.Set("tokens", chunk.num_tokens);
+        if (extra_carry > 0.0) event.Set("extra_seconds", extra_carry);
+        stream(event);
+        extra_carry = 0.0;
+      });
+  // A mid-generation failure becomes the stream's terminal error event —
+  // after any chunks already emitted, exactly like a peer dying
+  // mid-response.
+  if (!result.ok()) return ErrorResponse(result.status());
+  return GenerateResponse(*result);
 }
 
 Json ApiService::HandleModelInfo(const Json& request) {
@@ -359,10 +342,10 @@ Json ApiService::HandleModelInfo(const Json& request) {
   response.Set("tokens_per_second", (*model)->tokens_per_second());
   response.Set("context_window", (*model)->context_window());
   response.Set("loaded", engine_->runtime()->IsLoaded(name));
-  // Capability advertisement for federation peers: true when this node
-  // serves the streaming /api/generate variant. Pre-streaming peers omit
-  // the field entirely; RemoteModel treats missing and false identically
-  // (fallback negotiation, DESIGN.md §9).
+  // True when this node serves the streaming /api/generate variant;
+  // pre-streaming builds omit the field. RemoteModel always asks for the
+  // stream and checks the reply's content type instead (DESIGN.md §9), but
+  // older clients pick their wire path from this field, so it stays.
   response.Set("streaming", streaming_generate_);
   return response;
 }

@@ -62,12 +62,13 @@ class ApiService {
   Json HandleUpload(const Json& request);
   Json HandleGenerate(const Json& request,
                       const std::shared_ptr<RequestContext>& context = nullptr);
-  // Streaming twin of HandleGenerate: emits one {"text", "tokens"} event per
-  // generated chunk through `stream` and returns the terminal accounting
-  // ({"ok", "done_reason", "tokens", "simulated_seconds"}) — or an error
-  // payload, possibly after chunks have already been emitted (a backend
-  // dying mid-generation). The HTTP layer maps the return value to the
-  // stream's terminal `done` / `error` SSE event.
+  // Streaming twin of HandleGenerate, on the same runtime generate loop:
+  // emits one {"text", "tokens"} event per generated chunk through `stream`
+  // and returns the terminal accounting ({"ok", "done_reason", "tokens",
+  // "simulated_seconds"}) — or an error payload, possibly after chunks have
+  // already been emitted (a backend dying mid-generation). The HTTP layer's
+  // SSE responder maps the return value to the stream's terminal `done` /
+  // `error` event.
   Json HandleGenerateStream(const Json& request, const StreamCallback& stream,
                             const std::shared_ptr<RequestContext>& context =
                                 nullptr);
@@ -78,10 +79,10 @@ class ApiService {
   Json HandleHealth();
   Json HandleHardware();
 
-  // Whether this node offers the streaming /api/generate wire protocol.
-  // Advertised to federation peers via /api/model_info ("streaming": true);
-  // disabling it makes the node behave like a pre-streaming peer, which is
-  // how the fallback negotiation is exercised in tests and demos.
+  // Whether this node offers the streaming /api/generate wire protocol
+  // (also reported by /api/model_info as "streaming"). Disabled, the node
+  // answers ?stream=1 with the one-shot JSON reply — it stands in for a
+  // pre-streaming peer in tests and demos.
   void set_streaming_generate(bool enabled) { streaming_generate_ = enabled; }
   bool streaming_generate() const { return streaming_generate_; }
 

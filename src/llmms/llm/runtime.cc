@@ -335,21 +335,21 @@ std::shared_ptr<BatchScheduler> ModelRuntime::scheduler() const {
 }
 
 StatusOr<GenerationResult> ModelRuntime::Generate(
-    const std::string& model, const GenerationRequest& request) {
+    const std::string& model, const GenerationRequest& request,
+    size_t chunk_tokens, const ChunkCallback& on_chunk) {
   LLMMS_ASSIGN_OR_RETURN(auto generation, StartGeneration({model}, request));
   GenerationResult result;
-  constexpr size_t kChunkTokens = 64;
   for (;;) {
     LLMMS_ASSIGN_OR_RETURN(auto stats, generation->StatsOf(model));
     if (stats.finished) break;
-    size_t ask = kChunkTokens;
+    size_t ask = chunk_tokens;
     if (request.max_tokens > 0) {
       const size_t remaining = request.max_tokens - stats.tokens;
       if (remaining == 0) break;
       ask = std::min(ask, remaining);
     }
     LLMMS_ASSIGN_OR_RETURN(auto chunk, generation->NextChunk(model, ask));
-    (void)chunk;
+    if (on_chunk) on_chunk(chunk);
   }
   LLMMS_ASSIGN_OR_RETURN(auto stats, generation->StatsOf(model));
   LLMMS_ASSIGN_OR_RETURN(result.text, generation->TextOf(model));

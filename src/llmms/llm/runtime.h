@@ -1,6 +1,7 @@
 #ifndef LLMMS_LLM_RUNTIME_H_
 #define LLMMS_LLM_RUNTIME_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -170,9 +171,16 @@ class ModelRuntime {
       const std::vector<std::string>& models,
       const GenerationRequest& request);
 
-  // Runs a single model to completion.
+  // Runs a single model to completion, asking for `chunk_tokens` tokens per
+  // chunk (capped by request.max_tokens when non-zero). `on_chunk`, when
+  // set, sees every chunk the moment it is generated — the streaming
+  // /api/generate endpoint frames them onto the wire. The one generate
+  // loop of the serving path: both /api/generate variants run it.
+  using ChunkCallback = std::function<void(const Chunk& chunk)>;
   StatusOr<GenerationResult> Generate(const std::string& model,
-                                      const GenerationRequest& request);
+                                      const GenerationRequest& request,
+                                      size_t chunk_tokens = 64,
+                                      const ChunkCallback& on_chunk = nullptr);
 
   // Turns on continuous batching (DESIGN.md §13): every generation started
   // afterwards admits its streams to one shared llm::BatchScheduler, so
