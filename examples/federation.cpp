@@ -6,14 +6,14 @@
 //   ./build/examples/federation
 //
 // The demo drives both generation paths of the wire protocol:
-//   1. streaming — the peer advertises "streaming": true, so chunks cross
-//      the wire as SSE frames the moment they are produced. The printed
-//      TTFT and per-chunk wire latencies are real wall-clock measurements
-//      recorded into Chunk::extra_seconds.
-//   2. one-shot fallback — the same peer with streaming_generate disabled
-//      behaves like a pre-streaming build: the whole completion arrives in
-//      one POST and the adapter serves it locally, identical tokens and
-//      stop reason, but nothing is readable before everything is.
+//   1. streaming — chunks cross the wire as SSE frames the moment they are
+//      produced. The printed TTFT and per-chunk wire latencies are real
+//      wall-clock measurements recorded into Chunk::extra_seconds.
+//   2. one-shot reply — the same peer with streaming_generate disabled
+//      behaves like a pre-streaming build: it answers the stream request
+//      with the whole completion as plain JSON, and the adapter serves it
+//      locally — identical tokens and stop reason, but nothing is readable
+//      before everything is.
 //
 // It closes with a chaos scenario (DESIGN.md §10): a latency-spiky local
 // model hedged by a clean replica of itself rented from node B. Spikes on
@@ -53,9 +53,7 @@ int main() {
     std::cerr << "connect failed: " << remote.status() << "\n";
     return 1;
   }
-  std::cout << "connected: " << (*remote)->name() << " ("
-            << ((*remote)->peer_streaming() ? "streaming" : "one-shot")
-            << " wire protocol negotiated)\n\n";
+  std::cout << "connected: " << (*remote)->name() << "\n\n";
 
   // --- 1. Stream a generation chunk-for-chunk across the wire. ---
   const std::string prompt = node_b.dataset[0].question;
@@ -86,23 +84,14 @@ int main() {
 
   // --- 2. The same request against a pre-streaming peer. ---
   service_b.set_streaming_generate(false);
-  auto old_peer = app::RemoteModel::Connect("127.0.0.1", server_b.port(),
-                                            "mistral:7b", "fed-old");
-  if (!old_peer.ok()) {
-    std::cerr << "connect failed: " << old_peer.status() << "\n";
+  auto oneshot = (*remote)->Generate(request);
+  if (!oneshot.ok()) {
+    std::cerr << "one-shot generation failed: " << oneshot.status() << "\n";
     return 1;
   }
-  std::cout << "peer downgraded; renegotiated protocol: "
-            << ((*old_peer)->peer_streaming() ? "streaming" : "one-shot")
-            << "\n";
-  auto fallback = (*old_peer)->Generate(request);
-  if (!fallback.ok()) {
-    std::cerr << "fallback failed: " << fallback.status() << "\n";
-    return 1;
-  }
-  std::cout << "one-shot fallback: " << fallback->num_tokens
-            << " tokens, same text: "
-            << (fallback->text == (*stream)->text() ? "yes" : "NO") << "\n\n";
+  std::cout << "peer downgraded to pre-streaming; one-shot JSON reply: "
+            << oneshot->num_tokens << " tokens, same text: "
+            << (oneshot->text == (*stream)->text() ? "yes" : "NO") << "\n\n";
   service_b.set_streaming_generate(true);
 
   // --- 3. The federated model joins node A's orchestration. ---

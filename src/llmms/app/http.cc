@@ -42,16 +42,6 @@ Status ParseHeaderLines(std::string_view head,
   return Status::OK();
 }
 
-StatusOr<std::string> DecodeChunked(std::string_view data) {
-  ChunkedDecoder decoder;
-  std::string out;
-  LLMMS_RETURN_NOT_OK(decoder.Feed(data, &out));
-  if (!decoder.done()) {
-    return Status::InvalidArgument("truncated chunked body");
-  }
-  return out;
-}
-
 }  // namespace
 
 Status ChunkedDecoder::Feed(std::string_view bytes, std::string* out) {
@@ -224,31 +214,6 @@ StatusOr<HttpResponse> ParseHttpResponseHead(std::string_view head) {
   if (line_end != std::string_view::npos) {
     LLMMS_RETURN_NOT_OK(
         ParseHeaderLines(head.substr(line_end + 2), &response.headers));
-  }
-  return response;
-}
-
-StatusOr<HttpResponse> ParseHttpResponse(std::string_view raw) {
-  std::string_view head;
-  std::string_view body;
-  if (!SplitHead(raw, &head, &body)) {
-    return Status::InvalidArgument("incomplete HTTP response head");
-  }
-  LLMMS_ASSIGN_OR_RETURN(HttpResponse response, ParseHttpResponseHead(head));
-
-  auto te = response.headers.find("transfer-encoding");
-  if (te != response.headers.end() && ToLower(te->second) == "chunked") {
-    LLMMS_ASSIGN_OR_RETURN(response.body, DecodeChunked(body));
-    return response;
-  }
-  LLMMS_ASSIGN_OR_RETURN(const auto length, ContentLength(response.headers));
-  if (length.has_value()) {
-    if (body.size() < *length) {
-      return Status::InvalidArgument("response body shorter than length");
-    }
-    response.body = std::string(body.substr(0, *length));
-  } else {
-    response.body = std::string(body);  // close-delimited
   }
   return response;
 }

@@ -11,7 +11,7 @@
 
 namespace llmms::app {
 
-// Minimal HTTP/1.1 message model shared by the server and the test client.
+// Minimal HTTP/1.1 message model shared by the server and the client.
 // One request per connection (the server replies `Connection: close`), which
 // keeps the state machine trivial while supporting everything the platform
 // needs: JSON request/response plus chunked server-sent-event streaming.
@@ -49,13 +49,10 @@ StatusOr<std::optional<size_t>> ContentLength(
 // Serializes a response with Content-Length framing.
 std::string SerializeHttpResponse(const HttpResponse& response);
 
-// Parses a complete response, decoding chunked transfer encoding when
-// present (the client side of SSE streams).
-StatusOr<HttpResponse> ParseHttpResponse(std::string_view raw);
-
 // Parses only the status line and headers of a response — everything before
-// the blank line, excluded. Used by the streaming client, which reads the
-// body incrementally as it arrives. The returned response's `body` is empty.
+// the blank line, excluded. Used by the client (HttpClientStream), which
+// reads the body incrementally as it arrives. The returned response's
+// `body` is empty.
 StatusOr<HttpResponse> ParseHttpResponseHead(std::string_view head);
 
 // Incremental decoder for HTTP/1.1 chunked transfer encoding: accepts the

@@ -515,84 +515,25 @@ void HttpServer::HandleConnection(int fd,
     payload = std::move(parsed).value();
   }
 
-  if (request->path == "/api/query" && WantsStream(*request)) {
-    // SSE: send the head, then one chunk per event, then the result frame.
-    if (!SendAll(fd, kSseHead)) return;
-    size_t frame_id = 0;
-    Json result = service_->HandleQuery(
-        payload,
-        [this, fd, ctx, &frame_id](const Json& event) {
-          if (ctx->cancelled()) return;
-          SseEvent sse;
-          sse.event = "orchestration";
-          sse.id = std::to_string(frame_id++);
-          sse.data = event.Dump();
-          if (!SendAll(fd, ChunkEncode(EncodeSse(sse)))) {
-            // The client went away (or stopped reading past the send
-            // deadline); cancel so the orchestration loop unwinds at the
-            // next chunk boundary instead of generating for nobody.
-            stats_->cancelled.fetch_add(1);
-            ctx->Cancel("client disconnected mid-stream");
-          }
-        },
-        ctx);
-    if (!result["ok"].AsBool() &&
-        result["error"]["code"].AsString() == "DeadlineExceeded") {
-      stats_->timeouts.fetch_add(1);
+  if (WantsStream(*request)) {
+    if (request->path == "/api/query") {
+      ServeEventStream(fd, ctx, "orchestration", "result", "result",
+                       [&](const StreamCallback& emit) {
+                         return service_->HandleQuery(payload, emit, ctx);
+                       });
+      return;
     }
-    SseEvent final_frame;
-    final_frame.event = "result";
-    final_frame.data = result.Dump();
-    SendAll(fd, ChunkEncode(EncodeSse(final_frame)));
-    SendAll(fd, "0\r\n\r\n");
-    return;
-  }
-
-  if (request->path == "/api/generate" && WantsStream(*request) &&
-      service_->streaming_generate()) {
-    // Federation streaming wire protocol (DESIGN.md §9): one `chunk` frame
-    // per generated chunk, then a typed terminal frame — `done` carrying
-    // stop reason + token accounting, or `error` carrying the failure. A
-    // node with streaming_generate disabled never reaches this branch; the
-    // request falls through to the one-shot JSON path below, exactly like a
-    // pre-streaming peer ignoring the stream parameter.
-    if (!SendAll(fd, kSseHead)) return;
-    size_t frame_id = 0;
-    Json result = service_->HandleGenerateStream(
-        payload,
-        [this, fd, ctx, &frame_id](const Json& event) {
-          if (ctx->cancelled()) return;
-          SseEvent sse;
-          sse.event = "chunk";
-          sse.id = std::to_string(frame_id++);
-          sse.data = event.Dump();
-          if (!SendAll(fd, ChunkEncode(EncodeSse(sse)))) {
-            stats_->cancelled.fetch_add(1);
-            ctx->Cancel("client disconnected mid-stream");
-            return;
-          }
-          // Real pacing (ROADMAP): each chunk's simulated latency already
-          // rides the frame as `extra_seconds`; with pace_scale > 0 the
-          // flushed frame is followed by a scaled real-time delay, so a
-          // consumer sees the primary's congestion on the wire instead of
-          // one terminal burst. SleepFor is cancellable — a disconnect or
-          // drain cuts the pacing short along with the generation.
-          if (options_.pace_scale > 0.0 && event.Contains("extra_seconds")) {
-            (void)ctx->SleepFor(event["extra_seconds"].AsDouble() *
-                                options_.pace_scale);
-          }
-        },
-        ctx);
-    if (!result["ok"].AsBool() &&
-        result["error"]["code"].AsString() == "DeadlineExceeded") {
-      stats_->timeouts.fetch_add(1);
+    // A node with streaming_generate disabled falls through to the
+    // one-shot JSON path below, exactly like a pre-streaming peer ignoring
+    // the stream parameter.
+    if (request->path == "/api/generate" && service_->streaming_generate()) {
+      ServeEventStream(fd, ctx, "chunk", "done", "error",
+                       [&](const StreamCallback& emit) {
+                         return service_->HandleGenerateStream(payload, emit,
+                                                               ctx);
+                       });
+      return;
     }
-    SseEvent final_frame;
-    final_frame.event = result["ok"].AsBool() ? "done" : "error";
-    final_frame.data = result.Dump();
-    SendAll(fd, ChunkEncode(EncodeSse(final_frame)));
-    SendAll(fd, "0\r\n\r\n");
-    return;
   }
 
   const Json result =
@@ -605,38 +546,60 @@ void HttpServer::HandleConnection(int fd,
   SendAll(fd, SerializeHttpResponse(response));
 }
 
+void HttpServer::ServeEventStream(
+    int fd, const std::shared_ptr<RequestContext>& ctx,
+    const char* frame_event, const char* done_event, const char* error_event,
+    const std::function<Json(const StreamCallback&)>& run) {
+  if (!SendAll(fd, kSseHead)) return;
+  size_t frame_id = 0;
+  const Json result = run([&](const Json& event) {
+    if (ctx->cancelled()) return;
+    SseEvent sse;
+    sse.event = frame_event;
+    sse.id = std::to_string(frame_id++);
+    sse.data = event.Dump();
+    if (!SendAll(fd, ChunkEncode(EncodeSse(sse)))) {
+      // The client went away (or stopped reading past the send deadline);
+      // cancel so the generation unwinds at the next chunk boundary
+      // instead of generating for nobody.
+      stats_->cancelled.fetch_add(1);
+      ctx->Cancel("client disconnected mid-stream");
+      return;
+    }
+    // Real pacing: a frame's simulated latency rides it as `extra_seconds`
+    // (only generate chunks carry one); with pace_scale > 0 the flushed
+    // frame is followed by a scaled real-time delay, so a consumer sees the
+    // producer's congestion on the wire instead of one terminal burst.
+    // SleepFor is cancellable — a disconnect or drain cuts the pacing short
+    // along with the generation.
+    if (options_.pace_scale > 0.0 && event.Contains("extra_seconds")) {
+      (void)ctx->SleepFor(event["extra_seconds"].AsDouble() *
+                          options_.pace_scale);
+    }
+  });
+  const bool ok = result["ok"].AsBool();
+  if (!ok && result["error"]["code"].AsString() == "DeadlineExceeded") {
+    stats_->timeouts.fetch_add(1);
+  }
+  SseEvent terminal;
+  terminal.event = ok ? done_event : error_event;
+  terminal.data = result.Dump();
+  SendAll(fd, ChunkEncode(EncodeSse(terminal)));
+  SendAll(fd, "0\r\n\r\n");
+}
+
 StatusOr<HttpResponse> HttpFetch(const std::string& host, int port,
                                  const std::string& method,
                                  const std::string& target,
                                  const std::string& body,
                                  const std::string& content_type,
                                  double timeout_seconds) {
-  LLMMS_ASSIGN_OR_RETURN(const int fd,
-                         ConnectSocket(host, port, timeout_seconds));
-  const std::string request = SerializeHttpRequest(
-      host, method, target, body, content_type, /*accept_event_stream=*/false);
-  if (!SendAll(fd, request)) {
-    ::close(fd);
-    return Status::IOError("send failed");
-  }
-  std::string raw;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      ::close(fd);
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return Status::DeadlineExceeded("recv timed out after " +
-                                        std::to_string(timeout_seconds) +
-                                        "s");
-      }
-      return Status::IOError("recv failed");
-    }
-    if (n == 0) break;
-    raw.append(chunk, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return ParseHttpResponse(raw);
+  LLMMS_ASSIGN_OR_RETURN(
+      auto stream, HttpClientStream::Open(host, port, method, target, body,
+                                          content_type, timeout_seconds));
+  HttpResponse response = stream->head();
+  LLMMS_ASSIGN_OR_RETURN(response.body, stream->ReadToEnd());
+  return response;
 }
 
 StatusOr<std::unique_ptr<HttpClientStream>> HttpClientStream::Open(
@@ -757,6 +720,22 @@ StatusOr<std::string> HttpClientStream::Read() {
     }
     return std::string(bytes);  // close-delimited
   }
+}
+
+StatusOr<std::string> HttpClientStream::ReadToEnd() {
+  std::string body;
+  while (!exhausted()) {
+    LLMMS_ASSIGN_OR_RETURN(std::string bytes, Read());
+    body += bytes;
+  }
+  // Every response here is `connection: close`: wait for the peer's close
+  // so the peer ends the connection and holds its TIME_WAIT. A client that
+  // closed first would park one ephemeral port per request for a minute,
+  // and a busy client runs out of them.
+  char discard[512];
+  while (::recv(fd_, discard, sizeof(discard), 0) > 0) {
+  }
+  return body;
 }
 
 }  // namespace llmms::app

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -87,18 +88,18 @@ struct HttpServerStats {
 //
 //   * POST/GET to any /api/* endpoint carries a JSON body and returns the
 //     ApiService's JSON response.
-//   * POST /api/query with `?stream=1` (or `Accept: text/event-stream`)
-//     responds with `Content-Type: text/event-stream` and chunked transfer
-//     encoding, emitting one SSE frame per orchestration event followed by a
-//     final `event: result` frame with the response body — the §7.2 step-7
-//     streaming path, for real, over a socket.
-//   * POST /api/generate with `?stream=1` streams the completion as one
-//     `event: chunk` frame per generated chunk plus a typed terminal frame
-//     (`event: done` with stop reason and token accounting, or
-//     `event: error` after a mid-generation failure) — the federation
-//     streaming wire protocol (DESIGN.md §9). Disabled when the service's
-//     streaming_generate flag is off, in which case the request falls
-//     through to the one-shot JSON handler like on a pre-streaming node.
+//   * POST /api/query and POST /api/generate with `?stream=1` (or
+//     `Accept: text/event-stream`) are served by one SSE responder:
+//     `Content-Type: text/event-stream` over chunked transfer encoding, one
+//     numbered frame per service event, then one terminal frame with the
+//     response body. A query streams `event: orchestration` frames and ends
+//     with `event: result` — the §7.2 step-7 streaming path, for real, over
+//     a socket. A generation streams `event: chunk` frames and ends with
+//     `event: done` (stop reason and token accounting) or `event: error`
+//     after a failure — the federation streaming wire protocol (DESIGN.md
+//     §9). With the service's streaming_generate flag off, a streamed
+//     generate falls through to the one-shot JSON handler like on a
+//     pre-streaming node.
 //
 // One request per connection (`Connection: close`); connections are served
 // concurrently on a worker pool behind a bounded admission queue, each under
@@ -140,6 +141,14 @@ class HttpServer {
   // off. That drain blocks briefly, so it must not stall the accept loop.
   void ShedLoop();
   void HandleConnection(int fd, const std::shared_ptr<RequestContext>& ctx);
+  // The one SSE responder of both streamed endpoints: sends the head, then
+  // every event `run` emits as a `frame_event` frame with ids from 0, then
+  // the payload `run` returns as a `done_event` (ok) or `error_event`
+  // terminal frame.
+  void ServeEventStream(int fd, const std::shared_ptr<RequestContext>& ctx,
+                        const char* frame_event, const char* done_event,
+                        const char* error_event,
+                        const std::function<Json(const StreamCallback&)>& run);
 
   // Active-connection registry for drain: every accepted (not shed)
   // connection is tracked from accept to completion so Stop() can cancel
@@ -172,10 +181,11 @@ class HttpServer {
   ThreadPool workers_;
 };
 
-// Minimal blocking test/demo client: one request, reads to EOF.
-// `timeout_seconds` > 0 bounds the connect/send/recv syscalls (SO_SNDTIMEO /
-// SO_RCVTIMEO); an expired deadline surfaces as DeadlineExceeded. 0 blocks
-// indefinitely (the pre-resilience behaviour).
+// Minimal blocking client: one request, the whole response — an
+// HttpClientStream opened and read to the end of its body. `timeout_seconds`
+// > 0 bounds connect, send and every wire wait (SO_SNDTIMEO / SO_RCVTIMEO);
+// an expired deadline surfaces as DeadlineExceeded, a response cut short
+// as IOError. 0 blocks indefinitely.
 StatusOr<HttpResponse> HttpFetch(const std::string& host, int port,
                                  const std::string& method,
                                  const std::string& target,
@@ -220,6 +230,10 @@ class HttpClientStream {
   // once the wire framing is complete, which can happen while bytes that
   // arrived alongside the head still wait in the buffer.
   bool exhausted() const { return exhausted_ && pending_.empty(); }
+
+  // Reads until exhausted() and returns the rest of the body, then waits
+  // (up to the deadline) for the peer to close the connection.
+  StatusOr<std::string> ReadToEnd();
 
  private:
   HttpClientStream() = default;

@@ -45,149 +45,37 @@ Json GenerateRequestBody(const std::string& remote_name,
   return body;
 }
 
-// Shared word-buffer plumbing of both remote stream flavours: completions
-// cross the wire as text, are split into whitespace tokens (the unit every
-// local accounting path uses), and are served in max_tokens-sized bites.
-class RemoteStreamBase : public llm::GenerationStream {
- public:
-  const std::string& text() const override { return text_; }
-  size_t tokens_generated() const override { return emitted_; }
-  bool finished() const override { return finished_; }
-  llm::StopReason stop_reason() const override { return stop_reason_; }
+bool IsEventStream(const HttpResponse& head) {
+  auto content_type = head.headers.find("content-type");
+  return content_type != head.headers.end() &&
+         content_type->second.find("text/event-stream") != std::string::npos;
+}
 
- protected:
-  // Serves up to max_tokens buffered words as one chunk; `source_done` says
-  // whether more words can still arrive (false = the wire has delivered
-  // everything).
-  llm::Chunk ServeFromBuffer(size_t max_tokens, bool source_done) {
-    llm::Chunk chunk;
-    const size_t n = std::min(max_tokens, words_.size() - position_);
-    for (size_t i = 0; i < n; ++i) {
-      if (i > 0) chunk.text += ' ';
-      chunk.text += words_[position_ + i];
-    }
-    position_ += n;
-    emitted_ += n;
-    chunk.num_tokens = n;
-    if (!chunk.text.empty()) {
-      if (!text_.empty()) text_ += ' ';
-      text_ += chunk.text;
-    }
-    if (source_done && position_ >= words_.size()) {
-      finished_ = true;
-      stop_reason_ = remote_stop_reason_;
-    }
-    chunk.done = finished_;
-    chunk.stop_reason = finished_ ? stop_reason_ : llm::StopReason::kLength;
-    return chunk;
-  }
+llm::StopReason ParseStopReason(const Json& payload) {
+  return payload["done_reason"].AsString() == "stop" ? llm::StopReason::kStop
+                                                      : llm::StopReason::kLength;
+}
 
-  size_t buffered() const { return words_.size() - position_; }
-
-  std::vector<std::string> words_;
-  llm::StopReason remote_stop_reason_ = llm::StopReason::kStop;
-  size_t position_ = 0;
-  size_t emitted_ = 0;
-  bool finished_ = false;
-  llm::StopReason stop_reason_ = llm::StopReason::kLength;
-  std::string text_;
-};
-
-// Pre-streaming peers: the completion is fetched in one POST /api/generate
-// when the first chunk is requested, then served locally (the negotiated
-// fallback path).
-class OneShotRemoteStream final : public RemoteStreamBase {
- public:
-  OneShotRemoteStream(std::string host, int port, std::string remote_name,
-                      llm::GenerationRequest request,
-                      RemoteModel::TransportOptions transport)
-      : host_(std::move(host)),
-        port_(port),
-        remote_name_(std::move(remote_name)),
-        request_(std::move(request)),
-        transport_(transport) {}
-
-  StatusOr<llm::Chunk> NextChunk(size_t max_tokens) override {
-    if (max_tokens == 0) {
-      return Status::InvalidArgument("NextChunk requires max_tokens > 0");
-    }
-    if (finished_) {
-      llm::Chunk chunk;
-      chunk.done = true;
-      chunk.stop_reason = stop_reason_;
-      return chunk;
-    }
-    double wire_seconds = 0.0;
-    if (!fetched_) {
-      Stopwatch wire_watch;
-      LLMMS_RETURN_NOT_OK(Fetch());
-      fetched_ = true;
-      wire_seconds = wire_watch.ElapsedSeconds();
-      if (words_.empty()) {
-        finished_ = true;
-        stop_reason_ = remote_stop_reason_;
-      }
-    }
-    llm::Chunk chunk = ServeFromBuffer(max_tokens, /*source_done=*/true);
-    chunk.extra_seconds += wire_seconds;
-    return chunk;
-  }
-
- private:
-  Status Fetch() {
-    const Json body = GenerateRequestBody(remote_name_, request_);
-    LLMMS_ASSIGN_OR_RETURN(
-        auto response,
-        WithTransportRetries(transport_, [&]() {
-          auto fetched = HttpFetch(host_, port_, "POST", "/api/generate",
-                                   body.Dump(), "application/json",
-                                   transport_.timeout_seconds);
-          // A 5xx is a transport-class failure: the node answered but could
-          // not serve; surface it retryably.
-          if (fetched.ok() && fetched->status >= 500) {
-            return StatusOr<HttpResponse>(Status::IOError(
-                "remote generate failed with HTTP " +
-                std::to_string(fetched->status)));
-          }
-          return fetched;
-        }));
-    if (response.status != 200) {
-      return Status::Internal("remote generate failed with HTTP " +
-                              std::to_string(response.status) + ": " +
-                              response.body);
-    }
-    LLMMS_ASSIGN_OR_RETURN(Json result, Json::Parse(response.body));
-    if (!result["ok"].AsBool()) {
-      return Status::Internal("remote generate error: " +
-                              result["error"]["message"].AsString());
-    }
-    words_ = SplitWhitespace(result["text"].AsString());
-    remote_stop_reason_ = result["done_reason"].AsString() == "stop"
-                              ? llm::StopReason::kStop
-                              : llm::StopReason::kLength;
-    return Status::OK();
-  }
-
-  std::string host_;
-  int port_;
-  std::string remote_name_;
-  llm::GenerationRequest request_;
-  RemoteModel::TransportOptions transport_;
-  bool fetched_ = false;
-};
-
-// Streaming peers: chunks cross the wire as SSE events and surface here the
-// moment they arrive. Every NextChunk charges the real seconds it spent
+// A federated generation. Every peer is asked for the streaming variant of
+// /api/generate: chunks cross the wire as SSE events and surface here the
+// moment they arrive. A peer that answers with plain JSON instead (a
+// pre-streaming build, or streaming switched off) is caught by the
+// content-type check and its one-shot payload is served from the buffer
+// — identical text, tokens and stop reason, just no early delivery.
+//
+// Completions cross the wire as text, are split into whitespace tokens (the
+// unit every local accounting path uses), and are served in
+// max_tokens-sized bites. Every NextChunk charges the real seconds it spent
 // waiting on the wire (connection setup + time-to-first-token for the first
 // chunk, inter-chunk latency afterwards) to Chunk::extra_seconds, so the
 // simulated-time accounting sees the true federation cost. Mid-stream
 // failures — peer death, an error event, an expired per-chunk deadline —
 // are sticky stream errors for the resilience layer to quarantine.
-class StreamingRemoteStream final : public RemoteStreamBase {
+class RemoteStream final : public llm::GenerationStream {
  public:
-  StreamingRemoteStream(std::string host, int port, std::string remote_name,
-                        llm::GenerationRequest request,
-                        RemoteModel::TransportOptions transport)
+  RemoteStream(std::string host, int port, std::string remote_name,
+               llm::GenerationRequest request,
+               RemoteModel::TransportOptions transport)
       : host_(std::move(host)),
         port_(port),
         remote_name_(std::move(remote_name)),
@@ -211,7 +99,7 @@ class StreamingRemoteStream final : public RemoteStreamBase {
       return status;
     }
     const double wire_seconds = wire_watch.ElapsedSeconds();
-    llm::Chunk chunk = ServeFromBuffer(max_tokens, wire_done_);
+    llm::Chunk chunk = ServeFromBuffer(max_tokens);
     // Real wire wait plus the *simulated* latency the peer reported for the
     // frames consumed so far — remote congestion (injected spikes, backoff)
     // lands in this chunk's cost, where the local hedging layer can see it.
@@ -220,11 +108,16 @@ class StreamingRemoteStream final : public RemoteStreamBase {
     return chunk;
   }
 
+  const std::string& text() const override { return text_; }
+  size_t tokens_generated() const override { return emitted_; }
+  bool finished() const override { return finished_; }
+  llm::StopReason stop_reason() const override { return stop_reason_; }
+
  private:
   // Pumps the wire until at least one word is buffered or the stream's
   // terminal event has been seen.
   Status FillBuffer() {
-    while (buffered() == 0 && !wire_done_) {
+    while (words_.size() == position_ && !wire_done_) {
       if (wire_ == nullptr) {
         LLMMS_RETURN_NOT_OK(OpenWire());
         continue;  // the head may have carried decoded bytes already
@@ -244,59 +137,53 @@ class StreamingRemoteStream final : public RemoteStreamBase {
     return Status::OK();
   }
 
-  // Opens the SSE response, retrying transport failures. A peer that
-  // answers with plain JSON despite advertising streaming (e.g. downgraded
-  // between Connect and now) is handled by parsing the one-shot payload.
+  // Opens the response, retrying transport failures. A reply that is not an
+  // SSE stream — an error, or a one-shot JSON completion — is read whole
+  // inside the retry, so a reset during its body is retried too.
   Status OpenWire() {
-    Json body = GenerateRequestBody(remote_name_, request_);
-    auto opened = WithTransportRetries(transport_, [&]() {
-      auto stream = HttpClientStream::Open(
-          host_, port_, "POST", "/api/generate?stream=1", body.Dump(),
-          "application/json", transport_.timeout_seconds,
-          /*accept_event_stream=*/true);
-      if (stream.ok() && (*stream)->head().status >= 500) {
-        return StatusOr<std::unique_ptr<HttpClientStream>>(Status::IOError(
-            "remote generate failed with HTTP " +
-            std::to_string((*stream)->head().status)));
-      }
-      return stream;
-    });
+    const std::string body =
+        GenerateRequestBody(remote_name_, request_).Dump();
+    std::string payload;
+    auto opened = WithTransportRetries(
+        transport_, [&]() -> StatusOr<std::unique_ptr<HttpClientStream>> {
+          LLMMS_ASSIGN_OR_RETURN(
+              auto stream,
+              HttpClientStream::Open(host_, port_, "POST",
+                                     "/api/generate?stream=1", body,
+                                     "application/json",
+                                     transport_.timeout_seconds,
+                                     /*accept_event_stream=*/true));
+          const int status = stream->head().status;
+          // A 5xx is a transport-class failure: the node answered but could
+          // not serve; surface it retryably.
+          if (status >= 500) {
+            return Status::IOError("remote generate failed with HTTP " +
+                                   std::to_string(status));
+          }
+          if (status != 200 || !IsEventStream(stream->head())) {
+            LLMMS_ASSIGN_OR_RETURN(payload, stream->ReadToEnd());
+          }
+          return stream;
+        });
     LLMMS_RETURN_NOT_OK(opened.status());
     wire_ = std::move(opened).value();
 
     if (wire_->head().status != 200) {
-      LLMMS_ASSIGN_OR_RETURN(const std::string payload, ReadAll());
       return Status::Internal("remote generate failed with HTTP " +
                               std::to_string(wire_->head().status) + ": " +
                               payload);
     }
-    auto content_type = wire_->head().headers.find("content-type");
-    if (content_type == wire_->head().headers.end() ||
-        content_type->second.find("text/event-stream") == std::string::npos) {
-      // One-shot fallback: the peer ignored the stream negotiation.
-      LLMMS_ASSIGN_OR_RETURN(const std::string payload, ReadAll());
+    if (!IsEventStream(wire_->head())) {
       LLMMS_ASSIGN_OR_RETURN(Json result, Json::Parse(payload));
       if (!result["ok"].AsBool()) {
         return Status::Internal("remote generate error: " +
                                 result["error"]["message"].AsString());
       }
       words_ = SplitWhitespace(result["text"].AsString());
-      remote_stop_reason_ = result["done_reason"].AsString() == "stop"
-                                ? llm::StopReason::kStop
-                                : llm::StopReason::kLength;
+      remote_stop_reason_ = ParseStopReason(result);
       wire_done_ = true;
     }
     return Status::OK();
-  }
-
-  StatusOr<std::string> ReadAll() {
-    std::string payload;
-    while (!wire_->exhausted()) {
-      LLMMS_ASSIGN_OR_RETURN(std::string bytes, wire_->Read());
-      payload += bytes;
-      if (bytes.empty()) break;
-    }
-    return payload;
   }
 
   Status ConsumeEvent(const SseEvent& event) {
@@ -312,9 +199,7 @@ class StreamingRemoteStream final : public RemoteStreamBase {
     }
     if (event.event == "done") {
       LLMMS_ASSIGN_OR_RETURN(Json data, Json::Parse(event.data));
-      remote_stop_reason_ = data["done_reason"].AsString() == "stop"
-                                ? llm::StopReason::kStop
-                                : llm::StopReason::kLength;
+      remote_stop_reason_ = ParseStopReason(data);
       wire_done_ = true;
       return Status::OK();
     }
@@ -329,6 +214,31 @@ class StreamingRemoteStream final : public RemoteStreamBase {
     return Status::OK();  // unknown frame types are ignored
   }
 
+  // Serves up to max_tokens buffered words as one chunk; the stream
+  // finishes once the wire has delivered everything and it is all served.
+  llm::Chunk ServeFromBuffer(size_t max_tokens) {
+    llm::Chunk chunk;
+    const size_t n = std::min(max_tokens, words_.size() - position_);
+    for (size_t i = 0; i < n; ++i) {
+      if (i > 0) chunk.text += ' ';
+      chunk.text += words_[position_ + i];
+    }
+    position_ += n;
+    emitted_ += n;
+    chunk.num_tokens = n;
+    if (!chunk.text.empty()) {
+      if (!text_.empty()) text_ += ' ';
+      text_ += chunk.text;
+    }
+    if (wire_done_ && position_ >= words_.size()) {
+      finished_ = true;
+      stop_reason_ = remote_stop_reason_;
+    }
+    chunk.done = finished_;
+    chunk.stop_reason = finished_ ? stop_reason_ : llm::StopReason::kLength;
+    return chunk;
+  }
+
   std::string host_;
   int port_;
   std::string remote_name_;
@@ -341,21 +251,27 @@ class StreamingRemoteStream final : public RemoteStreamBase {
   // Simulated seconds reported by the peer for not-yet-served frames.
   double pending_remote_seconds_ = 0.0;
   Status error_ = Status::OK();
+
+  std::vector<std::string> words_;
+  size_t position_ = 0;  // words_ served so far
+  llm::StopReason remote_stop_reason_ = llm::StopReason::kStop;
+  size_t emitted_ = 0;
+  bool finished_ = false;
+  llm::StopReason stop_reason_ = llm::StopReason::kLength;
+  std::string text_;
 };
 
 }  // namespace
 
 RemoteModel::RemoteModel(std::string host, int port, std::string remote_name,
                          std::string local_name, double tokens_per_second,
-                         size_t context_window, bool peer_streaming,
-                         TransportOptions transport)
+                         size_t context_window, TransportOptions transport)
     : host_(std::move(host)),
       port_(port),
       remote_name_(std::move(remote_name)),
       local_name_(std::move(local_name)),
       tokens_per_second_(tokens_per_second),
       context_window_(context_window),
-      peer_streaming_(peer_streaming),
       transport_(transport) {}
 
 StatusOr<std::shared_ptr<RemoteModel>> RemoteModel::Connect(
@@ -384,13 +300,10 @@ StatusOr<std::shared_ptr<RemoteModel>> RemoteModel::Connect(
   if (name.empty()) {
     name = remote_name + "@" + host + ":" + std::to_string(port);
   }
-  // Negotiation: pre-streaming peers omit the "streaming" capability field,
-  // which reads as false — they are driven through the one-shot path.
   return std::shared_ptr<RemoteModel>(new RemoteModel(
       host, port, remote_name, std::move(name),
       info["tokens_per_second"].AsDouble(),
-      static_cast<size_t>(info["context_window"].AsInt()),
-      info["streaming"].AsBool(), transport));
+      static_cast<size_t>(info["context_window"].AsInt()), transport));
 }
 
 StatusOr<std::shared_ptr<llm::HedgedModel>> RemoteModel::ConnectHedged(
@@ -430,14 +343,8 @@ StatusOr<std::unique_ptr<llm::GenerationStream>> RemoteModel::StartGeneration(
   if (request.prompt.empty()) {
     return Status::InvalidArgument("prompt must not be empty");
   }
-  if (peer_streaming_) {
-    return std::unique_ptr<llm::GenerationStream>(
-        std::make_unique<StreamingRemoteStream>(host_, port_, remote_name_,
-                                                request, transport_));
-  }
-  return std::unique_ptr<llm::GenerationStream>(
-      std::make_unique<OneShotRemoteStream>(host_, port_, remote_name_,
-                                            request, transport_));
+  return std::unique_ptr<llm::GenerationStream>(std::make_unique<RemoteStream>(
+      host_, port_, remote_name_, request, transport_));
 }
 
 }  // namespace llmms::app

@@ -16,33 +16,30 @@ namespace llmms::app {
 // the orchestrators never know the difference — plug-and-play across trust
 // boundaries.
 //
-// Generation semantics are negotiated per peer (DESIGN.md §9). Connect
-// reads the peer's /api/model_info; a peer advertising "streaming": true is
-// driven over the chunked SSE variant of /api/generate, so chunks surface
-// here the moment the peer emits them — true time-to-first-token, and the
-// real wire latency of every chunk is charged to Chunk::extra_seconds.
-// That latency feeds the simulated-time accounting the orchestrators use
-// for budget reallocation, so — unlike the old one-shot fetch — a slow
-// federation link now *does* change orchestration decisions, exactly as
-// §7.2's mid-generation scoring intends. Peers that do not advertise
-// streaming (pre-streaming builds) fall back to the original semantics:
-// the full completion is fetched in one POST /api/generate when the first
-// chunk is requested and then served locally. Token accounting and stop
-// reasons are identical on both paths.
+// Every generation asks the peer for the streaming variant of
+// /api/generate (DESIGN.md §9): chunks surface here the moment the peer
+// emits them — true time-to-first-token — and the real wire latency of
+// every chunk is charged to Chunk::extra_seconds. That latency feeds the
+// simulated-time accounting the orchestrators use for budget reallocation,
+// so a slow federation link changes orchestration decisions, exactly as
+// §7.2's mid-generation scoring intends. A peer that answers with plain
+// JSON instead (a pre-streaming build) is recognised by the content type
+// and its one-shot completion is served from a local buffer. Token
+// accounting and stop reasons are identical either way.
 class RemoteModel final : public llm::LanguageModel {
  public:
   // Network-level resilience for the federation link. Transport errors
   // (connection refused/reset, timeouts, HTTP 5xx) are retried up to
   // `max_retries` additional attempts; protocol-level rejections (the node
   // answers but does not serve the model) are permanent and never retried.
-  // Mid-stream failures on the streaming path are never retried here —
-  // the stream's position would be lost — and instead surface as stream
-  // errors for llm::ResilientModel and the orchestrators to quarantine.
+  // Opening the generation — and reading a one-shot JSON reply whole — is
+  // retried; a failure once SSE frames flow never is, since the stream's
+  // position would be lost. It surfaces as a stream error for
+  // llm::ResilientModel and the orchestrators to quarantine.
   struct TransportOptions {
     size_t max_retries = 2;
-    // Socket deadline, real seconds. On the one-shot path it bounds the
-    // whole request; on the streaming path it bounds every individual wire
-    // wait — a per-chunk deadline. 0 = block indefinitely.
+    // Socket deadline, real seconds, bounding every individual wire wait —
+    // a per-chunk deadline. 0 = block indefinitely.
     double timeout_seconds = 5.0;
   };
 
@@ -68,9 +65,9 @@ class RemoteModel final : public llm::LanguageModel {
   // peer in `backups` — all serving `remote_name` — and wraps the adapters
   // in a llm::HedgedModel, so a peer with spiky wire latency is raced
   // against its replicas and a peer that dies mid-stream fails over
-  // transparently. Each peer is negotiated independently (a streaming
-  // primary can be hedged by a one-shot backup; token accounting is
-  // identical on both paths, so adoption is seamless). Every peer must be
+  // transparently. A streaming primary can be hedged by a pre-streaming
+  // backup (token accounting is identical on both reply kinds, so adoption
+  // is seamless). Every peer must be
   // reachable at connect time; `local_name` names the hedged group (empty =
   // derived from the primary).
   static StatusOr<std::shared_ptr<llm::HedgedModel>> ConnectHedged(
@@ -97,15 +94,10 @@ class RemoteModel final : public llm::LanguageModel {
 
   const TransportOptions& transport() const { return transport_; }
 
-  // True when the peer advertised the streaming /api/generate protocol at
-  // Connect time (the negotiation result).
-  bool peer_streaming() const { return peer_streaming_; }
-
  private:
   RemoteModel(std::string host, int port, std::string remote_name,
               std::string local_name, double tokens_per_second,
-              size_t context_window, bool peer_streaming,
-              TransportOptions transport);
+              size_t context_window, TransportOptions transport);
 
   std::string host_;
   int port_;
@@ -113,7 +105,6 @@ class RemoteModel final : public llm::LanguageModel {
   std::string local_name_;
   double tokens_per_second_;
   size_t context_window_;
-  bool peer_streaming_;
   TransportOptions transport_;
 };
 

@@ -25,6 +25,7 @@
 #include "llmms/app/sse.h"
 #include "llmms/core/oua.h"
 #include "llmms/llm/fault_injection.h"
+#include "canned_peer.h"
 #include "testutil.h"
 
 namespace llmms::app {
@@ -176,7 +177,8 @@ void ExpectMatchesGolden(const std::string& name, const std::string& fresh) {
   std::string golden_line;
   std::string fresh_line;
   for (size_t line = 1;; ++line) {
-    const bool more_fresh = static_cast<bool>(std::getline(current, fresh_line));
+    const bool more_fresh =
+        static_cast<bool>(std::getline(current, fresh_line));
     const bool more_golden =
         static_cast<bool>(std::getline(golden, golden_line));
     if (!more_fresh && !more_golden) break;
@@ -382,11 +384,9 @@ TEST_F(FederationTest, StreamingEndpointSpeaksTheWireProtocol) {
 }
 
 TEST_F(FederationTest, StreamingAdapterMatchesOneShotAccounting) {
-  // The peer advertises streaming, so Connect negotiates the SSE path.
   auto remote = RemoteModel::Connect("127.0.0.1", remote_server_->port(),
                                      "mistral:7b", "fed-mistral");
   ASSERT_TRUE(remote.ok());
-  EXPECT_TRUE((*remote)->peer_streaming());
 
   llm::GenerationRequest request;
   request.prompt = remote_world_.dataset[1].question;
@@ -416,47 +416,38 @@ TEST_F(FederationTest, StreamingChunksCarryWireLatency) {
   EXPECT_GT(first->extra_seconds, 0.0);
 }
 
-TEST_F(FederationTest, OldPeerWithoutStreamingFallsBackToOneShot) {
-  // A pre-streaming peer: /api/model_info does not advertise the
-  // capability and ?stream=1 is ignored.
-  remote_service_->set_streaming_generate(false);
+// A pre-streaming peer ignores ?stream=1 and answers with the one-shot JSON
+// reply. The parameter says when the peer loses streaming: before Connect,
+// or between Connect and Generate. Either way the content-type check
+// catches the JSON reply and the adapter serves it instead of misparsing
+// it, with identical token accounting.
+class PreStreamingPeerTest : public FederationTest,
+                             public ::testing::WithParamInterface<bool> {};
+
+TEST_P(PreStreamingPeerTest, JsonReplyServesTheSameCompletion) {
+  const bool downgrade_after_connect = GetParam();
+  if (!downgrade_after_connect) remote_service_->set_streaming_generate(false);
   auto remote = RemoteModel::Connect("127.0.0.1", remote_server_->port(),
                                      "mistral:7b", "fed-old");
   ASSERT_TRUE(remote.ok());
-  EXPECT_FALSE((*remote)->peer_streaming());
+  if (downgrade_after_connect) remote_service_->set_streaming_generate(false);
 
   llm::GenerationRequest request;
   request.prompt = remote_world_.dataset[1].question;
-  auto via_adapter = (*remote)->Generate(request);
-  ASSERT_TRUE(via_adapter.ok());
-  auto direct = remote_world_.runtime->Generate("mistral:7b", request);
-  ASSERT_TRUE(direct.ok());
-  // Identical token accounting on the fallback path.
-  EXPECT_EQ(via_adapter->text, direct->text);
-  EXPECT_EQ(via_adapter->num_tokens, direct->num_tokens);
-  EXPECT_EQ(via_adapter->stop_reason, direct->stop_reason);
-}
-
-TEST_F(FederationTest, StreamingClientSurvivesPeerDowngradeViaContentType) {
-  // Negotiated streaming at Connect time, but the peer answers the
-  // streaming request with a plain JSON response (downgraded between
-  // Connect and Generate). The content-type check catches it and the
-  // adapter serves the one-shot payload instead of misparsing it.
-  auto remote = RemoteModel::Connect("127.0.0.1", remote_server_->port(),
-                                     "mistral:7b", "fed-downgraded");
-  ASSERT_TRUE(remote.ok());
-  EXPECT_TRUE((*remote)->peer_streaming());
-  remote_service_->set_streaming_generate(false);
-
-  llm::GenerationRequest request;
-  request.prompt = remote_world_.dataset[2].question;
   auto via_adapter = (*remote)->Generate(request);
   ASSERT_TRUE(via_adapter.ok()) << via_adapter.status().ToString();
   auto direct = remote_world_.runtime->Generate("mistral:7b", request);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(via_adapter->text, direct->text);
   EXPECT_EQ(via_adapter->num_tokens, direct->num_tokens);
+  EXPECT_EQ(via_adapter->stop_reason, direct->stop_reason);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    StreamingSwitchedOff, PreStreamingPeerTest, ::testing::Bool(),
+    [](const ::testing::TestParamInfo<bool>& info) {
+      return info.param ? "AfterConnect" : "BeforeConnect";
+    });
 
 TEST_F(FederationTest, FirstChunkArrivesBeforeRemoteGenerationFinishes) {
   auto gated = std::make_shared<GatedModel>("gated:1b");
@@ -466,7 +457,6 @@ TEST_F(FederationTest, FirstChunkArrivesBeforeRemoteGenerationFinishes) {
   auto remote = RemoteModel::Connect("127.0.0.1", remote_server_->port(),
                                      "gated:1b", "fed-gated");
   ASSERT_TRUE(remote.ok());
-  ASSERT_TRUE((*remote)->peer_streaming());
 
   llm::GenerationRequest request;
   request.prompt = "unused";
@@ -516,7 +506,6 @@ TEST_F(FederationTest, MidStreamPeerDeathIsQuarantinedByOrchestrator) {
   auto remote = RemoteModel::Connect("127.0.0.1", remote_server_->port(),
                                      "dying:7b", "fed-dying");
   ASSERT_TRUE(remote.ok());
-  ASSERT_TRUE((*remote)->peer_streaming());
   ASSERT_TRUE(local_world.registry->Register(*remote).ok());
   ASSERT_TRUE(local_world.runtime->LoadModel("fed-dying").ok());
 
@@ -548,43 +537,19 @@ TEST_F(FederationTest, AbruptPeerCloseIsATypedErrorNotAHang) {
   // A fake peer that speaks just enough of the protocol to be believed,
   // sends one chunk frame, then drops the connection without the terminal
   // SSE event or the terminal HTTP chunk.
-  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(listen_fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                   sizeof(addr)),
-            0);
-  ASSERT_EQ(::listen(listen_fd, 1), 0);
-  socklen_t addr_len = sizeof(addr);
-  ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                          &addr_len),
-            0);
-  const int fake_port = ntohs(addr.sin_port);
-
-  std::thread fake_peer([listen_fd] {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) return;
-    char buf[4096];
-    (void)::recv(fd, buf, sizeof(buf), 0);  // swallow the request
-    SseEvent chunk;
-    chunk.event = "chunk";
-    chunk.data = "{\"text\":\"half an\",\"tokens\":2}";
-    const std::string frame = EncodeSse(chunk);
-    char size_line[32];
-    std::snprintf(size_line, sizeof(size_line), "%zx\r\n", frame.size());
-    const std::string wire =
-        "HTTP/1.1 200 OK\r\ncontent-type: text/event-stream\r\n"
+  SseEvent chunk;
+  chunk.event = "chunk";
+  chunk.data = "{\"text\":\"half an\",\"tokens\":2}";
+  const std::string frame = EncodeSse(chunk);
+  char size_line[32];
+  std::snprintf(size_line, sizeof(size_line), "%zx\r\n", frame.size());
+  testutil::CannedPeer fake_peer(
+      {{"HTTP/1.1 200 OK\r\ncontent-type: text/event-stream\r\n"
         "transfer-encoding: chunked\r\nconnection: close\r\n\r\n" +
-        std::string(size_line) + frame + "\r\n";
-    (void)::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL);
-    ::close(fd);  // mid-stream death
-  });
+        std::string(size_line) + frame + "\r\n"}});
 
   auto stream = HttpClientStream::Open(
-      "127.0.0.1", fake_port, "POST", "/api/generate?stream=1",
+      "127.0.0.1", fake_peer.port(), "POST", "/api/generate?stream=1",
       "{\"model\":\"x\",\"prompt\":\"y\"}", "application/json",
       /*timeout_seconds=*/5.0, /*accept_event_stream=*/true);
   ASSERT_TRUE(stream.ok());
@@ -602,10 +567,43 @@ TEST_F(FederationTest, AbruptPeerCloseIsATypedErrorNotAHang) {
     if (bytes->empty()) break;  // would be a (wrong) clean end of stream
     received += *bytes;
   }
-  fake_peer.join();
-  ::close(listen_fd);
   EXPECT_TRUE(error.IsIOError()) << error.ToString();
   EXPECT_NE(received.find("half an"), std::string::npos);
+}
+
+TEST_F(FederationTest, ResetDuringJsonBodyReadIsRetried) {
+  // A pre-streaming peer whose first one-shot reply is reset halfway
+  // through its body. The body is read inside the transport retry, so the
+  // adapter reconnects and serves the complete second reply.
+  auto json_reply = [](const std::string& body) {
+    return "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n"
+           "content-length: " +
+           std::to_string(body.size()) + "\r\nconnection: close\r\n\r\n" +
+           body;
+  };
+  const std::string info =
+      "{\"ok\":true,\"tokens_per_second\":50,\"context_window\":4096}";
+  const std::string completion =
+      "{\"done_reason\":\"stop\",\"ok\":true,"
+      "\"text\":\"one two three four\",\"tokens\":4}";
+  const std::string full = json_reply(completion);
+  testutil::CannedPeer fake_peer(
+      {{json_reply(info)},
+       {full.substr(0, full.size() - completion.size() / 2), 1,
+        /*reset=*/true},
+       {full}});
+
+  auto remote = RemoteModel::Connect("127.0.0.1", fake_peer.port(), "m:1b",
+                                     "fed-reset");
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  llm::GenerationRequest request;
+  request.prompt = "count to four";
+  auto result = (*remote)->Generate(request);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->text, "one two three four");
+  EXPECT_EQ(result->num_tokens, 4u);
+  EXPECT_EQ(result->stop_reason, llm::StopReason::kStop);
+  EXPECT_EQ(fake_peer.served(), 3u);  // model_info, the reset, the retry
 }
 
 // ----------------------------------------- hedged federation (DESIGN.md §10)

@@ -77,8 +77,8 @@ TEST(FuzzTest, HttpRequestParserSurvivesRandomBytes) {
   for (int i = 0; i < 2000; ++i) {
     (void)app::ParseHttpRequest(RandomBytes(&rng, 300));
     (void)app::ParseHttpRequest(RandomAsciiSoup(&rng, 300));
-    (void)app::ParseHttpResponse(RandomBytes(&rng, 300));
-    (void)app::ParseHttpResponse(RandomAsciiSoup(&rng, 300));
+    (void)app::ParseHttpResponseHead(RandomBytes(&rng, 300));
+    (void)app::ParseHttpResponseHead(RandomAsciiSoup(&rng, 300));
   }
   SUCCEED();
 }

@@ -8,6 +8,7 @@
 #include "llmms/app/http_server.h"
 #include "llmms/app/sse.h"
 #include "llmms/common/rng.h"
+#include "canned_peer.h"
 #include "testutil.h"
 
 namespace llmms::app {
@@ -65,11 +66,10 @@ TEST(HttpParseTest, RejectsNonNumericContentLength) {
               std::string::npos)
         << request.status().message();
 
-    const auto response = ParseHttpResponse(
-        std::string("HTTP/1.1 200 OK\r\ncontent-length: ") + value +
-        "\r\n\r\nhello");
-    ASSERT_FALSE(response.ok()) << value;
-    EXPECT_TRUE(response.status().IsInvalidArgument()) << value;
+    // The same parse frames responses on the client.
+    const auto length = ContentLength({{"content-length", value}});
+    ASSERT_FALSE(length.ok()) << value;
+    EXPECT_TRUE(length.status().IsInvalidArgument()) << value;
   }
   // Surrounding whitespace is trimmed with the header value; an empty value
   // is still not a number.
@@ -79,40 +79,6 @@ TEST(HttpParseTest, RejectsNonNumericContentLength) {
   EXPECT_EQ(padded->body, "hello");
   EXPECT_FALSE(
       ParseHttpRequest("POST /x HTTP/1.1\r\ncontent-length:\r\n\r\n").ok());
-}
-
-TEST(HttpParseTest, ResponseRoundTrip) {
-  HttpResponse response;
-  response.status = 404;
-  response.headers["content-type"] = "application/json";
-  response.body = "{\"ok\":false}";
-  auto parsed = ParseHttpResponse(SerializeHttpResponse(response));
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->status, 404);
-  EXPECT_EQ(parsed->body, response.body);
-  EXPECT_EQ(parsed->headers.at("content-type"), "application/json");
-}
-
-TEST(HttpParseTest, ChunkedResponseDecoded) {
-  const std::string raw =
-      "HTTP/1.1 200 OK\r\n"
-      "transfer-encoding: chunked\r\n"
-      "\r\n"
-      "5\r\nhello\r\n"
-      "6\r\n world\r\n"
-      "0\r\n\r\n";
-  auto parsed = ParseHttpResponse(raw);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->body, "hello world");
-}
-
-TEST(HttpParseTest, TruncatedChunkRejected) {
-  const std::string raw =
-      "HTTP/1.1 200 OK\r\n"
-      "transfer-encoding: chunked\r\n"
-      "\r\n"
-      "ff\r\nshort";
-  EXPECT_FALSE(ParseHttpResponse(raw).ok());
 }
 
 TEST(HttpParseTest, ReasonPhrases) {
@@ -334,6 +300,71 @@ TEST(SseDecoderTest, RoundTripPropertyAtRandomBoundaries) {
       EXPECT_EQ(decoded[i].id, expected[i].id);
       EXPECT_EQ(decoded[i].data, expected[i].data);
     }
+  }
+}
+
+// ------------------------------------------------------- HttpFetch client
+TEST(HttpFetchTest, PeerThatNeverAnswersIsDeadlineExceeded) {
+  testutil::CannedPeer silent({});
+  auto response = HttpFetch("127.0.0.1", silent.port(), "GET", "/api/health",
+                            "", "application/json", /*timeout_seconds=*/0.2);
+  ASSERT_FALSE(response.ok());
+  EXPECT_TRUE(response.status().IsDeadlineExceeded())
+      << response.status().ToString();
+}
+
+TEST(HttpFetchTest, SerializedResponseRoundTrips) {
+  HttpResponse response;
+  response.status = 404;
+  response.headers["content-type"] = "application/json";
+  response.body = "{\"ok\":false}";
+  testutil::CannedPeer peer({{SerializeHttpResponse(response)}});
+  auto fetched = HttpFetch("127.0.0.1", peer.port(), "GET", "/x", "",
+                           "application/json", /*timeout_seconds=*/5.0);
+  ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+  EXPECT_EQ(fetched->status, 404);
+  EXPECT_EQ(fetched->body, response.body);
+  EXPECT_EQ(fetched->headers.at("content-type"), "application/json");
+}
+
+TEST(HttpFetchTest, ChunkedBodyIsDecoded) {
+  // Three sends split the framing mid-size-line and mid-payload.
+  testutil::CannedPeer peer({{"HTTP/1.1 200 OK\r\n"
+                              "content-type: text/plain\r\n"
+                              "transfer-encoding: chunked\r\n\r\n"
+                              "5\r\nhello\r\n6\r\n world\r\n0\r\n\r\n",
+                              /*pieces=*/3}});
+  auto response = HttpFetch("127.0.0.1", peer.port(), "GET", "/x", "",
+                            "application/json", /*timeout_seconds=*/5.0);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->status, 200);
+  EXPECT_EQ(response->headers.at("content-type"), "text/plain");
+  EXPECT_EQ(response->body, "hello world");
+}
+
+TEST(HttpFetchTest, CloseDelimitedBodyIsReadToTheClose) {
+  testutil::CannedPeer peer({{"HTTP/1.1 404 Not Found\r\n"
+                              "content-type: text/plain\r\n\r\n"
+                              "no length, no chunks: ends at the close",
+                              /*pieces=*/2}});
+  auto response = HttpFetch("127.0.0.1", peer.port(), "GET", "/x", "",
+                            "application/json", /*timeout_seconds=*/5.0);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->status, 404);
+  EXPECT_EQ(response->body, "no length, no chunks: ends at the close");
+}
+
+TEST(HttpFetchTest, BodyCutShortIsIOError) {
+  // A chunked body and a Content-Length body, each closed mid-payload.
+  testutil::CannedPeer peer(
+      {{"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n"
+        "ff\r\nshort"},
+       {"HTTP/1.1 200 OK\r\ncontent-length: 50\r\n\r\nshort"}});
+  for (int i = 0; i < 2; ++i) {
+    auto response = HttpFetch("127.0.0.1", peer.port(), "GET", "/x", "",
+                              "application/json", /*timeout_seconds=*/5.0);
+    ASSERT_FALSE(response.ok()) << i;
+    EXPECT_TRUE(response.status().IsIOError()) << response.status().ToString();
   }
 }
 
