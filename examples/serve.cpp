@@ -3,10 +3,10 @@
 //
 //   ./build/examples/serve [port] [state.json]   # default port 8080
 //
-// With a state file, breaker state and hedge latency sketches survive
-// restarts (llm::StateStore): kill the daemon, start it again with the same
-// file, and the node resumes with warm hedge percentiles and any tripped
-// circuits still quarantined.
+// With a state file, breaker state, hedge latency sketches and the reward
+// feed survive restarts (llm::StateStore): kill the daemon, start it again
+// with the same file, and the node resumes with warm hedge percentiles, its
+// learned reward means and any tripped circuits still quarantined.
 //
 // Then, from another terminal:
 //   curl -s localhost:8080/api/health

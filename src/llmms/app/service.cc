@@ -80,6 +80,7 @@ Status ApiService::EnableStatePersistence(const std::string& path) {
       store->AttachSketches(name, hedged);
     }
   }
+  core::AttachRewardFeed(store.get(), engine_->reward_feed());
   state_store_ = std::move(store);
   return Status::OK();
 }

@@ -90,10 +90,11 @@ class ApiService {
   // missing file is a clean first run; a corrupt one cold-starts — see
   // StateStore::Load), restores breaker snapshots into every currently
   // loaded model that has a breaker (unwrapping a HedgedModel to its
-  // primary replica) and latency sketches into every hedged group — so the
-  // first post-restart request hedges with real percentiles — then re-saves
-  // the file on every breaker transition and at service shutdown. Call
-  // AFTER the models are loaded; models loaded later are not attached.
+  // primary replica), latency sketches into every hedged group — so the
+  // first post-restart request hedges with real percentiles — and the
+  // engine's reward feed; then re-saves the file on every breaker
+  // transition and at service shutdown. Call AFTER the models are loaded;
+  // models loaded later are not attached.
   Status EnableStatePersistence(const std::string& path);
   llm::StateStore* state_store() const { return state_store_.get(); }
 

@@ -17,8 +17,8 @@
 namespace llmms {
 
 // The storage plane's single I/O seam (DESIGN.md §14). Every durability
-// path — the vectordb WAL and snapshots, llm::StateStore, the model-card
-// store — does its file I/O through FileSystem so that
+// path — the vectordb WAL and snapshots, and llm::StateStore — does its
+// file I/O through FileSystem so that
 //   - durability barriers are explicit: Sync (fsync the file) and SyncDir
 //     (fsync the parent directory, which is what makes a rename durable)
 //     are first-class operations, and AtomicWriteFile implements the full

@@ -11,7 +11,8 @@
 //     Hedged chaos stack with adaptation on (run twice, byte-identical);
 //   - warm-start sketches across an ApiService restart (with persistence
 //     the first post-restart request hedges immediately; without it the
-//     node cold-starts) and the StateStore corruption matrix.
+//     node cold-starts), the engine's reward feed across the same restart,
+//     and the StateStore corruption matrix.
 
 #include <gtest/gtest.h>
 
@@ -658,7 +659,7 @@ TEST(GoldenTraceTest, AdaptiveChaosStackIsDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// Warm-start sketches across a restart, through the app layer.
+// Warm-start sketches and reward means across an app-layer restart.
 
 struct Node {
   std::shared_ptr<llm::ModelRegistry> registry;
@@ -778,6 +779,48 @@ TEST(WarmStartTest, SketchesSurviveRestartAndColdStartWithoutPersistence) {
     EXPECT_EQ(node.hedged->stats().hedges_launched, 0u);
     EXPECT_TRUE(node.service->state_store() == nullptr);
   }
+}
+
+TEST(WarmStartTest, RewardFeedSurvivesRestart) {
+  const std::string path = ::testing::TempDir() + "/warm-rewards.json";
+  std::remove(path.c_str());
+
+  // --- Node 1: persistence on; publish rewards through the engine's feed;
+  // shut down. ---
+  core::RewardFeed::Snapshot saved;
+  {
+    Node node = MakeNode({1.0});
+    ASSERT_TRUE(node.service->EnableStatePersistence(path).ok());
+    core::RewardFeed* feed = node.engine->reward_feed();
+    for (const double reward : {0.25, 0.5, 0.75, 1.0, 0.5}) {
+      feed->Publish("warm:a", reward);
+    }
+    feed->Publish("warm:b", 0.125);
+    saved = feed->SnapshotState();
+    ASSERT_EQ(saved.tick, 6u);
+    node.service.reset();  // shutdown writes the state file
+  }
+
+  // --- Node 2 ("restart", persistence on): the feed resumes exactly. ---
+  Node node = MakeNode({1.0});
+  ASSERT_TRUE(node.service->EnableStatePersistence(path).ok());
+  EXPECT_TRUE(node.service->state_store()->load_warning().empty());
+  const core::RewardFeed::Snapshot restored =
+      node.engine->reward_feed()->SnapshotState();
+  EXPECT_EQ(restored.tick, saved.tick);
+  ASSERT_EQ(restored.models.size(), saved.models.size());
+  for (const auto& [model, want] : saved.models) {
+    ASSERT_TRUE(restored.models.count(model)) << model;
+    const auto& got = restored.models.at(model);
+    EXPECT_EQ(got.lifetime.count, want.lifetime.count) << model;
+    EXPECT_DOUBLE_EQ(got.lifetime.reward_sum, want.lifetime.reward_sum)
+        << model;
+    EXPECT_EQ(got.window, want.window) << model;
+    EXPECT_DOUBLE_EQ(got.decayed_sum, want.decayed_sum) << model;
+    EXPECT_DOUBLE_EQ(got.decayed_weight, want.decayed_weight) << model;
+    EXPECT_EQ(got.last_tick, want.last_tick) << model;
+  }
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
+#include <unistd.h>
+
 #include <cstdio>
 #include <gtest/gtest.h>
 
-#include "llmms/llm/model_card.h"
-#include "llmms/llm/synthetic_model.h"
 #include "llmms/vectordb/durable_collection.h"
-#include "testutil.h"
 
 namespace llmms {
 namespace {
@@ -123,76 +122,6 @@ TEST(DurableCollectionTest, QueriesPassThrough) {
   ASSERT_EQ(hits->size(), 1u);
   EXPECT_EQ((*hits)[0].id, "x");
   std::remove(path.c_str());
-}
-
-// -------------------------------------------------------- model cards
-TEST(ModelCardTest, JsonRoundTripPreservesProfile) {
-  for (const auto& profile : llm::DefaultProfiles()) {
-    auto parsed = llm::ProfileFromJson(llm::ProfileToJson(profile));
-    ASSERT_TRUE(parsed.ok()) << profile.name;
-    EXPECT_EQ(parsed->name, profile.name);
-    EXPECT_EQ(parsed->family, profile.family);
-    EXPECT_EQ(parsed->memory_mb, profile.memory_mb);
-    EXPECT_DOUBLE_EQ(parsed->tokens_per_second, profile.tokens_per_second);
-    EXPECT_EQ(parsed->context_window, profile.context_window);
-    EXPECT_EQ(parsed->domain_competence, profile.domain_competence);
-    EXPECT_DOUBLE_EQ(parsed->verbosity, profile.verbosity);
-    EXPECT_EQ(parsed->seed, profile.seed);
-  }
-}
-
-TEST(ModelCardTest, RejectsInvalidCards) {
-  EXPECT_TRUE(llm::ProfileFromJson("not json").status().IsInvalidArgument());
-  EXPECT_TRUE(
-      llm::ProfileFromJson("{\"schema\":\"wrong\"}").status().IsInvalidArgument());
-  EXPECT_TRUE(llm::ProfileFromJson(
-                  R"({"schema":"llmms-model-card-v1","name":""})")
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(llm::ProfileFromJson(
-                  R"({"schema":"llmms-model-card-v1","name":"x",
-                      "tokens_per_second":0})")
-                  .status()
-                  .IsInvalidArgument());
-}
-
-TEST(ModelCardTest, FileRoundTripAndRegistryIntegration) {
-  auto world = testutil::MakeWorld(2);
-  const std::string path = ::testing::TempDir() + "/custom_model.json";
-
-  // Author a new model as a card on disk, then load and register it — the
-  // plug-and-play flow of §3.6.
-  llm::ModelProfile custom = llm::DefaultProfiles()[0];
-  custom.name = "custom:13b";
-  custom.memory_mb = 9000;
-  ASSERT_TRUE(llm::SaveModelCard(custom, path).ok());
-
-  auto loaded = llm::LoadModelCard(path);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_TRUE(world.registry
-                  ->Register(std::make_shared<llm::SyntheticModel>(
-                      *loaded, world.knowledge))
-                  .ok());
-  ASSERT_TRUE(world.runtime->LoadModel("custom:13b").ok());
-  llm::GenerationRequest request;
-  request.prompt = world.dataset[0].question;
-  auto result = world.runtime->Generate("custom:13b", request);
-  ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(result->text.empty());
-  std::remove(path.c_str());
-}
-
-TEST(ModelCardTest, WriteDefaultCards) {
-  const std::string dir = ::testing::TempDir();
-  auto paths = llm::WriteDefaultModelCards(dir);
-  ASSERT_TRUE(paths.ok());
-  EXPECT_EQ(paths->size(), 3u);
-  for (const auto& path : *paths) {
-    auto card = llm::LoadModelCard(path);
-    EXPECT_TRUE(card.ok()) << path;
-    std::remove(path.c_str());
-  }
-  EXPECT_FALSE(llm::LoadModelCard("/nonexistent/card.json").ok());
 }
 
 }  // namespace

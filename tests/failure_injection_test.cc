@@ -7,7 +7,6 @@
 #include "llmms/core/oua.h"
 #include "llmms/eval/qa_dataset.h"
 #include "llmms/llm/synthetic_model.h"
-#include "llmms/tokenizer/bpe_tokenizer.h"
 #include "llmms/vectordb/database.h"
 #include "testutil.h"
 
@@ -20,11 +19,6 @@ TEST(IoFailureTest, VectorDatabaseSaveToUnwritablePath) {
   EXPECT_TRUE(vectordb::VectorDatabase::Load("/nonexistent-dir/db.bin")
                   .status()
                   .IsIOError());
-}
-
-TEST(IoFailureTest, TokenizerSaveToUnwritablePath) {
-  tokenizer::BpeTokenizer tok;
-  EXPECT_TRUE(tok.Save("/nonexistent-dir/tok.txt").IsIOError());
 }
 
 TEST(IoFailureTest, DatasetSaveToUnwritablePath) {

@@ -10,7 +10,6 @@
 #include "llmms/common/json.h"
 #include "llmms/common/rng.h"
 #include "llmms/eval/qa_dataset.h"
-#include "llmms/tokenizer/bpe_tokenizer.h"
 #include "llmms/vectordb/wal.h"
 
 namespace llmms {
@@ -399,21 +398,6 @@ TEST(FuzzTest, WalReplaySurvivesRandomByteSoup) {
     }
   }
   (void)fs.Remove(path);
-}
-
-TEST(FuzzTest, BpeSurvivesBinaryInput) {
-  Rng rng(0xF02A);
-  tokenizer::BpeTokenizer tok;
-  tokenizer::BpeTokenizer::TrainOptions opts;
-  opts.vocab_size = 300;
-  ASSERT_TRUE(tok.Train({"some ordinary training text here"}, opts).ok());
-  for (int i = 0; i < 500; ++i) {
-    const std::string input = RandomBytes(&rng, 100);
-    const auto ids = tok.Encode(input);
-    const std::string decoded = tok.Decode(ids);
-    // Byte-level BPE must round-trip anything modulo whitespace runs.
-    EXPECT_LE(decoded.size(), input.size());
-  }
 }
 
 }  // namespace

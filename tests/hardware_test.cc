@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "llmms/hardware/device.h"
-#include "llmms/hardware/gpu_monitor.h"
 #include "llmms/hardware/placement.h"
 
 namespace llmms::hardware {
@@ -98,35 +97,25 @@ TEST(HardwareManagerTest, NothingFitsAnywhere) {
   EXPECT_TRUE(placement.status().IsResourceExhausted());
 }
 
-TEST(GpuMonitorTest, SmiTableListsEveryDevice) {
-  HardwareManager manager({GpuSpec("tesla-v100-0", 32 * 1024)});
-  manager.device(0)->BeginJob();
-  const std::string table = FormatSmiTable(manager.Snapshot());
-  EXPECT_NE(table.find("tesla-v100-0"), std::string::npos);
-  EXPECT_NE(table.find("gpu"), std::string::npos);
-  EXPECT_NE(table.find("cpu"), std::string::npos);
-  EXPECT_NE(table.find("util%"), std::string::npos);
-  manager.device(0)->EndJob();
-}
-
-TEST(GpuMonitorTest, FleetSummaryAggregates) {
+TEST(HardwareManagerTest, SnapshotReportsReservationsAndJobs) {
   HardwareManager manager(
       {GpuSpec("gpu0", 8000), GpuSpec("gpu1", 16000)});
   ASSERT_TRUE(manager.device(0)->ReserveMemory(4000).ok());
   manager.device(1)->BeginJob();
-  const auto load = SummarizeFleet(manager.Snapshot());
-  EXPECT_EQ(load.memory_total_mb, 8000u + 16000u + 96u * 1024u);
-  EXPECT_EQ(load.memory_used_mb, 4000u);
-  EXPECT_EQ(load.active_jobs, 1);
-  EXPECT_GT(load.max_utilization, 0.0);
-  EXPECT_GT(load.max_temperature_c, 35.0);
+  const auto snapshot = manager.Snapshot();
+  ASSERT_EQ(snapshot.size(), 3u);
+  uint64_t memory_total_mb = 0;
+  for (const auto& t : snapshot) memory_total_mb += t.memory_total_mb;
+  EXPECT_EQ(memory_total_mb, 8000u + 16000u + 96u * 1024u);
+  EXPECT_EQ(snapshot[0].memory_used_mb, 4000u);
+  EXPECT_EQ(snapshot[1].memory_used_mb, 0u);
+  EXPECT_EQ(snapshot[2].kind, DeviceKind::kCpu);
+  EXPECT_EQ(snapshot[2].memory_total_mb, 96u * 1024u);
+  EXPECT_EQ(snapshot[0].active_jobs, 0);
+  EXPECT_EQ(snapshot[1].active_jobs, 1);
+  EXPECT_GT(snapshot[1].utilization, 0.0);
+  EXPECT_GT(snapshot[1].temperature_c, 35.0);
   manager.device(1)->EndJob();
-}
-
-TEST(GpuMonitorTest, EmptySnapshot) {
-  const auto load = SummarizeFleet({});
-  EXPECT_EQ(load.memory_total_mb, 0u);
-  EXPECT_FALSE(FormatSmiTable({}).empty());
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include "llmms/rag/chunker.h"
 #include "llmms/session/session.h"
 #include "llmms/session/summarizer.h"
-#include "llmms/tokenizer/bpe_tokenizer.h"
 #include "llmms/tokenizer/word_tokenizer.h"
 #include "llmms/vectordb/distance.h"
 #include "llmms/vectordb/flat_index.h"
@@ -36,25 +35,6 @@ std::string RandomText(Rng* rng, size_t max_words) {
   }
   return text;
 }
-
-// ---------------------------------------------------------------- BPE laws
-class BpeRoundTripTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(BpeRoundTripTest, EncodeDecodeIsIdentityOnRandomText) {
-  Rng rng(static_cast<uint64_t>(GetParam()));
-  std::vector<std::string> corpus;
-  for (int i = 0; i < 20; ++i) corpus.push_back(RandomText(&rng, 30));
-  tokenizer::BpeTokenizer tok;
-  tokenizer::BpeTokenizer::TrainOptions opts;
-  opts.vocab_size = 300 + GetParam() * 50;
-  ASSERT_TRUE(tok.Train(corpus, opts).ok());
-  for (int i = 0; i < 50; ++i) {
-    const std::string text = RandomText(&rng, 40);
-    EXPECT_EQ(tok.Decode(tok.Encode(text)), text) << text;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BpeRoundTripTest, ::testing::Range(1, 5));
 
 // --------------------------------------------------------------- JSON laws
 Json RandomJson(Rng* rng, int depth) {

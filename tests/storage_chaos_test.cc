@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "llmms/common/fs.h"
-#include "llmms/llm/model_card.h"
 #include "llmms/llm/state_store.h"
 #include "llmms/vectordb/database.h"
 #include "llmms/vectordb/durable_collection.h"
@@ -678,37 +677,6 @@ TEST(StorageChaosTest, StateStoreCrashBetweenTmpWriteAndRename) {
   llm::StateStore recovered(path, &real);
   ASSERT_TRUE(recovered.Load().ok());
   EXPECT_TRUE(recovered.load_warning().empty());
-}
-
-// --- Model-card store ------------------------------------------------------
-
-TEST(StorageChaosTest, ModelCardSaveIsOldOrNewAtEveryCrashPoint) {
-  RealFileSystem real;
-  auto profiles = llm::DefaultProfiles();
-  ASSERT_GE(profiles.size(), 2u);
-  llm::ModelProfile old_profile = profiles[0];
-  llm::ModelProfile new_profile = profiles[1];
-  new_profile.name = old_profile.name;  // same card, new contents
-
-  const std::string base = FreshDir("card_base") + "/card.json";
-  ASSERT_TRUE(llm::SaveModelCard(old_profile, base, &real).ok());
-  const int64_t total = RunWithCrashAt(&real, -1, [&](FileSystem* fs) {
-    ASSERT_TRUE(llm::SaveModelCard(new_profile, base, fs).ok());
-  });
-
-  for (int64_t k = 0; k < total; ++k) {
-    const std::string path = FreshDir("card") + "/card.json";
-    ASSERT_TRUE(llm::SaveModelCard(old_profile, path, &real).ok());
-    RunWithCrashAt(&real, k, [&](FileSystem* fs) {
-      (void)llm::SaveModelCard(new_profile, path, fs);
-    });
-    auto loaded = llm::LoadModelCard(path, &real);
-    ASSERT_TRUE(loaded.ok()) << "crash at op " << k << ": "
-                             << loaded.status().ToString();
-    EXPECT_TRUE(loaded->family == old_profile.family ||
-                loaded->family == new_profile.family)
-        << "crash at op " << k;
-  }
 }
 
 // ---------------------------------------------------------------------------
