@@ -51,6 +51,13 @@ class HnswIndex final : public VectorIndex {
 
   const Options& options() const { return options_; }
   int max_level() const { return max_level_; }
+  // Slots assigned so far, tombstoned ones included.
+  size_t slot_count() const { return nodes_.size(); }
+  // `slot`'s adjacency lists, one per level (0..its level), in stored order;
+  // lets tests pin the built graph. Requires slot < slot_count().
+  const std::vector<std::vector<SlotId>>& links(SlotId slot) const {
+    return nodes_[slot].neighbors;
+  }
 
  private:
   struct Node {

@@ -1,9 +1,19 @@
 // HNSW recall floors on bench/hnsw_recall.cc's clustered 128-d corpus at
 // n=2000. Pins the graph's quality so a change to the distance kernel or
-// to neighbor selection cannot trade recall for speed unnoticed.
+// to neighbor selection cannot trade recall for speed unnoticed, and pins
+// the exact graph and search output in tests/golden/hnsw_graph.golden so a
+// change meant to be output-neutral (a faster visited set, cached link
+// distances) provably is.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -61,6 +71,108 @@ TEST(HnswRecallFloorTest, ClusteredCorpusAtTwoThousand) {
     EXPECT_EQ(expected, kQueries * kK);
     EXPECT_GE(found, floor.found) << "ef=" << floor.ef;
   }
+}
+
+// FNV-1a over 64-bit words.
+class Digest {
+ public:
+  void Mix(uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (word >> (8 * i)) & 0xFF;
+      hash_ *= 0x100000001B3ULL;
+    }
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+std::string Hex(uint64_t bits) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(bits));
+  return buf;
+}
+
+std::string DistanceBits(double distance) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &distance, sizeof(bits));
+  return Hex(bits);
+}
+
+// Compares `fresh` with tests/golden/<name>, reporting the first diverging
+// line. LLMMS_UPDATE_GOLDEN=1 rewrites the golden instead.
+void ExpectMatchesGolden(const std::string& name, const std::string& fresh) {
+  const std::string path = std::string(LLMMS_TESTS_DIR) + "/golden/" + name;
+  if (std::getenv("LLMMS_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream(path, std::ios::trunc) << fresh;
+    GTEST_SKIP() << "golden file regenerated at " << path;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing golden file; regenerate with "
+                            "LLMMS_UPDATE_GOLDEN=1 "
+                         << path;
+  std::stringstream golden_text;
+  golden_text << in.rdbuf();
+  std::istringstream golden(golden_text.str());
+  std::istringstream current(fresh);
+  std::string golden_line;
+  std::string fresh_line;
+  for (size_t line = 1;; ++line) {
+    const bool more_fresh =
+        static_cast<bool>(std::getline(current, fresh_line));
+    const bool more_golden =
+        static_cast<bool>(std::getline(golden, golden_line));
+    if (!more_fresh && !more_golden) break;
+    ASSERT_TRUE(more_fresh == more_golden && fresh_line == golden_line)
+        << name << " line " << line << " diverged\n"
+        << "  golden: " << (more_golden ? golden_line : "<eof>") << "\n"
+        << "  fresh:  " << (more_fresh ? fresh_line : "<eof>");
+  }
+}
+
+// The floor test's corpus and queries with every 7th slot (0, 7, 14, ...)
+// tombstoned, so searches take the over-fetch path. Records a digest of
+// every node's link lists in slot and level order, then every query's
+// SearchWithEf(k=10) hits at ef 16 and 64 as slot:distance-bits.
+TEST(HnswGoldenTest, GraphAndHitsAreBitExact) {
+  Rng rng(0xBEEF);
+  bench::ClusteredSampler sampler(&rng, kDim, /*num_clusters=*/64);
+  HnswIndex hnsw(kDim, DistanceMetric::kCosine);
+  for (size_t i = 0; i < kCorpus; ++i) {
+    ASSERT_TRUE(hnsw.Add(sampler.Sample()).ok());
+  }
+  std::vector<Vector> queries;
+  for (size_t i = 0; i < kQueries; ++i) queries.push_back(sampler.Sample());
+  for (SlotId slot = 0; slot < kCorpus; slot += 7) {
+    ASSERT_TRUE(hnsw.Remove(slot).ok());
+  }
+
+  Digest digest;
+  digest.Mix(hnsw.slot_count());
+  for (SlotId slot = 0; slot < hnsw.slot_count(); ++slot) {
+    const auto& levels = hnsw.links(slot);
+    digest.Mix(levels.size());
+    for (const auto& level : levels) {
+      digest.Mix(level.size());
+      for (SlotId nbr : level) digest.Mix(nbr);
+    }
+  }
+  std::ostringstream out;
+  out << "links " << Hex(digest.value()) << "\n";
+  for (size_t ef : {size_t{16}, size_t{64}}) {
+    for (size_t q = 0; q < kQueries; ++q) {
+      auto hits = hnsw.SearchWithEf(queries[q], kK, ef);
+      ASSERT_TRUE(hits.ok());
+      out << "ef=" << ef << " q=" << q;
+      for (const auto& hit : *hits) {
+        out << " " << hit.slot << ":" << DistanceBits(hit.distance);
+      }
+      out << "\n";
+    }
+  }
+  ExpectMatchesGolden("hnsw_graph.golden", out.str());
 }
 
 }  // namespace
