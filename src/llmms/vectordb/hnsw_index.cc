@@ -3,11 +3,36 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
-#include <unordered_set>
 
 #include "llmms/vectordb/distance.h"
 
 namespace llmms::vectordb {
+namespace {
+
+// SearchLayer's visited set: one mark per slot, equal to the current epoch
+// once visited (hnswlib's VisitedList). Starting a search bumps the epoch,
+// which unmarks every slot at once. Thread-local, so concurrent const
+// searches under Collection's shared lock each have their own; the array is
+// shared by every index a thread searches and grows to the largest.
+struct VisitedMarks {
+  std::vector<uint32_t> marks;
+  uint32_t epoch = 0;
+
+  // Starts a search over `slots` slots; returns the epoch that marks a
+  // slot as visited.
+  uint32_t Begin(size_t slots) {
+    if (marks.size() < slots) marks.resize(slots, 0);
+    if (++epoch == 0) {  // wrapped: stale marks could now match
+      std::fill(marks.begin(), marks.end(), 0);
+      epoch = 1;
+    }
+    return epoch;
+  }
+};
+
+thread_local VisitedMarks visited_marks;
+
+}  // namespace
 
 HnswIndex::HnswIndex(size_t dimension, DistanceMetric metric,
                      const Options& options)
@@ -69,12 +94,13 @@ std::vector<HnswIndex::Candidate> HnswIndex::SearchLayer(const Vector& query,
                       std::greater<Candidate>>
       candidates;
   std::priority_queue<Candidate> results;
-  std::unordered_set<SlotId> visited;
+  const uint32_t epoch = visited_marks.Begin(nodes_.size());
+  std::vector<uint32_t>& visited = visited_marks.marks;
 
   const Candidate start{Dist(query, query_norm, entry), entry};
   candidates.push(start);
   results.push(start);
-  visited.insert(entry);
+  visited[entry] = epoch;
 
   while (!candidates.empty()) {
     const Candidate current = candidates.top();
@@ -86,7 +112,8 @@ std::vector<HnswIndex::Candidate> HnswIndex::SearchLayer(const Vector& query,
     const auto& nbrs = nodes_[current.slot].neighbors;
     if (level >= static_cast<int>(nbrs.size())) continue;
     for (SlotId nbr : nbrs[static_cast<size_t>(level)]) {
-      if (!visited.insert(nbr).second) continue;
+      if (visited[nbr] == epoch) continue;
+      visited[nbr] = epoch;
       const double d = Dist(query, query_norm, nbr);
       if (results.size() < ef || d < results.top().distance) {
         candidates.push(Candidate{d, nbr});
