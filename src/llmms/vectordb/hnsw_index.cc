@@ -133,26 +133,26 @@ std::vector<HnswIndex::Candidate> HnswIndex::SearchLayer(const Vector& query,
   return out;
 }
 
-std::vector<SlotId> HnswIndex::SelectNeighbors(
+std::vector<HnswIndex::Candidate> HnswIndex::SelectNeighbors(
     std::vector<Candidate> candidates, size_t m) const {
   // Heuristic from the HNSW paper: keep a candidate only if it is closer to
   // the query than to every already-selected neighbor. This preserves edge
   // diversity, which is what gives the graph its navigability.
   std::sort(candidates.begin(), candidates.end());
-  std::vector<SlotId> selected;
+  std::vector<Candidate> selected;
   selected.reserve(m);
   std::vector<Candidate> discarded;
   for (const Candidate& c : candidates) {
     if (selected.size() >= m) break;
     bool keep = true;
-    for (SlotId s : selected) {
-      if (Dist(c.slot, s) < c.distance) {
+    for (const Candidate& s : selected) {
+      if (Dist(c.slot, s.slot) < c.distance) {
         keep = false;
         break;
       }
     }
     if (keep) {
-      selected.push_back(c.slot);
+      selected.push_back(c);
     } else {
       discarded.push_back(c);
     }
@@ -160,9 +160,22 @@ std::vector<SlotId> HnswIndex::SelectNeighbors(
   // Backfill with the closest discarded candidates if underfull.
   for (const Candidate& c : discarded) {
     if (selected.size() >= m) break;
-    selected.push_back(c.slot);
+    selected.push_back(c);
   }
   return selected;
+}
+
+void HnswIndex::SetLinks(SlotId slot, int level,
+                         const std::vector<Candidate>& selected) {
+  Node& node = nodes_[slot];
+  auto& links = node.neighbors[static_cast<size_t>(level)];
+  auto& distances = node.distances[static_cast<size_t>(level)];
+  links.clear();
+  distances.clear();
+  for (const Candidate& c : selected) {
+    links.push_back(c.slot);
+    distances.push_back(c.distance);
+  }
 }
 
 StatusOr<SlotId> HnswIndex::Add(const Vector& vector) {
@@ -180,6 +193,7 @@ StatusOr<SlotId> HnswIndex::Add(const Vector& vector) {
   Node node;
   node.level = level;
   node.neighbors.resize(static_cast<size_t>(level) + 1);
+  node.distances.resize(static_cast<size_t>(level) + 1);
   nodes_.push_back(std::move(node));
   ++live_count_;
 
@@ -198,18 +212,23 @@ StatusOr<SlotId> HnswIndex::Add(const Vector& vector) {
         SearchLayer(vector, norm, current, options_.ef_construction, l);
     if (!candidates.empty()) current = candidates.front().slot;
     const auto neighbors = SelectNeighbors(std::move(candidates), options_.M);
-    auto& my_links = nodes_[slot].neighbors[static_cast<size_t>(l)];
-    my_links = neighbors;
-    // Add reverse edges, shrinking neighbor lists that overflow.
-    for (SlotId nbr : neighbors) {
-      auto& links = nodes_[nbr].neighbors[static_cast<size_t>(l)];
+    SetLinks(slot, l, neighbors);
+    // Add reverse edges, shrinking neighbor lists that overflow. The
+    // reverse edge stores the forward edge's distance: Distance() is
+    // symmetric bit for bit, and `vector` and `norm` are the stored row's.
+    for (const Candidate& nbr : neighbors) {
+      auto& links = nodes_[nbr.slot].neighbors[static_cast<size_t>(l)];
+      auto& distances = nodes_[nbr.slot].distances[static_cast<size_t>(l)];
       links.push_back(slot);
+      distances.push_back(nbr.distance);
       const size_t cap = MaxNeighbors(l);
       if (links.size() > cap) {
         std::vector<Candidate> cands;
         cands.reserve(links.size());
-        for (SlotId s : links) cands.push_back(Candidate{Dist(nbr, s), s});
-        links = SelectNeighbors(std::move(cands), cap);
+        for (size_t i = 0; i < links.size(); ++i) {
+          cands.push_back(Candidate{distances[i], links[i]});
+        }
+        SetLinks(nbr.slot, l, SelectNeighbors(std::move(cands), cap));
       }
     }
   }

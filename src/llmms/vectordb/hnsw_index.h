@@ -61,8 +61,11 @@ class HnswIndex final : public VectorIndex {
 
  private:
   struct Node {
-    // neighbors[l] is the adjacency list at level l (0..level).
+    // neighbors[l] is the adjacency list at level l (0..level), and
+    // distances[l][i] is the distance to neighbors[l][i], kept so pruning an
+    // overflowing list needs no distance computation.
     std::vector<std::vector<SlotId>> neighbors;
+    std::vector<std::vector<double>> distances;
     int level = 0;
     bool removed = false;
   };
@@ -92,9 +95,13 @@ class HnswIndex final : public VectorIndex {
   std::vector<Candidate> SearchLayer(const Vector& query, double query_norm,
                                      SlotId entry, size_t ef, int level) const;
 
-  // Select-neighbors heuristic (keeps diverse edges).
-  std::vector<SlotId> SelectNeighbors(std::vector<Candidate> candidates,
-                                      size_t m) const;
+  // Select-neighbors heuristic (keeps diverse edges); the kept candidates
+  // carry their distances to the node being linked.
+  std::vector<Candidate> SelectNeighbors(std::vector<Candidate> candidates,
+                                         size_t m) const;
+  // Replaces `slot`'s links at `level` with `selected`.
+  void SetLinks(SlotId slot, int level,
+                const std::vector<Candidate>& selected);
 
   size_t MaxNeighbors(int level) const {
     return level == 0 ? options_.M * 2 : options_.M;
