@@ -94,11 +94,11 @@ Status Collection::Upsert(VectorRecord record) {
   }
   LLMMS_ASSIGN_OR_RETURN(SlotId slot, index_->Add(record.vector));
   id_to_slot_[record.id] = slot;
+  const Vector vector = std::move(record.vector);
   slot_to_record_[slot] = std::move(record);
   if (options_.quantization.enabled) {
     if (qindex_ != nullptr) {
-      LLMMS_RETURN_NOT_OK(
-          AddToQuantizedLocked(slot, slot_to_record_[slot].vector));
+      LLMMS_RETURN_NOT_OK(AddToQuantizedLocked(slot, vector));
     } else if (id_to_slot_.size() >=
                std::max<size_t>(1, options_.quantization.train_size)) {
       LLMMS_RETURN_NOT_OK(TrainQuantizerLocked());
@@ -142,7 +142,9 @@ StatusOr<VectorRecord> Collection::Get(const std::string& id) const {
     return Status::NotFound("no record with id '" + id + "' in collection '" +
                             name_ + "'");
   }
-  return slot_to_record_.at(it->second);
+  VectorRecord record = slot_to_record_.at(it->second);
+  record.vector = *index_->GetVector(it->second);
+  return record;
 }
 
 bool Collection::Contains(const std::string& id) const {

@@ -111,7 +111,8 @@ class Collection final : public CollectionBase {
   uint64_t query_count() const {
     return queries_.load(std::memory_order_relaxed);
   }
-  // Bytes held by stored vectors plus quantized codes (health gauge).
+  // Bytes held by the live records' vectors (one copy each, in the index)
+  // plus quantized codes (health gauge).
   size_t approx_vector_bytes() const;
   // Runtime knob for recall/QPS sweeps; ignored while unquantized.
   void set_quantization_overfetch(size_t overfetch);
@@ -137,6 +138,8 @@ class Collection final : public CollectionBase {
   mutable std::shared_mutex mu_;
   std::unique_ptr<VectorIndex> index_;
   std::unordered_map<std::string, SlotId> id_to_slot_;
+  // Records without their vectors: the index holds the one stored copy,
+  // and Get reads it back from there.
   std::unordered_map<SlotId, VectorRecord> slot_to_record_;
   // Two-stage state (null until the quantizer trains). Slots in the code
   // index are assigned independently of the main index, so both directions
