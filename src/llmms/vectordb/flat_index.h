@@ -8,8 +8,9 @@
 namespace llmms::vectordb {
 
 // Exact brute-force index: O(n·d) per query. The reference implementation
-// against which HnswIndex recall is measured, and the right choice for the
-// small per-session collections the RAG pipeline creates.
+// against which HnswIndex recall is measured, and the index behind the
+// knowledge base's lookups and IndexKind::kFlat collections. The RAG
+// pipeline's per-session collections use HnswIndex.
 class FlatIndex final : public VectorIndex {
  public:
   FlatIndex(size_t dimension, DistanceMetric metric)

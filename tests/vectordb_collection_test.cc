@@ -1,7 +1,9 @@
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <gtest/gtest.h>
 
+#include "llmms/common/rng.h"
 #include "llmms/vectordb/collection.h"
 #include "llmms/vectordb/database.h"
 
@@ -128,6 +130,77 @@ TEST(CollectionTest, IdsListsLiveRecords) {
   const auto ids = c.Ids();
   ASSERT_EQ(ids.size(), 1u);
   EXPECT_EQ(ids[0], "b");
+}
+
+bool SameBits(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// A record keeps one copy of its vector, in the index; Get must hand back
+// exactly what was upserted, and never the int8 decode of the quantized
+// code index.
+TEST(CollectionTest, GetReturnsTheStoredVectorBitForBit) {
+  for (IndexKind kind : {IndexKind::kFlat, IndexKind::kHnsw}) {
+    SCOPED_TRACE(kind == IndexKind::kFlat ? "flat" : "hnsw");
+    Rng rng(41);
+    auto random_vector = [&rng] {
+      Vector v(8);
+      for (auto& x : v) x = static_cast<float>(rng.Normal());
+      return v;
+    };
+    Collection::Options opts = SmallOptions(kind);
+    opts.dimension = 8;
+    opts.quantization.enabled = true;
+    opts.quantization.train_size = 6;
+    VectorDatabase db;
+    auto created = db.CreateCollection("vectors", opts);
+    ASSERT_TRUE(created.ok());
+    Collection& c = **created;
+    std::vector<Vector> expected;
+
+    expected.push_back(random_vector());
+    ASSERT_TRUE(c.Upsert(MakeRecord("0", expected[0])).ok());
+    auto rec = c.Get("0");
+    ASSERT_TRUE(rec.ok());
+    EXPECT_TRUE(SameBits(rec->vector, expected[0])) << "after insert";
+
+    expected[0] = random_vector();
+    ASSERT_TRUE(c.Upsert(MakeRecord("0", expected[0])).ok());
+    rec = c.Get("0");
+    ASSERT_TRUE(rec.ok());
+    EXPECT_TRUE(SameBits(rec->vector, expected[0])) << "after replace";
+
+    for (size_t i = 1; i < 10; ++i) {
+      expected.push_back(random_vector());
+      ASSERT_TRUE(
+          c.Upsert(MakeRecord(std::to_string(i), expected[i])).ok());
+    }
+    ASSERT_TRUE(c.quantized());
+    expected[3] = random_vector();
+    ASSERT_TRUE(c.Upsert(MakeRecord("3", expected[3])).ok());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      rec = c.Get(std::to_string(i));
+      ASSERT_TRUE(rec.ok());
+      EXPECT_TRUE(SameBits(rec->vector, expected[i]))
+          << "quantized, id " << i;
+    }
+
+    const std::string path = ::testing::TempDir() + "/vdb_vectors.bin";
+    ASSERT_TRUE(db.Save(path).ok());
+    auto loaded = VectorDatabase::Load(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(loaded.ok());
+    auto reloaded = (*loaded)->GetCollection("vectors");
+    ASSERT_TRUE(reloaded.ok());
+    ASSERT_TRUE((*reloaded)->quantized());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      rec = (*reloaded)->Get(std::to_string(i));
+      ASSERT_TRUE(rec.ok());
+      EXPECT_TRUE(SameBits(rec->vector, expected[i]))
+          << "reloaded, id " << i;
+    }
+  }
 }
 
 TEST(VectorDatabaseTest, CreateGetDropCollections) {

@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
+#include <memory>
+#include <thread>
 #include <unordered_set>
 
 #include "llmms/common/rng.h"
@@ -233,6 +235,83 @@ TEST(HnswIndexTest, DeterministicForSameSeed) {
   ASSERT_EQ(ha->size(), hb->size());
   for (size_t i = 0; i < ha->size(); ++i) {
     EXPECT_EQ((*ha)[i].slot, (*hb)[i].slot);
+  }
+}
+
+// SearchLayer's visited marks are thread-local and shared by every index a
+// thread touches. One thread alternates between a small and a large index,
+// then builds and searches a third; every result must match the same search
+// on a fresh thread, and the third graph the one a fresh thread builds.
+std::unique_ptr<HnswIndex> BuildHnsw(const std::vector<Vector>& rows) {
+  auto index =
+      std::make_unique<HnswIndex>(rows[0].size(), DistanceMetric::kCosine);
+  for (const auto& row : rows) {
+    if (!index->Add(row).ok()) return nullptr;
+  }
+  return index;
+}
+
+std::vector<IndexHit> SearchTen(const HnswIndex& index, const Vector& query) {
+  auto hits = index.Search(query, 10);
+  return hits.ok() ? *hits : std::vector<IndexHit>();
+}
+
+TEST(HnswIndexTest, SharedVisitedMarksMatchFreshThreads) {
+  Rng rng(29);
+  auto rows = [&rng](size_t n) {
+    std::vector<Vector> out;
+    for (size_t i = 0; i < n; ++i) out.push_back(RandomUnitVector(&rng, 16));
+    return out;
+  };
+  const auto small = BuildHnsw(rows(50));
+  const auto large = BuildHnsw(rows(2000));
+  ASSERT_TRUE(small != nullptr && large != nullptr);
+  const auto third_rows = rows(300);
+  const auto queries = rows(20);
+
+  // The shared thread: small, large, small, ... then the third index.
+  std::vector<std::vector<IndexHit>> shared;
+  std::unique_ptr<HnswIndex> third;
+  std::thread([&] {
+    for (const auto& q : queries) {
+      shared.push_back(SearchTen(*small, q));
+      shared.push_back(SearchTen(*large, q));
+    }
+    third = BuildHnsw(third_rows);
+    if (third == nullptr) return;
+    for (const auto& q : queries) shared.push_back(SearchTen(*third, q));
+  }).join();
+  ASSERT_TRUE(third != nullptr);
+
+  std::unique_ptr<HnswIndex> third_fresh;
+  std::thread([&] { third_fresh = BuildHnsw(third_rows); }).join();
+  ASSERT_TRUE(third_fresh != nullptr);
+  ASSERT_EQ(third->slot_count(), third_fresh->slot_count());
+  for (SlotId slot = 0; slot < third->slot_count(); ++slot) {
+    EXPECT_EQ(third->links(slot), third_fresh->links(slot)) << "slot " << slot;
+  }
+
+  auto fresh = [](const HnswIndex& index, const Vector& query) {
+    std::vector<IndexHit> hits;
+    std::thread([&] { hits = SearchTen(index, query); }).join();
+    return hits;
+  };
+  std::vector<std::vector<IndexHit>> expected;
+  for (const auto& q : queries) {
+    expected.push_back(fresh(*small, q));
+    expected.push_back(fresh(*large, q));
+  }
+  for (const auto& q : queries) expected.push_back(fresh(*third, q));
+
+  ASSERT_EQ(shared.size(), expected.size());
+  for (size_t i = 0; i < shared.size(); ++i) {
+    ASSERT_EQ(shared[i].size(), 10u) << "search " << i;
+    ASSERT_EQ(expected[i].size(), 10u) << "search " << i;
+    for (size_t j = 0; j < shared[i].size(); ++j) {
+      EXPECT_EQ(shared[i][j].slot, expected[i][j].slot) << "search " << i;
+      EXPECT_EQ(shared[i][j].distance, expected[i][j].distance)
+          << "search " << i;
+    }
   }
 }
 
