@@ -13,10 +13,7 @@
 #include <unistd.h>
 
 #include <condition_variable>
-#include <cstdlib>
-#include <fstream>
 #include <mutex>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -26,6 +23,7 @@
 #include "llmms/core/oua.h"
 #include "llmms/llm/fault_injection.h"
 #include "canned_peer.h"
+#include "golden_file.h"
 #include "testutil.h"
 
 namespace llmms::app {
@@ -156,37 +154,6 @@ std::string EscapeWire(const std::string& raw) {
     }
   }
   return out;
-}
-
-// Compares `fresh` with tests/golden/<name>, reporting the first diverging
-// line. LLMMS_UPDATE_GOLDEN=1 rewrites the golden instead.
-void ExpectMatchesGolden(const std::string& name, const std::string& fresh) {
-  const std::string path = std::string(LLMMS_TESTS_DIR) + "/golden/" + name;
-  if (std::getenv("LLMMS_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream(path, std::ios::trunc) << fresh;
-    GTEST_SKIP() << "golden file regenerated at " << path;
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing golden file; regenerate with "
-                            "LLMMS_UPDATE_GOLDEN=1 "
-                         << path;
-  std::stringstream golden_text;
-  golden_text << in.rdbuf();
-  std::istringstream golden(golden_text.str());
-  std::istringstream current(fresh);
-  std::string golden_line;
-  std::string fresh_line;
-  for (size_t line = 1;; ++line) {
-    const bool more_fresh =
-        static_cast<bool>(std::getline(current, fresh_line));
-    const bool more_golden =
-        static_cast<bool>(std::getline(golden, golden_line));
-    if (!more_fresh && !more_golden) break;
-    ASSERT_TRUE(more_fresh == more_golden && fresh_line == golden_line)
-        << name << " line " << line << " diverged\n"
-        << "  golden: " << (more_golden ? golden_line : "<eof>") << "\n"
-        << "  fresh:  " << (more_fresh ? fresh_line : "<eof>");
-  }
 }
 
 class FederationTest : public ::testing::Test {
@@ -380,7 +347,7 @@ TEST_F(FederationTest, StreamingEndpointSpeaksTheWireProtocol) {
                                    request.Dump())) +
             "\n";
   }
-  ExpectMatchesGolden("wire_protocol.golden", wire);
+  testutil::ExpectMatchesGolden("wire_protocol.golden", wire);
 }
 
 TEST_F(FederationTest, StreamingAdapterMatchesOneShotAccounting) {

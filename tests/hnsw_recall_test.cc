@@ -9,15 +9,14 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "clustered_sampler.h"
+#include "golden_file.h"
 #include "llmms/common/rng.h"
 #include "llmms/vectordb/flat_index.h"
 #include "llmms/vectordb/hnsw_index.h"
@@ -101,37 +100,6 @@ std::string DistanceBits(double distance) {
   return Hex(bits);
 }
 
-// Compares `fresh` with tests/golden/<name>, reporting the first diverging
-// line. LLMMS_UPDATE_GOLDEN=1 rewrites the golden instead.
-void ExpectMatchesGolden(const std::string& name, const std::string& fresh) {
-  const std::string path = std::string(LLMMS_TESTS_DIR) + "/golden/" + name;
-  if (std::getenv("LLMMS_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream(path, std::ios::trunc) << fresh;
-    GTEST_SKIP() << "golden file regenerated at " << path;
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing golden file; regenerate with "
-                            "LLMMS_UPDATE_GOLDEN=1 "
-                         << path;
-  std::stringstream golden_text;
-  golden_text << in.rdbuf();
-  std::istringstream golden(golden_text.str());
-  std::istringstream current(fresh);
-  std::string golden_line;
-  std::string fresh_line;
-  for (size_t line = 1;; ++line) {
-    const bool more_fresh =
-        static_cast<bool>(std::getline(current, fresh_line));
-    const bool more_golden =
-        static_cast<bool>(std::getline(golden, golden_line));
-    if (!more_fresh && !more_golden) break;
-    ASSERT_TRUE(more_fresh == more_golden && fresh_line == golden_line)
-        << name << " line " << line << " diverged\n"
-        << "  golden: " << (more_golden ? golden_line : "<eof>") << "\n"
-        << "  fresh:  " << (more_fresh ? fresh_line : "<eof>");
-  }
-}
-
 // The floor test's corpus and queries with every 7th slot (0, 7, 14, ...)
 // tombstoned, so searches take the over-fetch path. Records a digest of
 // every node's link lists in slot and level order, then every query's
@@ -172,7 +140,7 @@ TEST(HnswGoldenTest, GraphAndHitsAreBitExact) {
       out << "\n";
     }
   }
-  ExpectMatchesGolden("hnsw_graph.golden", out.str());
+  testutil::ExpectMatchesGolden("hnsw_graph.golden", out.str());
 }
 
 }  // namespace
