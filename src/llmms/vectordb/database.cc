@@ -365,7 +365,8 @@ StatusOr<std::unique_ptr<VectorDatabase>> VectorDatabase::Load(
     counters.snapshot_load_failures.fetch_add(1, std::memory_order_relaxed);
     return Status::IOError("cannot open for read: " + path);
   }
-  const std::string contents = std::move(*contents_or);
+  // Parsed in place: `in` views the bytes `contents_or` owns until we return.
+  const std::string& contents = *contents_or;
   SnapshotReader in(contents);
 
   // Any parse failure from here on counts as a failed load.
