@@ -8,10 +8,9 @@ EmbeddingCache::EmbeddingCache(std::shared_ptr<const Embedder> inner,
 
 Vector EmbeddingCache::Embed(std::string_view text) const {
   if (capacity_ == 0) return inner_->Embed(text);
-  const std::string key(text);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(key);
+    auto it = index_.find(text);
     if (it != index_.end()) {
       ++hits_;
       lru_.splice(lru_.begin(), lru_, it->second);
@@ -22,9 +21,11 @@ Vector EmbeddingCache::Embed(std::string_view text) const {
   Vector vec = inner_->Embed(text);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (index_.find(key) == index_.end()) {
-      lru_.push_front(Entry{key, vec});
-      index_[key] = lru_.begin();
+    if (index_.find(text) == index_.end()) {
+      lru_.push_front(Entry{std::string(text), vec});
+      // The key views the node's own string: list nodes never move, and the
+      // index entry is erased before its node is.
+      index_.emplace(lru_.front().key, lru_.begin());
       while (lru_.size() > capacity_) {
         index_.erase(lru_.back().key);
         lru_.pop_back();
@@ -51,8 +52,8 @@ uint64_t EmbeddingCache::misses() const {
 
 void EmbeddingCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
   index_.clear();
+  lru_.clear();
 }
 
 }  // namespace llmms::embedding

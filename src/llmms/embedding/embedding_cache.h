@@ -41,7 +41,9 @@ class EmbeddingCache final : public Embedder {
 
   mutable std::mutex mu_;
   mutable std::list<Entry> lru_;  // front = most recent
-  mutable std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  // Keyed by a view of the entry's own `key`, so each text is held once.
+  mutable std::unordered_map<std::string_view, std::list<Entry>::iterator>
+      index_;
   mutable uint64_t hits_ = 0;
   mutable uint64_t misses_ = 0;
 };

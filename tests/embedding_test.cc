@@ -1,5 +1,9 @@
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "llmms/embedding/embedding_cache.h"
 #include "llmms/embedding/hash_embedder.h"
@@ -166,6 +170,113 @@ TEST(EmbeddingCacheTest, ClearResetsEntries) {
   cache.Embed("x");
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
+}
+
+// The index keys are views of the cached entries' own strings. These cases
+// cover both string layouts (short strings live inside the node, long ones
+// on the heap) and every path that moves or frees a node.
+const std::string kShortKey = "short key";  // fits the small-string buffer
+const std::string kLongKey =
+    "a long key that cannot fit in any small-string buffer, so it is "
+    "stored on the heap";
+
+TEST(EmbeddingCacheTest, ShortAndLongKeysHit) {
+  auto inner = std::make_shared<HashEmbedder>();
+  EmbeddingCache cache(inner, 10);
+  ASSERT_LE(kShortKey.size(), 15u);
+  ASSERT_GT(kLongKey.size(), 15u);
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(cache.Embed(kShortKey), inner->Embed(kShortKey));
+    EXPECT_EQ(cache.Embed(kLongKey), inner->Embed(kLongKey));
+  }
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.hits(), 4u);
+}
+
+TEST(EmbeddingCacheTest, EvictsByRecencyAfterHitsSplice) {
+  auto inner = std::make_shared<HashEmbedder>();
+  EmbeddingCache cache(inner, 3);
+  cache.Embed(kShortKey);
+  cache.Embed(kLongKey);
+  cache.Embed("third");
+  // Hits move the two oldest entries to the front, leaving "third" last.
+  cache.Embed(kShortKey);
+  cache.Embed(kLongKey);
+  cache.Embed("fourth");  // evicts "third"
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cache.Embed(kShortKey), inner->Embed(kShortKey));
+  EXPECT_EQ(cache.Embed(kLongKey), inner->Embed(kLongKey));
+  EXPECT_EQ(cache.Embed("fourth"), inner->Embed("fourth"));
+  EXPECT_EQ(cache.hits(), 5u);
+  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cache.Embed("third"), inner->Embed("third"));
+  EXPECT_EQ(cache.misses(), 5u);
+}
+
+TEST(EmbeddingCacheTest, ReinsertsAfterEviction) {
+  auto inner = std::make_shared<HashEmbedder>();
+  EmbeddingCache cache(inner, 1);
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(cache.Embed(kLongKey), inner->Embed(kLongKey));
+    EXPECT_EQ(cache.Embed(kShortKey), inner->Embed(kShortKey));
+  }
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 6u);
+  // The survivor of the last eviction is still found.
+  EXPECT_EQ(cache.Embed(kShortKey), inner->Embed(kShortKey));
+  EXPECT_EQ(cache.hits(), 1u);
+}
+
+TEST(EmbeddingCacheTest, IndexNeverViewsCallerMemory) {
+  auto inner = std::make_shared<HashEmbedder>();
+  EmbeddingCache cache(inner, 10);
+  for (const std::string& text : {kShortKey, kLongKey}) {
+    std::string buffer = text;
+    const Vector expected = inner->Embed(text);
+    EXPECT_EQ(cache.Embed(std::string_view(buffer)), expected);
+    // Overwrite the caller's bytes in place, then free them.
+    std::fill(buffer.begin(), buffer.end(), 'x');
+    EXPECT_EQ(cache.Embed(std::string_view(buffer)), inner->Embed(buffer));
+    buffer = std::string();
+    buffer.shrink_to_fit();
+    EXPECT_EQ(cache.Embed(text), expected);
+  }
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cache.hits(), 2u);
+}
+
+TEST(EmbeddingCacheTest, ReusableAfterClear) {
+  auto inner = std::make_shared<HashEmbedder>();
+  EmbeddingCache cache(inner, 2);
+  cache.Embed(kShortKey);
+  cache.Embed(kLongKey);
+  cache.Clear();
+  EXPECT_EQ(cache.Embed(kLongKey), inner->Embed(kLongKey));
+  EXPECT_EQ(cache.Embed(kLongKey), inner->Embed(kLongKey));
+  cache.Embed(kShortKey);
+  cache.Embed("third");  // evicts kLongKey
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 5u);
+}
+
+// A fixed mix of repeats, evictions and re-inserts with the hit and miss
+// counts the cache has always produced for it.
+TEST(EmbeddingCacheTest, CountsForAFixedSequence) {
+  auto inner = std::make_shared<HashEmbedder>();
+  EmbeddingCache cache(inner, 3);
+  const std::vector<std::string> texts = {"a", kLongKey, "b",       "a",
+                                          kLongKey, "c", "a",       "b",
+                                          kLongKey, kShortKey, "a", kShortKey,
+                                          "c"};
+  for (const auto& text : texts) cache.Embed(text);
+  EXPECT_EQ(cache.hits(), 4u);
+  EXPECT_EQ(cache.misses(), 9u);
+  EXPECT_EQ(cache.size(), 3u);
 }
 
 }  // namespace
