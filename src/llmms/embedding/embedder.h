@@ -21,6 +21,11 @@ class Embedder {
   // empty string returns the zero vector.
   virtual Vector Embed(std::string_view text) const = 0;
 
+  // Embeds text the caller will not embed again, such as a document chunk
+  // whose vector goes straight into an index. Returns exactly what Embed
+  // returns; a caching embedder computes it without storing it.
+  virtual Vector EmbedOnce(std::string_view text) const { return Embed(text); }
+
   virtual size_t dimension() const = 0;
 
   // Human-readable identifier (e.g. "hash-embedder-384").

@@ -35,6 +35,10 @@ Vector EmbeddingCache::Embed(std::string_view text) const {
   return vec;
 }
 
+Vector EmbeddingCache::EmbedOnce(std::string_view text) const {
+  return inner_->EmbedOnce(text);
+}
+
 size_t EmbeddingCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return lru_.size();

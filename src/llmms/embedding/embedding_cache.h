@@ -15,6 +15,13 @@ namespace llmms::embedding {
 // Thread-safe LRU cache in front of an Embedder. The orchestrators embed the
 // same partial responses repeatedly (once per scoring round); caching keeps
 // the scoring overhead the paper calls "manageable" actually manageable.
+//
+// Embed caches queries, partial responses and anything else that may be
+// embedded again; each cached text is held once, in its entry, and the index
+// keys view it. EmbedOnce goes around the cache: it neither looks up nor
+// stores, so one-shot texts such as uploaded document chunks (whose vectors
+// the vector index holds) do not evict texts that will be looked up again,
+// and leave hits(), misses() and size() unchanged.
 class EmbeddingCache final : public Embedder {
  public:
   // `inner` must outlive the cache. `capacity` is the max number of cached
@@ -22,6 +29,7 @@ class EmbeddingCache final : public Embedder {
   EmbeddingCache(std::shared_ptr<const Embedder> inner, size_t capacity);
 
   Vector Embed(std::string_view text) const override;
+  Vector EmbedOnce(std::string_view text) const override;
   size_t dimension() const override { return inner_->dimension(); }
   std::string name() const override { return inner_->name() + "+lru"; }
 

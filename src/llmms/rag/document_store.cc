@@ -33,11 +33,13 @@ StatusOr<size_t> DocumentStore::AddDocument(const std::string& document_id,
     LLMMS_RETURN_NOT_OK(RemoveDocumentLocked(document_id));
   }
 
+  // Retrieval embeds only the query, so a chunk is embedded once: its
+  // vector lives in the collection, not in an embedding cache.
   const auto chunks = chunker_.Chunk(text);
   for (const auto& chunk : chunks) {
     vectordb::VectorRecord record;
     record.id = ChunkRecordId(document_id, chunk.index);
-    record.vector = embedder_->Embed(chunk.text);
+    record.vector = embedder_->EmbedOnce(chunk.text);
     record.document = chunk.text;
     record.metadata["document_id"] = document_id;
     record.metadata["chunk_index"] = std::to_string(chunk.index);

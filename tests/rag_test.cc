@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "llmms/common/string_util.h"
+#include "llmms/embedding/embedding_cache.h"
 #include "llmms/embedding/hash_embedder.h"
 #include "llmms/rag/chunker.h"
 #include "llmms/rag/document_store.h"
@@ -163,6 +166,63 @@ TEST_F(DocumentStoreTest, RetrieveScopedToDocument) {
   ASSERT_TRUE(hits.ok());
   ASSERT_FALSE(hits->empty());
   for (const auto& hit : *hits) EXPECT_EQ(hit.document_id, "b");
+}
+
+// Chunks are embedded once and kept only in the collection: a store over a
+// cache must leave the cache untouched on upload and still retrieve exactly
+// what a store over the bare embedder retrieves.
+TEST(DocumentStoreCacheTest, UploadsBypassTheCacheAndHitsAreUnchanged) {
+  for (const auto kind :
+       {vectordb::IndexKind::kFlat, vectordb::IndexKind::kHnsw}) {
+    SCOPED_TRACE(kind == vectordb::IndexKind::kFlat ? "flat" : "hnsw");
+    auto bare = std::make_shared<embedding::HashEmbedder>();
+    auto cache = std::make_shared<embedding::EmbeddingCache>(bare, 64);
+    vectordb::Collection::Options opts;
+    opts.dimension = bare->dimension();
+    opts.index_kind = kind;
+    DocumentStore plain(std::make_shared<vectordb::Collection>("plain", opts),
+                        bare);
+    DocumentStore cached(std::make_shared<vectordb::Collection>("cached", opts),
+                         cache);
+
+    const std::string query = "which topic does sentence number 12 cover";
+    cache->Embed(query);  // one cached text the uploads must not disturb
+    for (int d = 0; d < 4; ++d) {
+      const std::string id = "doc" + std::to_string(d);
+      const std::string text = RepeatSentences(30 + 10 * d);
+      ASSERT_TRUE(plain.AddDocument(id, text).ok());
+      ASSERT_TRUE(cached.AddDocument(id, text).ok());
+    }
+    ASSERT_TRUE(cached.AddDocument("doc1", RepeatSentences(25)).ok());
+    ASSERT_TRUE(plain.AddDocument("doc1", RepeatSentences(25)).ok());
+    EXPECT_GT(cached.chunk_count(), cache->size());
+    EXPECT_EQ(cache->size(), 1u);
+    EXPECT_EQ(cache->misses(), 1u);
+    EXPECT_EQ(cache->hits(), 0u);
+
+    for (const std::string& q : {query, std::string("topic 3 sentence"),
+                                std::string("rivers and canyons")}) {
+      auto want = plain.Retrieve(q, 5);
+      auto got = cached.Retrieve(q, 5);
+      ASSERT_TRUE(want.ok());
+      ASSERT_TRUE(got.ok());
+      ASSERT_EQ(got->size(), want->size());
+      for (size_t i = 0; i < want->size(); ++i) {
+        EXPECT_EQ((*got)[i].document_id, (*want)[i].document_id);
+        EXPECT_EQ((*got)[i].chunk_index, (*want)[i].chunk_index);
+        EXPECT_EQ((*got)[i].text, (*want)[i].text);
+        const double a = (*got)[i].score;
+        const double b = (*want)[i].score;
+        EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0) << a << " vs " << b;
+      }
+    }
+    // The first query was cached before the uploads; the other two missed.
+    EXPECT_EQ(cache->hits(), 1u);
+    EXPECT_EQ(cache->misses(), 3u);
+    ASSERT_TRUE(cached.Retrieve("topic 3 sentence", 5).ok());
+    EXPECT_EQ(cache->hits(), 2u);
+    EXPECT_EQ(cache->misses(), 3u);
+  }
 }
 
 TEST(PromptBuilderTest, BareQueryWhenNoContext) {
