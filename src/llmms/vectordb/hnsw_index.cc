@@ -194,6 +194,12 @@ StatusOr<SlotId> HnswIndex::Add(const Vector& vector) {
   node.level = level;
   node.neighbors.resize(static_cast<size_t>(level) + 1);
   node.distances.resize(static_cast<size_t>(level) + 1);
+  // A list holds at most its cap plus the one reverse edge pushed before a
+  // prune; sized at that, a full list never doubles its allocation.
+  for (int l = 0; l <= level; ++l) {
+    node.neighbors[static_cast<size_t>(l)].reserve(MaxNeighbors(l) + 1);
+    node.distances[static_cast<size_t>(l)].reserve(MaxNeighbors(l) + 1);
+  }
   nodes_.push_back(std::move(node));
   ++live_count_;
 
