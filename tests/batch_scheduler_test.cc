@@ -25,6 +25,10 @@ namespace {
 // tokens each, text "<tag><index>", done on the last. The produced text is
 // accumulated so tests can assert partial output byte-for-byte.
 struct Scripted {
+  Scripted() = default;
+  Scripted(std::string t, size_t chunks)
+      : tag(std::move(t)), chunks_total(chunks) {}
+
   std::string tag;
   size_t chunks_total = 1;
   size_t tokens_per_chunk = 8;
