@@ -17,8 +17,7 @@ namespace llmms::embedding {
 // the scoring overhead the paper calls "manageable" actually manageable.
 //
 // Embed caches queries, partial responses and anything else that may be
-// embedded again; each cached text is held once, in its entry, and the index
-// keys view it. EmbedOnce goes around the cache: it neither looks up nor
+// embedded again. EmbedOnce goes around the cache: it neither looks up nor
 // stores, so one-shot texts such as uploaded document chunks (whose vectors
 // the vector index holds) do not evict texts that will be looked up again,
 // and leave hits(), misses() and size() unchanged.
