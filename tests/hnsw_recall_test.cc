@@ -3,7 +3,8 @@
 // to neighbor selection cannot trade recall for speed unnoticed, and pins
 // the exact graph and search output in tests/golden/hnsw_graph.golden so a
 // change meant to be output-neutral (a faster visited set, cached link
-// distances) provably is.
+// distances) provably is. tests/golden/hnsw_edge_cases.golden does the same
+// for small-M graphs over tied, duplicated and removed vectors.
 
 #include <gtest/gtest.h>
 
@@ -100,6 +101,33 @@ std::string DistanceBits(double distance) {
   return Hex(bits);
 }
 
+// Every node's link lists in slot and level order.
+std::string LinksDigest(const HnswIndex& hnsw) {
+  Digest digest;
+  digest.Mix(hnsw.slot_count());
+  for (SlotId slot = 0; slot < hnsw.slot_count(); ++slot) {
+    const auto& levels = hnsw.links(slot);
+    digest.Mix(levels.size());
+    for (const auto& level : levels) {
+      digest.Mix(level.size());
+      for (SlotId nbr : level) digest.Mix(nbr);
+    }
+  }
+  return Hex(digest.value());
+}
+
+// " slot:distance-bits" per hit.
+std::string Hits(const std::vector<IndexHit>& hits) {
+  std::string out;
+  for (const auto& hit : hits) {
+    out += ' ';
+    out += std::to_string(hit.slot);
+    out += ':';
+    out += DistanceBits(hit.distance);
+  }
+  return out;
+}
+
 // The floor test's corpus and queries with every 7th slot (0, 7, 14, ...)
 // tombstoned, so searches take the over-fetch path. Records a digest of
 // every node's link lists in slot and level order, then every query's
@@ -117,30 +145,72 @@ TEST(HnswGoldenTest, GraphAndHitsAreBitExact) {
     ASSERT_TRUE(hnsw.Remove(slot).ok());
   }
 
-  Digest digest;
-  digest.Mix(hnsw.slot_count());
-  for (SlotId slot = 0; slot < hnsw.slot_count(); ++slot) {
-    const auto& levels = hnsw.links(slot);
-    digest.Mix(levels.size());
-    for (const auto& level : levels) {
-      digest.Mix(level.size());
-      for (SlotId nbr : level) digest.Mix(nbr);
-    }
-  }
   std::ostringstream out;
-  out << "links " << Hex(digest.value()) << "\n";
+  out << "links " << LinksDigest(hnsw) << "\n";
   for (size_t ef : {size_t{16}, size_t{64}}) {
     for (size_t q = 0; q < kQueries; ++q) {
       auto hits = hnsw.SearchWithEf(queries[q], kK, ef);
       ASSERT_TRUE(hits.ok());
-      out << "ef=" << ef << " q=" << q;
-      for (const auto& hit : *hits) {
-        out << " " << hit.slot << ":" << DistanceBits(hit.distance);
-      }
-      out << "\n";
+      out << "ef=" << ef << " q=" << q << Hits(*hits) << "\n";
     }
   }
   testutil::ExpectMatchesGolden("hnsw_graph.golden", out.str());
+}
+
+// Small graphs where neighbor selection meets its edge cases: M of 2 to 4
+// (so nearly every reverse edge overflows a list), ef_construction 8,
+// squared-L2 and inner-product distances, vectors on a small integer grid
+// (many exactly tied distances), exact duplicates of earlier vectors, and
+// Removes interleaved with the Adds. Records each graph's link digest and
+// every query's SearchWithEf(k=5, ef=8) hits.
+TEST(HnswGoldenTest, EdgeCaseGraphsAreBitExact) {
+  constexpr size_t kEdgeDim = 4;
+  constexpr size_t kEdgeCorpus = 400;
+  constexpr size_t kEdgeQueries = 12;
+  std::ostringstream out;
+  for (DistanceMetric metric :
+       {DistanceMetric::kL2, DistanceMetric::kInnerProduct}) {
+    for (size_t m : {size_t{2}, size_t{3}, size_t{4}}) {
+      HnswIndex::Options options;
+      options.M = m;
+      options.ef_construction = 8;
+      HnswIndex hnsw(kEdgeDim, metric, options);
+      Rng rng(0xED6E + m);
+      auto grid = [&rng] {
+        Vector v(kEdgeDim);
+        for (float& x : v) x = static_cast<float>(rng.UniformInt(-2, 2));
+        return v;
+      };
+      std::vector<Vector> added;
+      for (size_t i = 0; i < kEdgeCorpus; ++i) {
+        Vector v;
+        if (i % 5 == 4) {
+          v = added[static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(added.size()) - 1))];
+        } else if (i % 2 == 0) {
+          v = grid();
+        } else {
+          v.resize(kEdgeDim);
+          for (float& x : v) x = static_cast<float>(rng.Normal());
+        }
+        ASSERT_TRUE(hnsw.Add(v).ok());
+        added.push_back(std::move(v));
+        if (i % 9 == 8) {
+          const auto slot = static_cast<SlotId>(
+              rng.UniformInt(0, static_cast<int64_t>(added.size()) - 1));
+          ASSERT_TRUE(hnsw.Remove(slot).ok());
+        }
+      }
+      out << DistanceMetricToString(metric) << " M=" << m << " size "
+          << hnsw.size() << " links " << LinksDigest(hnsw) << "\n";
+      for (size_t q = 0; q < kEdgeQueries; ++q) {
+        auto hits = hnsw.SearchWithEf(grid(), /*k=*/5, /*ef=*/8);
+        ASSERT_TRUE(hits.ok());
+        out << "  q=" << q << Hits(*hits) << "\n";
+      }
+    }
+  }
+  testutil::ExpectMatchesGolden("hnsw_edge_cases.golden", out.str());
 }
 
 }  // namespace
