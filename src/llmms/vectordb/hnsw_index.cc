@@ -32,16 +32,28 @@ struct VisitedMarks {
 
 thread_local VisitedMarks visited_marks;
 
+HnswIndex::Options ClampM(HnswIndex::Options options) {
+  options.M = std::min(options.M, HnswIndex::kMaxM);
+  return options;
+}
+
 }  // namespace
 
 HnswIndex::HnswIndex(size_t dimension, DistanceMetric metric,
                      const Options& options)
     : dimension_(dimension),
       metric_(metric),
-      options_(options),
+      options_(ClampM(options)),
       level_lambda_(1.0 / std::log(static_cast<double>(
-                              options.M > 1 ? options.M : 2))),
+                              options_.M > 1 ? options_.M : 2))),
       rng_(options.seed) {}
+
+std::vector<std::vector<SlotId>> HnswIndex::links(SlotId slot) const {
+  std::vector<std::vector<SlotId>> out;
+  out.reserve(nodes_[slot].levels.size());
+  for (const LinkList& level : nodes_[slot].levels) out.push_back(level.links);
+  return out;
+}
 
 double HnswIndex::Dist(const Vector& query, double query_norm,
                        SlotId b) const {
@@ -67,9 +79,9 @@ SlotId HnswIndex::GreedyDescend(const Vector& query, double query_norm,
     bool improved = true;
     while (improved) {
       improved = false;
-      const auto& nbrs = nodes_[current].neighbors;
-      if (l >= static_cast<int>(nbrs.size())) break;
-      for (SlotId nbr : nbrs[static_cast<size_t>(l)]) {
+      const auto& levels = nodes_[current].levels;
+      if (l >= static_cast<int>(levels.size())) break;
+      for (SlotId nbr : levels[static_cast<size_t>(l)].links) {
         const double d = Dist(query, query_norm, nbr);
         if (d < best) {
           best = d;
@@ -109,9 +121,9 @@ std::vector<HnswIndex::Candidate> HnswIndex::SearchLayer(const Vector& query,
         results.size() >= ef) {
       break;
     }
-    const auto& nbrs = nodes_[current.slot].neighbors;
-    if (level >= static_cast<int>(nbrs.size())) continue;
-    for (SlotId nbr : nbrs[static_cast<size_t>(level)]) {
+    const auto& levels = nodes_[current.slot].levels;
+    if (level >= static_cast<int>(levels.size())) continue;
+    for (SlotId nbr : levels[static_cast<size_t>(level)].links) {
       if (visited[nbr] == epoch) continue;
       visited[nbr] = epoch;
       const double d = Dist(query, query_norm, nbr);
@@ -133,49 +145,113 @@ std::vector<HnswIndex::Candidate> HnswIndex::SearchLayer(const Vector& query,
   return out;
 }
 
-std::vector<HnswIndex::Candidate> HnswIndex::SelectNeighbors(
-    std::vector<Candidate> candidates, size_t m) const {
+void HnswIndex::SelectNeighbors(std::vector<Candidate> candidates, size_t m,
+                                LinkList* out) const {
   // Heuristic from the HNSW paper: keep a candidate only if it is closer to
   // the query than to every already-selected neighbor. This preserves edge
   // diversity, which is what gives the graph its navigability.
   std::sort(candidates.begin(), candidates.end());
-  std::vector<Candidate> selected;
-  selected.reserve(m);
+  out->links.clear();
+  out->distances.clear();
   std::vector<Candidate> discarded;
   for (const Candidate& c : candidates) {
-    if (selected.size() >= m) break;
+    if (out->links.size() >= m) break;
     bool keep = true;
-    for (const Candidate& s : selected) {
-      if (Dist(c.slot, s.slot) < c.distance) {
+    for (SlotId s : out->links) {
+      if (Dist(c.slot, s) < c.distance) {
         keep = false;
         break;
       }
     }
     if (keep) {
-      selected.push_back(c);
+      out->links.push_back(c.slot);
+      out->distances.push_back(c.distance);
     } else {
       discarded.push_back(c);
     }
   }
+  out->kept = static_cast<uint16_t>(out->links.size());
   // Backfill with the closest discarded candidates if underfull.
   for (const Candidate& c : discarded) {
-    if (selected.size() >= m) break;
-    selected.push_back(c);
+    if (out->links.size() >= m) break;
+    out->links.push_back(c.slot);
+    out->distances.push_back(c.distance);
   }
-  return selected;
+  out->evaluated = static_cast<uint16_t>(out->links.size());
 }
 
-void HnswIndex::SetLinks(SlotId slot, int level,
-                         const std::vector<Candidate>& selected) {
-  Node& node = nodes_[slot];
-  auto& links = node.neighbors[static_cast<size_t>(level)];
-  auto& distances = node.distances[static_cast<size_t>(level)];
-  links.clear();
-  distances.clear();
-  for (const Candidate& c : selected) {
-    links.push_back(c.slot);
-    distances.push_back(c.distance);
+void HnswIndex::PruneLinks(LinkList* list, size_t cap) const {
+  // SelectNeighbors decides each link from the links kept before it in
+  // (distance, slot) order alone, and the links the last selection dropped
+  // were discarded or came after every kept one, so the recorded split is
+  // still each link's outcome as long as the kept set before it is the
+  // same. Walk the merged order and compute a distance only where the kept
+  // set has changed in a way that can flip the outcome.
+  enum Was : uint8_t { kKept, kDiscarded, kAppended };
+  struct Link {
+    Candidate c;
+    Was was;
+    bool keep;
+  };
+  const size_t n = list->links.size();
+  std::vector<Link> order;
+  order.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const Was was = i < list->kept        ? kKept
+                    : i < list->evaluated ? kDiscarded
+                                          : kAppended;
+    order.push_back(Link{{list->distances[i], list->links[i]}, was, false});
   }
+  std::sort(order.begin(), order.end(),
+            [](const Link& a, const Link& b) { return a.c < b.c; });
+
+  // Whether a link kept before order[end] is closer to `link` than the
+  // owner is; with `added_only`, only links this prune newly kept count.
+  auto dominated = [&](const Link& link, size_t end, bool added_only) {
+    for (size_t j = 0; j < end; ++j) {
+      const Link& s = order[j];
+      if (!s.keep || (added_only && s.was == kKept)) continue;
+      if (Dist(link.c.slot, s.c.slot) < link.c.distance) return true;
+    }
+    return false;
+  };
+  size_t kept = 0;
+  size_t added = 0;        // kept now but not by the last selection
+  bool lost_kept = false;  // a link the last selection kept is discarded
+  size_t evaluated = 0;
+  for (; evaluated < n && kept < cap; ++evaluated) {
+    Link& link = order[evaluated];
+    if (link.was == kKept) {
+      // No kept link before it was closer; only a newly kept one can be.
+      link.keep = added == 0 || !dominated(link, evaluated, true);
+      lost_kept |= !link.keep;
+    } else if (link.was == kDiscarded && !lost_kept) {
+      // Every link kept before it still is, the one closer to it included.
+      link.keep = false;
+    } else {
+      link.keep = !dominated(link, evaluated, false);
+    }
+    if (link.keep) {
+      ++kept;
+      if (link.was != kKept) ++added;
+    }
+  }
+
+  list->links.clear();
+  list->distances.clear();
+  for (size_t j = 0; j < evaluated; ++j) {
+    if (!order[j].keep) continue;
+    list->links.push_back(order[j].c.slot);
+    list->distances.push_back(order[j].c.distance);
+  }
+  list->kept = static_cast<uint16_t>(kept);
+  // Backfill with the closest discarded links, as SelectNeighbors does.
+  for (size_t j = 0; j < evaluated && list->links.size() < cap; ++j) {
+    if (order[j].keep) continue;
+    list->links.push_back(order[j].c.slot);
+    list->distances.push_back(order[j].c.distance);
+  }
+  list->evaluated = static_cast<uint16_t>(list->links.size());
 }
 
 StatusOr<SlotId> HnswIndex::Add(const Vector& vector) {
@@ -191,14 +267,13 @@ StatusOr<SlotId> HnswIndex::Add(const Vector& vector) {
   vectors_.push_back(vector);
   norms_.push_back(norm);
   Node node;
-  node.level = level;
-  node.neighbors.resize(static_cast<size_t>(level) + 1);
-  node.distances.resize(static_cast<size_t>(level) + 1);
+  node.levels.resize(static_cast<size_t>(level) + 1);
   // A list holds at most its cap plus the one reverse edge pushed before a
   // prune; sized at that, a full list never doubles its allocation.
   for (int l = 0; l <= level; ++l) {
-    node.neighbors[static_cast<size_t>(l)].reserve(MaxNeighbors(l) + 1);
-    node.distances[static_cast<size_t>(l)].reserve(MaxNeighbors(l) + 1);
+    LinkList& list = node.levels[static_cast<size_t>(l)];
+    list.links.reserve(MaxNeighbors(l) + 1);
+    list.distances.reserve(MaxNeighbors(l) + 1);
   }
   nodes_.push_back(std::move(node));
   ++live_count_;
@@ -217,25 +292,17 @@ StatusOr<SlotId> HnswIndex::Add(const Vector& vector) {
     auto candidates =
         SearchLayer(vector, norm, current, options_.ef_construction, l);
     if (!candidates.empty()) current = candidates.front().slot;
-    const auto neighbors = SelectNeighbors(std::move(candidates), options_.M);
-    SetLinks(slot, l, neighbors);
+    LinkList& own = nodes_[slot].levels[static_cast<size_t>(l)];
+    SelectNeighbors(std::move(candidates), options_.M, &own);
     // Add reverse edges, shrinking neighbor lists that overflow. The
     // reverse edge stores the forward edge's distance: Distance() is
     // symmetric bit for bit, and `vector` and `norm` are the stored row's.
-    for (const Candidate& nbr : neighbors) {
-      auto& links = nodes_[nbr.slot].neighbors[static_cast<size_t>(l)];
-      auto& distances = nodes_[nbr.slot].distances[static_cast<size_t>(l)];
-      links.push_back(slot);
-      distances.push_back(nbr.distance);
-      const size_t cap = MaxNeighbors(l);
-      if (links.size() > cap) {
-        std::vector<Candidate> cands;
-        cands.reserve(links.size());
-        for (size_t i = 0; i < links.size(); ++i) {
-          cands.push_back(Candidate{distances[i], links[i]});
-        }
-        SetLinks(nbr.slot, l, SelectNeighbors(std::move(cands), cap));
-      }
+    const size_t cap = MaxNeighbors(l);
+    for (size_t i = 0; i < own.links.size(); ++i) {
+      LinkList& list = nodes_[own.links[i]].levels[static_cast<size_t>(l)];
+      list.links.push_back(slot);
+      list.distances.push_back(own.distances[i]);
+      if (list.links.size() > cap) PruneLinks(&list, cap);
     }
   }
 

@@ -20,8 +20,12 @@ namespace llmms::vectordb {
 // never appear in results.
 class HnswIndex final : public VectorIndex {
  public:
+  // Largest M: a level-0 list's 2*M links must fit LinkList's counts.
+  static constexpr size_t kMaxM = 32767;
+
   struct Options {
     // Max bidirectional links per node on levels > 0; level 0 allows 2*M.
+    // Clamped to kMaxM.
     size_t M = 16;
     // Candidate-list width during construction.
     size_t ef_construction = 200;
@@ -55,18 +59,25 @@ class HnswIndex final : public VectorIndex {
   size_t slot_count() const { return nodes_.size(); }
   // `slot`'s adjacency lists, one per level (0..its level), in stored order;
   // lets tests pin the built graph. Requires slot < slot_count().
-  const std::vector<std::vector<SlotId>>& links(SlotId slot) const {
-    return nodes_[slot].neighbors;
-  }
+  std::vector<std::vector<SlotId>> links(SlotId slot) const;
 
  private:
+  // One level's adjacency list. distances[i] is the distance from the owner
+  // to links[i], kept so pruning an overflowing list needs no distance to
+  // the owner. The list also keeps the split its last selection made:
+  // links[0, kept) were kept and links[kept, evaluated) discarded by the
+  // select-neighbors heuristic, each in (distance, slot) order, and
+  // links[evaluated, size) were appended since. A list holds at most
+  // 2 * kMaxM + 1 links, so the counts fit 16 bits.
+  struct LinkList {
+    std::vector<SlotId> links;
+    std::vector<double> distances;
+    uint16_t kept = 0;
+    uint16_t evaluated = 0;
+  };
+
   struct Node {
-    // neighbors[l] is the adjacency list at level l (0..level), and
-    // distances[l][i] is the distance to neighbors[l][i], kept so pruning an
-    // overflowing list needs no distance computation.
-    std::vector<std::vector<SlotId>> neighbors;
-    std::vector<std::vector<double>> distances;
-    int level = 0;
+    std::vector<LinkList> levels;  // levels[l] for l in 0..the node's level
     bool removed = false;
   };
 
@@ -95,13 +106,15 @@ class HnswIndex final : public VectorIndex {
   std::vector<Candidate> SearchLayer(const Vector& query, double query_norm,
                                      SlotId entry, size_t ef, int level) const;
 
-  // Select-neighbors heuristic (keeps diverse edges); the kept candidates
-  // carry their distances to the node being linked.
-  std::vector<Candidate> SelectNeighbors(std::vector<Candidate> candidates,
-                                         size_t m) const;
-  // Replaces `slot`'s links at `level` with `selected`.
-  void SetLinks(SlotId slot, int level,
-                const std::vector<Candidate>& selected);
+  // Select-neighbors heuristic (keeps diverse edges): replaces `out`'s
+  // links with up to `m` of `candidates`, whose distances are to the node
+  // being linked, and records the split.
+  void SelectNeighbors(std::vector<Candidate> candidates, size_t m,
+                       LinkList* out) const;
+  // Re-selects `cap` of an overflowing list's links: the result of
+  // SelectNeighbors over the whole list, computing only the distances whose
+  // outcome the links appended since the last selection can change.
+  void PruneLinks(LinkList* list, size_t cap) const;
 
   size_t MaxNeighbors(int level) const {
     return level == 0 ? options_.M * 2 : options_.M;
