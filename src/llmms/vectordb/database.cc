@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <cstring>
 
+#include "llmms/vectordb/hnsw_index.h"
+
 namespace llmms::vectordb {
 namespace {
 
@@ -79,8 +81,16 @@ void WriteCollectionOptions(std::string* out, const Collection::Options& opts) {
   WriteU64(out, opts.quantization.train_size);
 }
 
-bool ReadCollectionOptions(SnapshotReader* in, uint32_t version,
-                           Collection::Options* opts) {
+// Widest ef_construction or ef_search a snapshot may declare.
+constexpr uint64_t kMaxEf = 1ULL << 20;
+
+// Reads one collection's options, rejecting values no collection could
+// have been built with as corruption: each would abort or misbehave in the
+// index (an hnsw_m above HnswIndex::kMaxM, say, reserves link lists of
+// terabytes). ef_construction must be at least 1; ef_search may be 0, since
+// searches raise it to k.
+Status ReadCollectionOptions(SnapshotReader* in, uint32_t version,
+                             Collection::Options* opts) {
   uint64_t dimension = 0;
   uint32_t metric = 0;
   uint32_t index_kind = 0;
@@ -91,7 +101,19 @@ bool ReadCollectionOptions(SnapshotReader* in, uint32_t version,
   if (!in->ReadU64(&dimension) || !in->ReadU32(&metric) ||
       !in->ReadU32(&index_kind) || !in->ReadU64(&m) || !in->ReadU64(&efc) ||
       !in->ReadU64(&efs) || !in->ReadU64(&seed)) {
-    return false;
+    return Status::IOError("truncated collection options");
+  }
+  if (metric > static_cast<uint32_t>(DistanceMetric::kInnerProduct)) {
+    return Status::IOError("corrupt collection metric");
+  }
+  if (index_kind > static_cast<uint32_t>(IndexKind::kHnsw)) {
+    return Status::IOError("corrupt collection index kind");
+  }
+  if (m == 0 || m > HnswIndex::kMaxM) {
+    return Status::IOError("corrupt collection hnsw_m");
+  }
+  if (efc == 0 || efc > kMaxEf || efs > kMaxEf) {
+    return Status::IOError("corrupt collection hnsw ef");
   }
   opts->dimension = static_cast<size_t>(dimension);
   opts->metric = static_cast<DistanceMetric>(metric);
@@ -106,13 +128,13 @@ bool ReadCollectionOptions(SnapshotReader* in, uint32_t version,
     uint64_t train_size = 0;
     if (!in->ReadU32(&quantized) || !in->ReadU64(&overfetch) ||
         !in->ReadU64(&train_size)) {
-      return false;
+      return Status::IOError("truncated collection options");
     }
     opts->quantization.enabled = quantized != 0;
     opts->quantization.overfetch = static_cast<size_t>(overfetch);
     opts->quantization.train_size = static_cast<size_t>(train_size);
   }
-  return true;
+  return Status::OK();
 }
 
 Status WriteRecords(std::string* out, const CollectionBase& collection) {
@@ -397,9 +419,10 @@ StatusOr<std::unique_ptr<VectorDatabase>> VectorDatabase::Load(
   for (uint64_t c = 0; c < num_collections; ++c) {
     std::string name;
     Collection::Options opts;
-    if (!in.ReadString(&name) || !ReadCollectionOptions(&in, version, &opts)) {
+    if (!in.ReadString(&name)) {
       return Status::IOError("truncated collection header");
     }
+    LLMMS_RETURN_NOT_OK(ReadCollectionOptions(&in, version, &opts));
     LLMMS_ASSIGN_OR_RETURN(auto collection, db->CreateCollection(name, opts));
     LLMMS_RETURN_NOT_OK(ReadRecordsInto(&in, opts, collection.get()));
   }
@@ -413,10 +436,11 @@ StatusOr<std::unique_ptr<VectorDatabase>> VectorDatabase::Load(
       std::string name;
       uint64_t num_shards = 0;
       ShardedCollection::Options opts;
-      if (!in.ReadString(&name) || !in.ReadU64(&num_shards) ||
-          !ReadCollectionOptions(&in, version, &opts.collection)) {
+      if (!in.ReadString(&name) || !in.ReadU64(&num_shards)) {
         return Status::IOError("truncated sharded collection header");
       }
+      LLMMS_RETURN_NOT_OK(
+          ReadCollectionOptions(&in, version, &opts.collection));
       if (num_shards == 0 || num_shards > (1ULL << 20)) {
         return Status::IOError("corrupt shard count");
       }

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
+
 #include "llmms/core/oua.h"
 #include "llmms/eval/qa_dataset.h"
 #include "llmms/llm/synthetic_model.h"
@@ -29,46 +34,95 @@ TEST(IoFailureTest, DatasetSaveToUnwritablePath) {
       eval::SaveDatasetJsonl(items, "/nonexistent-dir/d.jsonl").IsIOError());
 }
 
-TEST(IoFailureTest, TruncatedDatabaseFileRejected) {
-  // Write a valid database, then truncate it at several byte offsets; every
-  // truncation must be rejected cleanly.
+// Saves a database holding one HNSW collection "c" of five 4-d records to
+// `path` and returns the file's bytes.
+std::string SaveSmallDatabase(const std::string& path) {
   vectordb::VectorDatabase db;
   vectordb::Collection::Options copts;
   copts.dimension = 4;
   auto collection = db.CreateCollection("c", copts);
-  ASSERT_TRUE(collection.ok());
+  EXPECT_TRUE(collection.ok());
   for (int i = 0; i < 5; ++i) {
     vectordb::VectorRecord record;
     record.id = "r" + std::to_string(i);
     record.vector = {1.0f, 0.0f, 0.0f, static_cast<float>(i)};
     record.metadata["k"] = "v";
     record.document = "doc";
-    ASSERT_TRUE((*collection)->Upsert(std::move(record)).ok());
+    EXPECT_TRUE((*collection)->Upsert(std::move(record)).ok());
   }
-  const std::string path = ::testing::TempDir() + "/trunc.bin";
-  ASSERT_TRUE(db.Save(path).ok());
-
+  EXPECT_TRUE(db.Save(path).ok());
   std::string bytes;
-  {
-    FILE* f = fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    char buf[4096];
-    size_t n = 0;
-    while ((n = fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
-    fclose(f);
-  }
+  FILE* f = fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return bytes;
+  char buf[4096];
+  size_t n = 0;
+  while ((n = fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
+  fclose(f);
+  return bytes;
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  FILE* f = fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  fwrite(bytes.data(), 1, bytes.size(), f);
+  fclose(f);
+}
+
+TEST(IoFailureTest, TruncatedDatabaseFileRejected) {
+  // Write a valid database, then truncate it at several byte offsets; every
+  // truncation must be rejected cleanly.
+  const std::string path = ::testing::TempDir() + "/trunc.bin";
+  const std::string bytes = SaveSmallDatabase(path);
   ASSERT_GT(bytes.size(), 64u);
   for (size_t cut : {size_t{6}, size_t{20}, bytes.size() / 2,
                      bytes.size() - 3}) {
     const std::string truncated_path =
         ::testing::TempDir() + "/trunc_cut.bin";
-    FILE* f = fopen(truncated_path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    fwrite(bytes.data(), 1, cut, f);
-    fclose(f);
+    WriteBytes(truncated_path, bytes.substr(0, cut));
     auto loaded = vectordb::VectorDatabase::Load(truncated_path);
     EXPECT_FALSE(loaded.ok()) << "cut at " << cut;
     std::remove(truncated_path.c_str());
+  }
+  std::remove(path.c_str());
+}
+
+TEST(IoFailureTest, OutOfRangeCollectionOptionsRejected) {
+  // A collection header whose fields decode to values no collection could
+  // have been built with is corruption, reported as IOError; an hnsw_m of
+  // 2^40 used to abort the process on the first insert's link-list reserve.
+  const std::string path = ::testing::TempDir() + "/options.bin";
+  const std::string bytes = SaveSmallDatabase(path);
+  ASSERT_TRUE(vectordb::VectorDatabase::Load(path).ok());
+  // Header: magic u32, version u32, collection count u64, name "c" (u64
+  // length + 1 byte), then dimension u64, metric u32, index kind u32,
+  // hnsw_m u64, ef_construction u64, ef_search u64.
+  constexpr size_t kMetric = 4 + 4 + 8 + 8 + 1 + 8;
+  constexpr size_t kIndexKind = kMetric + 4;
+  constexpr size_t kM = kIndexKind + 4;
+  constexpr size_t kEfConstruction = kM + 8;
+  constexpr size_t kEfSearch = kEfConstruction + 8;
+  struct Corruption {
+    size_t offset;
+    size_t width;
+    uint64_t value;
+  };
+  for (const Corruption c : {Corruption{kMetric, 4, 3},
+                             Corruption{kIndexKind, 4, 2},
+                             Corruption{kM, 8, 0},
+                             Corruption{kM, 8, uint64_t{1} << 40},
+                             Corruption{kEfConstruction, 8, 0},
+                             Corruption{kEfConstruction, 8, uint64_t{1} << 40},
+                             Corruption{kEfSearch, 8, uint64_t{1} << 40}}) {
+    std::string corrupt = bytes;
+    std::memcpy(corrupt.data() + c.offset, &c.value, c.width);
+    const std::string corrupt_path = ::testing::TempDir() + "/options_bad.bin";
+    WriteBytes(corrupt_path, corrupt);
+    auto loaded = vectordb::VectorDatabase::Load(corrupt_path);
+    EXPECT_TRUE(loaded.status().IsIOError())
+        << "offset " << c.offset << " value " << c.value << ": "
+        << loaded.status().ToString();
+    std::remove(corrupt_path.c_str());
   }
   std::remove(path.c_str());
 }
