@@ -1,6 +1,7 @@
 // Vector-database quality bench: HNSW recall@10 and speedup vs. exact
 // brute-force search, across corpus sizes and ef_search settings — the
-// "sub-millisecond top-k" claim of §7.1.
+// "sub-millisecond top-k" claim of §7.1 — and the HNSW build time per
+// insert at each corpus size.
 //
 // The index is built ONCE per corpus size and the ef sweep reuses it via
 // SearchWithEf (ef_search is a query-time knob, not a build parameter), so
@@ -42,8 +43,10 @@ int main() {
   const size_t max_n = EnvSize("LLMMS_BENCH_HNSW_N", 20000);
   std::cout << "HNSW recall@" << kK << " and latency vs. exact search (dim="
             << kDim << ")\n\n";
-  std::cout << "n       ef     recall   hnsw_us   flat_us   speedup\n";
-  std::cout << "----------------------------------------------------\n";
+  std::cout
+      << "n       ef     recall   hnsw_us   flat_us   speedup   build_us\n";
+  std::cout
+      << "---------------------------------------------------------------\n";
 
   std::vector<size_t> sizes;
   for (size_t n : {size_t{1000}, size_t{5000}, size_t{20000}}) {
@@ -65,7 +68,13 @@ int main() {
     FlatIndex flat(kDim, DistanceMetric::kCosine);
     for (const auto& v : corpus) (void)*flat.Add(v);
     HnswIndex hnsw(kDim, DistanceMetric::kCosine);
+    const auto build_start = std::chrono::steady_clock::now();
     for (const auto& v : corpus) (void)*hnsw.Add(v);
+    const double build_us =
+        std::chrono::duration<double, std::micro>(
+            std::chrono::steady_clock::now() - build_start)
+            .count() /
+        static_cast<double>(n);
 
     // Exact ground truth once per corpus; the ef sweep reuses it.
     std::vector<std::unordered_set<SlotId>> truth;
@@ -100,7 +109,8 @@ int main() {
                 << (ef < 100 ? "     " : "    ") << FormatDouble(recall, 3)
                 << "    " << FormatDouble(hnsw_us, 1) << "      "
                 << FormatDouble(flat_us, 1) << "     "
-                << FormatDouble(flat_us / hnsw_us, 1) << "x\n";
+                << FormatDouble(flat_us / hnsw_us, 1) << "x      "
+                << FormatDouble(build_us, 1) << "\n";
     }
   }
   return 0;
