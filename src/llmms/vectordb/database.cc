@@ -84,11 +84,11 @@ void WriteCollectionOptions(std::string* out, const Collection::Options& opts) {
 // Widest ef_construction or ef_search a snapshot may declare.
 constexpr uint64_t kMaxEf = 1ULL << 20;
 
-// Reads one collection's options, rejecting values no collection could
-// have been built with as corruption: each would abort or misbehave in the
-// index (an hnsw_m above HnswIndex::kMaxM, say, reserves link lists of
-// terabytes). ef_construction must be at least 1; ef_search may be 0, since
-// searches raise it to k.
+// Reads one collection's options. A value the indexes do not support means
+// a corrupt file: a metric or index kind past its enum, an hnsw_m outside
+// [1, HnswIndex::kMaxM] (M = 0 links nothing), an ef_construction of 0
+// (SearchLayer then compares against an empty result heap) or an ef above
+// kMaxEf. ef_search may be 0, since searches raise it to k.
 Status ReadCollectionOptions(SnapshotReader* in, uint32_t version,
                              Collection::Options* opts) {
   uint64_t dimension = 0;

@@ -40,8 +40,10 @@ std::string SaveSmallDatabase(const std::string& path) {
   vectordb::VectorDatabase db;
   vectordb::Collection::Options copts;
   copts.dimension = 4;
+  std::string bytes;
   auto collection = db.CreateCollection("c", copts);
   EXPECT_TRUE(collection.ok());
+  if (!collection.ok()) return bytes;
   for (int i = 0; i < 5; ++i) {
     vectordb::VectorRecord record;
     record.id = "r" + std::to_string(i);
@@ -51,7 +53,6 @@ std::string SaveSmallDatabase(const std::string& path) {
     EXPECT_TRUE((*collection)->Upsert(std::move(record)).ok());
   }
   EXPECT_TRUE(db.Save(path).ok());
-  std::string bytes;
   FILE* f = fopen(path.c_str(), "rb");
   EXPECT_NE(f, nullptr);
   if (f == nullptr) return bytes;
@@ -88,9 +89,9 @@ TEST(IoFailureTest, TruncatedDatabaseFileRejected) {
 }
 
 TEST(IoFailureTest, OutOfRangeCollectionOptionsRejected) {
-  // A collection header whose fields decode to values no collection could
-  // have been built with is corruption, reported as IOError; an hnsw_m of
-  // 2^40 used to abort the process on the first insert's link-list reserve.
+  // A collection header whose fields decode to values the indexes do not
+  // support is corruption, reported as IOError; an hnsw_m of 2^40 used to
+  // abort the process on the first insert's link-list reserve.
   const std::string path = ::testing::TempDir() + "/options.bin";
   const std::string bytes = SaveSmallDatabase(path);
   ASSERT_TRUE(vectordb::VectorDatabase::Load(path).ok());
