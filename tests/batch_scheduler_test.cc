@@ -309,7 +309,8 @@ TEST(BatchSchedulerTest, PropertySweepNoStarvationAndTokenConservation) {
       std::vector<std::string> expected_text(streams);
       size_t total_chunks = 0;
       for (size_t i = 0; i < streams; ++i) {
-        scripts[i].tag = "s" + std::to_string(i) + "-";
+        scripts[i].tag =
+            std::string("s").append(std::to_string(i)).append("-");
         scripts[i].chunks_total = 1 + rng() % 6;
         total_chunks += scripts[i].chunks_total;
         for (size_t c = 0; c < scripts[i].chunks_total; ++c) {

@@ -156,7 +156,8 @@ TEST(ConcurrencyTest, ParallelSessionStoreAccess) {
   for (int t = 0; t < 6; ++t) {
     threads.emplace_back([&, t]() {
       for (int i = 0; i < 100; ++i) {
-        auto session = store.GetOrCreate("s" + std::to_string(i % 10));
+        auto session =
+            store.GetOrCreate(std::string("s").append(std::to_string(i % 10)));
         if (!session.ok()) {
           ++failures;
           continue;

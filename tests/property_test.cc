@@ -60,8 +60,9 @@ Json RandomJson(Rng* rng, int depth) {
       Json obj = Json::MakeObject();
       const int n = static_cast<int>(rng->UniformInt(0, 4));
       for (int i = 0; i < n; ++i) {
-        obj.Set("k" + std::to_string(rng->UniformInt(0, 9)),
-                RandomJson(rng, depth - 1));
+        obj.Set(
+            std::string("k").append(std::to_string(rng->UniformInt(0, 9))),
+            RandomJson(rng, depth - 1));
       }
       return obj;
     }

@@ -712,7 +712,7 @@ TEST(StorageChaosTest, RandomFaultSoakNeverLosesAckedWrites) {
               rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
           op.id = live[pick];
         } else {
-          op.id = "r" + std::to_string(i);
+          op.id = std::string("r").append(std::to_string(i));
           op.value = static_cast<float>(i) * 0.01f;
         }
         attempted.push_back(op);

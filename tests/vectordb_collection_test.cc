@@ -112,8 +112,9 @@ TEST(CollectionTest, HnswBackedCollectionWorks) {
   Collection c("test", SmallOptions(IndexKind::kHnsw));
   for (int i = 0; i < 50; ++i) {
     const float angle = static_cast<float>(i) * 0.1f;
-    ASSERT_TRUE(c.Upsert(MakeRecord("v" + std::to_string(i),
-                                    {std::cos(angle), std::sin(angle), 0, 0}))
+    ASSERT_TRUE(c.Upsert(MakeRecord(
+                             std::string("v").append(std::to_string(i)),
+                             {std::cos(angle), std::sin(angle), 0, 0}))
                     .ok());
   }
   auto hits = c.Query({1, 0, 0, 0}, 3);
