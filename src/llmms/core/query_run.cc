@@ -72,19 +72,33 @@ void QueryRun::Score(const std::string& model, double score) {
                           &trace_);
 }
 
-StatusOr<std::vector<std::string>> QueryRun::Texts(
-    const std::vector<std::string>& models) const {
-  std::vector<std::string> texts;
-  for (const auto& m : models) {
-    LLMMS_ASSIGN_OR_RETURN(auto text, generation_->TextOf(m));
-    texts.push_back(std::move(text));
+const embedding::Vector& QueryRun::PromptEmbedding() {
+  if (!prompt_embedded_) {
+    prompt_embedding_ = scorer_.embedder().EmbedOnce(prompt_);
+    prompt_embedded_ = true;
   }
-  return texts;
+  return prompt_embedding_;
 }
 
-StatusOr<std::vector<RoundScore>> QueryRun::ScoreAll() const {
-  LLMMS_ASSIGN_OR_RETURN(auto responses, Texts(models_));
-  return scorer_.ScoreRound(prompt_, responses);
+StatusOr<std::vector<const embedding::Vector*>> QueryRun::Embeddings(
+    const std::vector<std::string>& models) {
+  std::vector<const embedding::Vector*> out;
+  out.reserve(models.size());
+  for (const auto& m : models) {
+    LLMMS_ASSIGN_OR_RETURN(auto text, generation_->TextOf(m));
+    ResponseEmbedding& response = responses_[m];
+    if (text != response.text) {
+      response.vector = scorer_.embedder().EmbedOnce(text);
+      response.text = std::move(text);
+    }
+    out.push_back(response.text.empty() ? nullptr : &response.vector);
+  }
+  return out;
+}
+
+StatusOr<std::vector<RoundScore>> QueryRun::ScoreAll() {
+  LLMMS_ASSIGN_OR_RETURN(const auto responses, Embeddings(models_));
+  return scorer_.ScoreRound(PromptEmbedding(), responses);
 }
 
 std::pair<std::string, double> QueryRun::PickWinner(
@@ -151,8 +165,9 @@ void QueryRun::Emit(EventType type, const std::string& model, double score,
 
 StatusOr<std::vector<RoundScore>> RoundRobinPrune::Score(
     const std::vector<std::string>& candidates) {
-  LLMMS_ASSIGN_OR_RETURN(auto responses, run_->Texts(candidates));
-  auto scores = run_->scorer().ScoreRound(run_->prompt(), responses);
+  LLMMS_ASSIGN_OR_RETURN(const auto responses, run_->Embeddings(candidates));
+  auto scores =
+      run_->scorer().ScoreRound(run_->PromptEmbedding(), responses);
   for (size_t i = 0; i < candidates.size(); ++i) {
     last_[candidates[i]] = scores[i];
     run_->Score(candidates[i], scores[i].combined);
@@ -250,12 +265,18 @@ StatusOr<Ucb1Allocate::Pull> Ucb1Allocate::PullArm(const std::string& model) {
   run_->Record(model, chunk);
   if (run_->Stalled(chunk.num_tokens > 0 || chunk.done)) return Pull::kStalled;
 
-  std::vector<std::string> others = pool_;
-  others.erase(std::find(others.begin(), others.end(), model));
-  LLMMS_ASSIGN_OR_RETURN(auto response, run_->generation().TextOf(model));
-  LLMMS_ASSIGN_OR_RETURN(auto other_texts, run_->Texts(others));
+  LLMMS_ASSIGN_OR_RETURN(const auto embeddings, run_->Embeddings(pool_));
+  const embedding::Vector* response = nullptr;
+  std::vector<const embedding::Vector*> others;
+  for (size_t i = 0; i < pool_.size(); ++i) {
+    if (pool_[i] == model) {
+      response = embeddings[i];
+    } else {
+      others.push_back(embeddings[i]);
+    }
+  }
   const double reward =
-      run_->scorer().ScoreOne(run_->prompt(), response, other_texts);
+      run_->scorer().ScoreOne(run_->PromptEmbedding(), response, others);
   arm.reward_sum += reward;
   ++arm.pulls;
   ++total_pulls_;

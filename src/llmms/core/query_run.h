@@ -86,10 +86,17 @@ class QueryRun {
     Emit(EventType::kEarlyStop, model, score);
   }
 
-  StatusOr<std::vector<std::string>> Texts(
-      const std::vector<std::string>& models) const;
+  // The query's scoring embeddings (DESIGN.md §5). The prompt is embedded
+  // once; each model's response again only when its text changed since the
+  // last call. Both use EmbedOnce, so these one-query texts never enter a
+  // shared embedding cache, and they are freed with the run.
+  const embedding::Vector& PromptEmbedding();
+  // One entry per `models` entry, null for an empty response. A pointer
+  // stays valid until the same model's response is embedded again.
+  StatusOr<std::vector<const embedding::Vector*>> Embeddings(
+      const std::vector<std::string>& models);
   // One ScoreRound over every pool model's current response.
-  StatusOr<std::vector<RoundScore>> ScoreAll() const;
+  StatusOr<std::vector<RoundScore>> ScoreAll();
 
   // The healthy `pool` model with the highest `value` (ties keep the
   // earlier one) and that value; when no value beats -inf, the first
@@ -106,7 +113,6 @@ class QueryRun {
       const std::function<RoundScore(size_t)>& score);
 
   llm::ParallelGeneration& generation() { return *generation_; }
-  const std::string& prompt() const { return prompt_; }
   const ResponseScorer& scorer() const { return scorer_; }
   RewardFeed* feed() const { return feed_; }
   size_t token_budget() const { return config_.token_budget; }
@@ -134,6 +140,14 @@ class QueryRun {
   Status last_failure_;
   std::unordered_set<std::string> pruned_;
   std::vector<TraceEntry> trace_;
+
+  struct ResponseEmbedding {
+    std::string text;  // the response `vector` embeds
+    embedding::Vector vector;
+  };
+  bool prompt_embedded_ = false;
+  embedding::Vector prompt_embedding_;
+  std::unordered_map<std::string, ResponseEmbedding> responses_;
 };
 
 // Algorithm 1's screening round, shared by OUA and hybrid phase 1.

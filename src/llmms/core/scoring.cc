@@ -14,30 +14,18 @@ ResponseScorer::ResponseScorer(
     : embedder_(std::move(embedder)), weights_(weights) {}
 
 std::vector<RoundScore> ResponseScorer::ScoreRound(
-    const std::string& query, const std::vector<std::string>& responses) const {
+    const embedding::Vector& query,
+    const std::vector<const embedding::Vector*>& responses) const {
   std::vector<RoundScore> scores(responses.size());
-  if (responses.empty()) return scores;
-
-  const auto query_embedding = embedder_->Embed(query);
-  std::vector<embedding::Vector> response_embeddings(responses.size());
-  std::vector<bool> non_empty(responses.size(), false);
   for (size_t i = 0; i < responses.size(); ++i) {
-    if (responses[i].empty()) continue;
-    non_empty[i] = true;
-    response_embeddings[i] = embedder_->Embed(responses[i]);
-  }
-
-  for (size_t i = 0; i < responses.size(); ++i) {
-    if (!non_empty[i]) continue;
+    if (responses[i] == nullptr) continue;
     RoundScore& s = scores[i];
-    s.query_similarity = embedding::CosineSimilarity(response_embeddings[i],
-                                                     query_embedding);
+    s.query_similarity = embedding::CosineSimilarity(*responses[i], query);
     double inter_sum = 0.0;
     size_t inter_count = 0;
     for (size_t j = 0; j < responses.size(); ++j) {
-      if (j == i || !non_empty[j]) continue;
-      inter_sum += embedding::CosineSimilarity(response_embeddings[i],
-                                               response_embeddings[j]);
+      if (j == i || responses[j] == nullptr) continue;
+      inter_sum += embedding::CosineSimilarity(*responses[i], *responses[j]);
       ++inter_count;
     }
     s.inter_similarity =
@@ -48,20 +36,17 @@ std::vector<RoundScore> ResponseScorer::ScoreRound(
   return scores;
 }
 
-double ResponseScorer::ScoreOne(const std::string& query,
-                                const std::string& response,
-                                const std::vector<std::string>& others) const {
-  if (response.empty()) return 0.0;
-  const auto query_embedding = embedder_->Embed(query);
-  const auto response_embedding = embedder_->Embed(response);
+double ResponseScorer::ScoreOne(
+    const embedding::Vector& query, const embedding::Vector* response,
+    const std::vector<const embedding::Vector*>& others) const {
+  if (response == nullptr) return 0.0;
   const double query_similarity =
-      embedding::CosineSimilarity(response_embedding, query_embedding);
+      embedding::CosineSimilarity(*response, query);
   double inter_sum = 0.0;
   size_t inter_count = 0;
-  for (const auto& other : others) {
-    if (other.empty()) continue;
-    inter_sum += embedding::CosineSimilarity(response_embedding,
-                                             embedder_->Embed(other));
+  for (const auto* other : others) {
+    if (other == nullptr) continue;
+    inter_sum += embedding::CosineSimilarity(*response, *other);
     ++inter_count;
   }
   const double inter =

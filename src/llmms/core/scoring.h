@@ -23,23 +23,27 @@ struct RoundScore {
   double combined = 0.0;          // alpha*query + beta*inter
 };
 
-// Computes the per-round scores the orchestrators rank models by. Partial
-// responses are embedded once per round; an embedding cache upstream keeps
-// this cheap.
+// Computes the per-round scores the orchestrators rank models by, from
+// embeddings the caller owns: QueryRun embeds the query once and each
+// response only when its text changes (DESIGN.md §5).
 class ResponseScorer {
  public:
   ResponseScorer(std::shared_ptr<const embedding::Embedder> embedder,
                  ScoringWeights weights);
 
   // Scores each response against `query` and against the other responses.
-  // Empty responses score 0 on both components.
+  // A null response stands for an empty one and scores 0 on both
+  // components.
   std::vector<RoundScore> ScoreRound(
-      const std::string& query, const std::vector<std::string>& responses) const;
+      const embedding::Vector& query,
+      const std::vector<const embedding::Vector*>& responses) const;
 
   // Scalar reward of one response given the other models' responses
-  // (Algorithm 2 line 9). `others` may contain empty strings (skipped).
-  double ScoreOne(const std::string& query, const std::string& response,
-                  const std::vector<std::string>& others) const;
+  // (Algorithm 2 line 9). Null `response` scores 0; null `others` are
+  // skipped.
+  double ScoreOne(const embedding::Vector& query,
+                  const embedding::Vector* response,
+                  const std::vector<const embedding::Vector*>& others) const;
 
   const ScoringWeights& weights() const { return weights_; }
   const embedding::Embedder& embedder() const { return *embedder_; }

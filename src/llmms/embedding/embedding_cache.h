@@ -12,15 +12,18 @@
 
 namespace llmms::embedding {
 
-// Thread-safe LRU cache in front of an Embedder. The orchestrators embed the
-// same partial responses repeatedly (once per scoring round); caching keeps
-// the scoring overhead the paper calls "manageable" actually manageable.
+// Thread-safe LRU cache in front of an Embedder, for texts that come back
+// across requests: retrieval queries, memory-graph recall, the evaluation's
+// reference answers and the router's and agents' texts. The orchestrators
+// no longer go through it: a QueryRun embeds its prompt and responses
+// itself and holds them for the query only, and the knowledge base resolves
+// each prompt once in its own memo (DESIGN.md §5, §15).
 //
-// Embed caches queries, partial responses and anything else that may be
-// embedded again. EmbedOnce goes around the cache: it neither looks up nor
-// stores, so one-shot texts such as uploaded document chunks (whose vectors
-// the vector index holds) do not evict texts that will be looked up again,
-// and leave hits(), misses() and size() unchanged.
+// Embed caches what may be embedded again. EmbedOnce goes around the cache:
+// it neither looks up nor stores, so one-shot texts such as uploaded
+// document chunks (whose vectors the vector index holds) and scoring texts
+// do not evict texts that will be looked up again, and leave hits(),
+// misses() and size() unchanged.
 class EmbeddingCache final : public Embedder {
  public:
   // `inner` must outlive the cache. `capacity` is the max number of cached

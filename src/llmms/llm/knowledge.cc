@@ -11,9 +11,14 @@ Status KnowledgeBase::Add(QaItem item) {
   if (item.question.empty()) {
     return Status::InvalidArgument("QaItem question must not be empty");
   }
-  LLMMS_ASSIGN_OR_RETURN(auto slot, index_.Add(embedder_->Embed(item.question)));
+  LLMMS_ASSIGN_OR_RETURN(auto slot,
+                         index_.Add(embedder_->EmbedOnce(item.question)));
   (void)slot;  // slots are assigned densely, matching items_ order
   items_.push_back(std::move(item));
+  // A new item may match a memoized prompt better than its resolved slot.
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  memo_size_ = 0;
+  memo_next_ = 0;
   return Status::OK();
 }
 
@@ -27,12 +32,37 @@ Status KnowledgeBase::AddAll(const std::vector<QaItem>& items) {
 const QaItem* KnowledgeBase::Lookup(std::string_view prompt,
                                     double min_similarity) const {
   if (items_.empty()) return nullptr;
-  const auto query = embedder_->Embed(prompt);
-  auto hits = index_.Search(query, 1);
-  if (!hits.ok() || hits->empty()) return nullptr;
-  const double similarity = 1.0 - hits->front().distance;
+  vectordb::SlotId slot = 0;
+  double similarity = 0.0;
+  bool memoized = false;
+  {
+    std::lock_guard<std::mutex> lock(memo_mu_);
+    for (size_t i = 0; i < memo_size_; ++i) {
+      if (memo_[i].prompt == prompt) {
+        slot = memo_[i].slot;
+        similarity = memo_[i].similarity;
+        memoized = true;
+        break;
+      }
+    }
+  }
+  if (!memoized) {
+    // Scan outside the lock; two threads missing on one prompt both scan
+    // and resolve it identically.
+    auto hits = index_.Search(embedder_->EmbedOnce(prompt), 1);
+    if (!hits.ok() || hits->empty()) return nullptr;
+    slot = hits->front().slot;
+    similarity = 1.0 - hits->front().distance;
+    std::lock_guard<std::mutex> lock(memo_mu_);
+    Resolved& entry = memo_[memo_next_];
+    entry.prompt.assign(prompt);
+    entry.slot = slot;
+    entry.similarity = similarity;
+    memo_next_ = (memo_next_ + 1) % kMemoSize;
+    if (memo_size_ < kMemoSize) ++memo_size_;
+  }
   if (similarity < min_similarity) return nullptr;
-  return &items_[hits->front().slot];
+  return &items_[slot];
 }
 
 const QaItem* KnowledgeBase::FindById(std::string_view id) const {

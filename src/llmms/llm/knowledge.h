@@ -1,7 +1,9 @@
 #ifndef LLMMS_LLM_KNOWLEDGE_H_
 #define LLMMS_LLM_KNOWLEDGE_H_
 
+#include <array>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,6 +31,12 @@ struct QaItem {
 // The world model the synthetic LLMs "were trained on": an embedding index
 // over questions that resolves an arbitrary prompt (which may carry RAG
 // context and conversation history around the question) to its QaItem.
+//
+// Every model of a query's pool looks up the same prompt, so Lookup keeps
+// the last kMemoSize resolved prompts in a ring under its own mutex and
+// resolves each prompt once. Prompts and questions are embedded with
+// EmbedOnce and never enter a shared embedding cache. Add and AddAll must
+// not run concurrently with Lookup.
 class KnowledgeBase {
  public:
   explicit KnowledgeBase(std::shared_ptr<const embedding::Embedder> embedder);
@@ -47,9 +55,24 @@ class KnowledgeBase {
   const std::vector<QaItem>& items() const { return items_; }
 
  private:
+  static constexpr size_t kMemoSize = 8;
+
+  // A resolved prompt: its best-matching slot and that match's similarity,
+  // before any min_similarity cut.
+  struct Resolved {
+    std::string prompt;
+    vectordb::SlotId slot = 0;
+    double similarity = 0.0;
+  };
+
   std::shared_ptr<const embedding::Embedder> embedder_;
   std::vector<QaItem> items_;
   vectordb::FlatIndex index_;
+
+  mutable std::mutex memo_mu_;
+  mutable std::array<Resolved, kMemoSize> memo_;
+  mutable size_t memo_size_ = 0;  // filled entries, at most kMemoSize
+  mutable size_t memo_next_ = 0;  // the entry the next miss overwrites
 };
 
 }  // namespace llmms::llm

@@ -149,6 +149,42 @@ TEST(ConcurrencyTest, EmbeddingCacheUnderContention) {
   EXPECT_LE(cache.size(), 32u);
 }
 
+// Four threads resolve interleaved prompts through one knowledge base; more
+// distinct prompts than its lookup memo holds, so hits, misses and ring
+// overwrites race on the memo's lock.
+TEST(ConcurrencyTest, KnowledgeLookupsShareOneMemo) {
+  auto world = testutil::MakeWorld(4);
+  const llm::KnowledgeBase& knowledge = *world.knowledge;
+  constexpr size_t kPrompts = 12;
+  std::vector<std::string> prompts;
+  std::vector<std::string> expected;
+  llm::KnowledgeBase fresh(world.embedder);
+  ASSERT_TRUE(fresh.AddAll(world.dataset).ok());
+  for (size_t i = 0; i < kPrompts; ++i) {
+    prompts.push_back("Question: " + world.dataset[i].question);
+    const llm::QaItem* item = fresh.Lookup(prompts.back());
+    ASSERT_NE(item, nullptr);
+    expected.push_back(item->id);
+  }
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t]() {
+      for (size_t i = 0; i < 200; ++i) {
+        // Each thread walks the prompts at its own stride, repeating
+        // some prompts back to back so that hits interleave with misses.
+        const size_t p = (static_cast<size_t>(t) * 5 + i / 2 * (t + 1)) %
+                         kPrompts;
+        const llm::QaItem* item = knowledge.Lookup(prompts[p]);
+        if (item == nullptr || item->id != expected[p]) ++failures;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
 TEST(ConcurrencyTest, ParallelSessionStoreAccess) {
   session::SessionStore store;
   std::atomic<int> failures{0};

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <string_view>
+
+#include "llmms/embedding/embedding_cache.h"
+#include "llmms/embedding/hash_embedder.h"
 #include "llmms/llm/knowledge.h"
 #include "llmms/llm/registry.h"
 #include "llmms/llm/runtime.h"
@@ -41,6 +47,109 @@ TEST(KnowledgeBaseTest, FindByIdAndValidation) {
   QaItem empty;
   EXPECT_TRUE(kb.Add(empty).IsInvalidArgument());
   EXPECT_EQ(kb.Lookup("anything"), nullptr);
+}
+
+// Counts every text it embeds; Embed and EmbedOnce both land in Embed.
+class CountingEmbedder final : public embedding::Embedder {
+ public:
+  embedding::Vector Embed(std::string_view text) const override {
+    ++calls_;
+    return inner_.Embed(text);
+  }
+  size_t dimension() const override { return inner_.dimension(); }
+  std::string name() const override { return "counting"; }
+  int calls() const { return calls_.load(); }
+
+ private:
+  embedding::HashEmbedder inner_;
+  mutable std::atomic<int> calls_{0};
+};
+
+TEST(KnowledgeBaseTest, RepeatedLookupEmbedsThePromptOnce) {
+  auto world = testutil::MakeWorld();
+  auto counter = std::make_shared<CountingEmbedder>();
+  KnowledgeBase kb(counter);
+  ASSERT_TRUE(kb.AddAll(world.dataset).ok());
+  const int after_add = counter->calls();
+  EXPECT_EQ(after_add, static_cast<int>(world.dataset.size()));
+  const std::string prompt = "Question: " + world.dataset[2].question;
+  for (int i = 0; i < 3; ++i) {
+    const QaItem* found = kb.Lookup(prompt);
+    ASSERT_NE(found, nullptr);
+    EXPECT_EQ(found->id, world.dataset[2].id);
+  }
+  EXPECT_EQ(counter->calls(), after_add + 1);
+}
+
+TEST(KnowledgeBaseTest, AddAllAndLookupBypassTheEmbeddingCache) {
+  auto world = testutil::MakeWorld();
+  auto cache =
+      std::make_shared<embedding::EmbeddingCache>(world.embedder, 4096);
+  KnowledgeBase kb(cache);
+  ASSERT_TRUE(kb.AddAll(world.dataset).ok());
+  EXPECT_EQ(kb.Lookup(world.dataset[0].question)->id, world.dataset[0].id);
+  EXPECT_EQ(cache->size(), 0u);
+  EXPECT_EQ(cache->hits(), 0u);
+  EXPECT_EQ(cache->misses(), 0u);
+}
+
+// The memo stores the best match before the min_similarity cut, so a
+// memoized prompt answers every threshold exactly as a fresh base does.
+TEST(KnowledgeBaseTest, MemoizedLookupMatchesFreshBaseAtEveryThreshold) {
+  auto world = testutil::MakeWorld();
+  KnowledgeBase memoized(world.embedder);
+  ASSERT_TRUE(memoized.AddAll(world.dataset).ok());
+  const std::vector<std::string> prompts{
+      world.dataset[1].question,
+      "Conversation so far:\nuser: hi\n\nQuestion: " +
+          world.dataset[4].question,
+      "zzz qqq completely unrelated blorp"};
+  for (const auto& prompt : prompts) memoized.Lookup(prompt);
+  for (const double min_similarity : {0.0, 0.1, 0.15, 0.3, 0.5, 0.7, 0.9,
+                                      1.0}) {
+    KnowledgeBase fresh(world.embedder);
+    ASSERT_TRUE(fresh.AddAll(world.dataset).ok());
+    for (const auto& prompt : prompts) {
+      const QaItem* want = fresh.Lookup(prompt, min_similarity);
+      const QaItem* got = memoized.Lookup(prompt, min_similarity);
+      ASSERT_EQ(got == nullptr, want == nullptr)
+          << prompt << " at " << min_similarity;
+      if (want != nullptr) {
+        EXPECT_EQ(got->id, want->id);
+      }
+    }
+  }
+}
+
+TEST(KnowledgeBaseTest, LookupsBeyondTheMemoRingStayCorrect) {
+  auto world = testutil::MakeWorld();
+  ASSERT_GE(world.dataset.size(), 20u);
+  for (int pass = 0; pass < 3; ++pass) {
+    for (size_t i = 0; i < 20; ++i) {
+      // Alternate two prompts per step so hits interleave with evictions.
+      for (const size_t j : {i, (i * 7) % 20}) {
+        const QaItem* found =
+            world.knowledge->Lookup(world.dataset[j].question);
+        ASSERT_NE(found, nullptr);
+        EXPECT_EQ(found->id, world.dataset[j].id) << pass << " " << j;
+      }
+    }
+  }
+}
+
+TEST(KnowledgeBaseTest, AddInvalidatesMemoizedLookups) {
+  auto world = testutil::MakeWorld();
+  const QaItem& first = world.dataset[0];
+  const QaItem& second = world.dataset[7];
+  KnowledgeBase kb(world.embedder);
+  ASSERT_TRUE(kb.Add(first).ok());
+  const QaItem* before = kb.Lookup(second.question, /*min_similarity=*/0.0);
+  ASSERT_NE(before, nullptr);
+  EXPECT_EQ(before->id, first.id);
+  ASSERT_TRUE(kb.Add(second).ok());
+  const QaItem* after = kb.Lookup(second.question, /*min_similarity=*/0.0);
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(after->id, second.id);
 }
 
 TEST(ModelRegistryTest, RegisterGetRemove) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
+#include "llmms/embedding/embedding_cache.h"
 #include "testutil.h"
 
 namespace llmms::core {
@@ -160,6 +164,59 @@ TEST_F(SearchEngineTest, MemoryGraphOffByDefault) {
   EXPECT_EQ(second->recalled_memories, 0u);
   EXPECT_EQ(second->prompt.find("Related earlier exchange"),
             std::string::npos);
+}
+
+// Scoring embeds the prompt and the responses query-scoped, so an engine
+// over a shared EmbeddingCache leaves it untouched on non-RAG queries and
+// answers bit for bit like one over the bare embedder.
+TEST(SearchEngineCacheTest, ScoringBypassesSharedCacheWithIdenticalAnswers) {
+  auto cached_world = testutil::MakeWorld(6);
+  auto bare_world = testutil::MakeWorld(6);
+  auto cache = std::make_shared<embedding::EmbeddingCache>(
+      cached_world.embedder, /*capacity=*/4096);
+  SearchEngine cached(cached_world.runtime.get(), cache,
+                      std::make_shared<vectordb::VectorDatabase>(),
+                      std::make_shared<session::SessionStore>());
+  SearchEngine bare(bare_world.runtime.get(), bare_world.embedder,
+                    std::make_shared<vectordb::VectorDatabase>(),
+                    std::make_shared<session::SessionStore>());
+
+  const auto bits = [](double v) {
+    uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  for (auto algorithm : {Algorithm::kOua, Algorithm::kMab, Algorithm::kHybrid,
+                         Algorithm::kSingle}) {
+    SearchEngine::QueryOptions options;
+    options.algorithm = algorithm;
+    options.use_rag = false;
+    for (size_t q = 0; q < 3; ++q) {
+      const std::string& question = cached_world.dataset[q].question;
+      auto a = cached.Ask("s-cache", question, options);
+      auto b = bare.Ask("s-cache", question, options);
+      ASSERT_TRUE(a.ok()) << AlgorithmToString(algorithm);
+      ASSERT_TRUE(b.ok()) << AlgorithmToString(algorithm);
+      EXPECT_EQ(a->orchestration.answer, b->orchestration.answer);
+      EXPECT_EQ(a->orchestration.best_model, b->orchestration.best_model);
+      ASSERT_EQ(a->orchestration.per_model.size(),
+                b->orchestration.per_model.size());
+      for (const auto& [model, outcome] : a->orchestration.per_model) {
+        const ModelOutcome& other = b->orchestration.per_model.at(model);
+        EXPECT_EQ(bits(outcome.final_score), bits(other.final_score))
+            << AlgorithmToString(algorithm) << " " << model;
+        EXPECT_EQ(bits(outcome.query_similarity),
+                  bits(other.query_similarity))
+            << AlgorithmToString(algorithm) << " " << model;
+        EXPECT_EQ(bits(outcome.inter_similarity),
+                  bits(other.inter_similarity))
+            << AlgorithmToString(algorithm) << " " << model;
+      }
+    }
+  }
+  EXPECT_EQ(cache->size(), 0u);
+  EXPECT_EQ(cache->hits(), 0u);
+  EXPECT_EQ(cache->misses(), 0u);
 }
 
 TEST_F(SearchEngineTest, AlgorithmNames) {
