@@ -1,33 +1,132 @@
 #include "llmms/embedding/hash_embedder.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <functional>
+#include <memory>
+#include <new>
 #include <unordered_map>
+#include <utility>
 
 #include "llmms/common/rng.h"
 #include "llmms/tokenizer/word_tokenizer.h"
 
 namespace llmms::embedding {
 
+namespace {
+
+constexpr uint64_t kUnigramSalt = 0x11;
+constexpr uint64_t kBigramSalt = 0x22;
+constexpr uint64_t kCharTrigramSalt = 0x33;
+
+// Bump allocation over a 4 KB stack buffer, falling back to doubling heap
+// blocks once it is used up. Nothing is freed before the scratch dies, so a
+// typical question's Embed allocates nothing but its result.
+class Scratch {
+ public:
+  Scratch() = default;
+  Scratch(const Scratch&) = delete;
+  Scratch& operator=(const Scratch&) = delete;
+  ~Scratch() {
+    while (heap_ != nullptr) {
+      Block* next = heap_->next;
+      ::operator delete(heap_);
+      heap_ = next;
+    }
+  }
+
+  void* Allocate(size_t bytes, size_t align) {
+    void* p = next_;
+    size_t space = static_cast<size_t>(end_ - next_);
+    if (std::align(align, bytes, p, space) == nullptr) {
+      const size_t size =
+          std::max(next_block_, sizeof(Block) + bytes + align);
+      next_block_ = 2 * size;
+      auto* block = new (::operator new(size)) Block{heap_};
+      heap_ = block;
+      p = block + 1;
+      space = size - sizeof(Block);
+      std::align(align, bytes, p, space);
+      end_ = reinterpret_cast<char*>(block) + size;
+    }
+    next_ = static_cast<char*>(p) + bytes;
+    return p;
+  }
+
+ private:
+  struct alignas(std::max_align_t) Block {
+    Block* next;
+  };
+
+  alignas(std::max_align_t) char stack_[4096];
+  char* next_ = stack_;
+  char* end_ = stack_ + sizeof(stack_);
+  Block* heap_ = nullptr;
+  size_t next_block_ = 2 * sizeof(stack_);
+};
+
+template <typename T>
+class ScratchAllocator {
+ public:
+  using value_type = T;
+
+  explicit ScratchAllocator(Scratch* scratch) : scratch_(scratch) {}
+  template <typename U>
+  ScratchAllocator(const ScratchAllocator<U>& other)  // NOLINT
+      : scratch_(other.scratch()) {}
+
+  T* allocate(size_t n) {
+    return static_cast<T*>(scratch_->Allocate(n * sizeof(T), alignof(T)));
+  }
+  void deallocate(T*, size_t) {}
+
+  Scratch* scratch() const { return scratch_; }
+  friend bool operator==(const ScratchAllocator& a, const ScratchAllocator& b) {
+    return a.scratch_ == b.scratch_;
+  }
+
+ private:
+  Scratch* scratch_;
+};
+
+}  // namespace
+
 HashEmbedder::HashEmbedder(const Options& options) : options_(options) {}
 
-void HashEmbedder::AddFeature(std::string_view feature, double weight,
-                              uint64_t family_salt, Vector* acc) const {
-  const uint64_t h =
-      HashBytes(feature.data(), feature.size(), options_.seed ^ family_salt);
+uint64_t HashEmbedder::HashFeature(std::string_view feature,
+                                   uint64_t family_salt) const {
+  return HashBytes(feature.data(), feature.size(),
+                   options_.seed ^ family_salt);
+}
+
+void HashEmbedder::AddFeature(uint64_t h, double weight, Vector* acc) const {
   const size_t index = static_cast<size_t>(h % options_.dimension);
   const double sign = (MixHash64(h) & 1) ? 1.0 : -1.0;
   (*acc)[index] += static_cast<float>(sign * weight);
 }
 
 Vector HashEmbedder::Embed(std::string_view text) const {
+  if (options_.dimension == 0) return Vector();
   Vector v(options_.dimension, 0.0f);
   static const tokenizer::WordTokenizer kTokenizer;
-  const std::vector<std::string> words = kTokenizer.Tokenize(text);
+  Scratch scratch;
+  auto* buffer = static_cast<char*>(scratch.Allocate(text.size(), 1));
+  using Words =
+      std::vector<std::string_view, ScratchAllocator<std::string_view>>;
+  Words words{Words::allocator_type(&scratch)};
+  kTokenizer.TokenizeInto(text, buffer, &words);
   if (words.empty()) return v;
 
-  // Term frequencies for sub-linear weighting.
-  std::unordered_map<std::string, int> tf;
-  for (const auto& w : words) ++tf[w];
+  // Term frequencies for sub-linear weighting. The map's iteration order
+  // fixes the float sums, so it is built fresh with only an allocator (one
+  // bucket, as default-constructed) and never reserved; see the header.
+  using TermCounts = std::unordered_map<
+      std::string_view, int, std::hash<std::string_view>,
+      std::equal_to<std::string_view>,
+      ScratchAllocator<std::pair<const std::string_view, int>>>;
+  TermCounts tf{TermCounts::allocator_type(&scratch)};
+  for (const std::string_view w : words) ++tf[w];
 
   // Unigrams.
   for (const auto& [word, count] : tf) {
@@ -35,14 +134,18 @@ Vector HashEmbedder::Embed(std::string_view text) const {
     if (tokenizer::WordTokenizer::IsStopword(word)) {
       w *= options_.stopword_damping;
     }
-    AddFeature(word, w, /*family_salt=*/0x11, &v);
+    AddFeature(HashFeature(word, kUnigramSalt), w, &v);
   }
 
-  // Bigrams (order-sensitive context signal).
+  // Bigrams (order-sensitive context signal), hashed as w1 "\x1f" w2
+  // without building the string: FNV-1a streams, so chaining HashBytes over
+  // the pieces hashes their concatenation.
   if (options_.bigram_weight > 0.0) {
     for (size_t i = 0; i + 1 < words.size(); ++i) {
-      const std::string bigram = words[i] + "\x1f" + words[i + 1];
-      AddFeature(bigram, options_.bigram_weight, /*family_salt=*/0x22, &v);
+      uint64_t h = HashFeature(words[i], kBigramSalt);
+      h = HashBytes("\x1f", 1, h);
+      h = HashBytes(words[i + 1].data(), words[i + 1].size(), h);
+      AddFeature(h, options_.bigram_weight, &v);
     }
   }
 
@@ -54,8 +157,7 @@ Vector HashEmbedder::Embed(std::string_view text) const {
           options_.char_trigram_weight * (1.0 + std::log(count)) /
           static_cast<double>(word.size() - 2);
       for (size_t i = 0; i + 3 <= word.size(); ++i) {
-        AddFeature(std::string_view(word).substr(i, 3), w,
-                   /*family_salt=*/0x33, &v);
+        AddFeature(HashFeature(word.substr(i, 3), kCharTrigramSalt), w, &v);
       }
     }
   }

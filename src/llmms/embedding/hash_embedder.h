@@ -18,6 +18,27 @@ namespace llmms::embedding {
 // properties the orchestration algorithms rely on — texts that share content
 // words embed close under cosine similarity, unrelated texts embed far, and
 // the mapping is deterministic — at a tiny fraction of the cost.
+//
+// Bit-identity contract. The goldens (tests/golden/hash_embedder.golden and
+// every trace built on it) pin these vectors bit for bit, and the float
+// sums depend on the order features are added, so Embed keeps:
+// - Words: WordTokenizer's default rule (ASCII alphanumerics, lower-cased).
+// - Term counts in a fresh std::unordered_map keyed by std::string_view,
+//   filled in token order. It starts from one bucket, as a default-
+//   constructed map does, and is never reserved or reused, so its buckets
+//   grow as a std::string-keyed map's would. The standard makes
+//   std::hash<std::string_view> equal std::hash<std::string>, so the two
+//   iterate in the same order. That order is libstdc++'s, so the bits hold
+//   for libstdc++ builds only (DESIGN.md §7).
+// - Feature order: unigrams in map order, bigrams in text order, then each
+//   word's character trigrams in map order.
+// - Family salts 0x11 (unigram), 0x22 (bigram) and 0x33 (char trigram),
+//   XORed into the seed of an FNV-1a hash (HashBytes) of the feature.
+// - A bigram hashes as w1 "\x1f" w2, streamed through HashBytes piece by
+//   piece: FNV-1a chains, so HashBytes(b, HashBytes(a, s)) equals
+//   HashBytes(a + b, s).
+// - Index h % dimension, sign from MixHash64(h)'s low bit, weight
+//   (1 + ln tf) in double, added to the float lane as a float.
 class HashEmbedder final : public Embedder {
  public:
   struct Options {
@@ -34,13 +55,14 @@ class HashEmbedder final : public Embedder {
   HashEmbedder() : HashEmbedder(Options{}) {}
   explicit HashEmbedder(const Options& options);
 
+  // A zero `dimension` embeds every text as the empty vector.
   Vector Embed(std::string_view text) const override;
   size_t dimension() const override { return options_.dimension; }
   std::string name() const override;
 
  private:
-  void AddFeature(std::string_view feature, double weight, uint64_t family_salt,
-                  Vector* acc) const;
+  uint64_t HashFeature(std::string_view feature, uint64_t family_salt) const;
+  void AddFeature(uint64_t h, double weight, Vector* acc) const;
 
   Options options_;
 };

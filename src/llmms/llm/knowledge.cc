@@ -8,6 +8,25 @@ KnowledgeBase::KnowledgeBase(
       index_(embedder_->dimension(), vectordb::DistanceMetric::kCosine) {}
 
 Status KnowledgeBase::Add(QaItem item) {
+  const Status status = Insert(std::move(item));
+  // A new item may match a memoized prompt better than its resolved slot.
+  if (status.ok()) ResetMemo();
+  return status;
+}
+
+Status KnowledgeBase::AddAll(const std::vector<QaItem>& items) {
+  items_.reserve(items_.size() + items.size());
+  index_.Reserve(items_.size() + items.size());
+  Status status = Status::OK();
+  for (const auto& item : items) {
+    status = Insert(item);
+    if (!status.ok()) break;
+  }
+  ResetMemo();
+  return status;
+}
+
+Status KnowledgeBase::Insert(QaItem item) {
   if (item.question.empty()) {
     return Status::InvalidArgument("QaItem question must not be empty");
   }
@@ -15,18 +34,13 @@ Status KnowledgeBase::Add(QaItem item) {
                          index_.Add(embedder_->EmbedOnce(item.question)));
   (void)slot;  // slots are assigned densely, matching items_ order
   items_.push_back(std::move(item));
-  // A new item may match a memoized prompt better than its resolved slot.
-  std::lock_guard<std::mutex> lock(memo_mu_);
-  memo_size_ = 0;
-  memo_next_ = 0;
   return Status::OK();
 }
 
-Status KnowledgeBase::AddAll(const std::vector<QaItem>& items) {
-  for (const auto& item : items) {
-    LLMMS_RETURN_NOT_OK(Add(item));
-  }
-  return Status::OK();
+void KnowledgeBase::ResetMemo() {
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  memo_size_ = 0;
+  memo_next_ = 0;
 }
 
 const QaItem* KnowledgeBase::Lookup(std::string_view prompt,

@@ -42,6 +42,8 @@ class KnowledgeBase {
   explicit KnowledgeBase(std::shared_ptr<const embedding::Embedder> embedder);
 
   Status Add(QaItem item);
+  // Adds `items` in order, as Add would one by one, and stops at the first
+  // invalid item.
   Status AddAll(const std::vector<QaItem>& items);
 
   // Returns the best-matching item for `prompt`, or nullptr when the base is
@@ -64,6 +66,11 @@ class KnowledgeBase {
     vectordb::SlotId slot = 0;
     double similarity = 0.0;
   };
+
+  // Embeds `item`'s question into the index and appends the item, leaving
+  // the memo alone.
+  Status Insert(QaItem item);
+  void ResetMemo();
 
   std::shared_ptr<const embedding::Embedder> embedder_;
   std::vector<QaItem> items_;

@@ -7,8 +7,8 @@
 namespace llmms::tokenizer {
 namespace {
 
-const std::unordered_set<std::string>& Stopwords() {
-  static const auto* kSet = new std::unordered_set<std::string>{
+const std::unordered_set<std::string_view>& Stopwords() {
+  static const auto* kSet = new std::unordered_set<std::string_view>{
       "a",    "an",   "the",  "is",   "are",  "was",  "were", "be",
       "been", "of",   "to",   "in",   "on",   "at",   "by",   "for",
       "with", "and",  "or",   "not",  "that", "this", "it",   "as",
@@ -22,7 +22,7 @@ const std::unordered_set<std::string>& Stopwords() {
   return *kSet;
 }
 
-bool IsArticle(const std::string& w) {
+bool IsArticle(std::string_view w) {
   return w == "a" || w == "an" || w == "the";
 }
 
@@ -31,35 +31,15 @@ bool IsArticle(const std::string& w) {
 WordTokenizer::WordTokenizer(const Options& options) : options_(options) {}
 
 std::vector<std::string> WordTokenizer::Tokenize(std::string_view text) const {
-  std::vector<std::string> tokens;
-  std::string current;
-  auto flush = [&]() {
-    if (current.empty()) return;
-    if (options_.remove_articles && IsArticle(current)) {
-      current.clear();
-      return;
-    }
-    if (options_.remove_stopwords && Stopwords().count(current) > 0) {
-      current.clear();
-      return;
-    }
-    tokens.push_back(std::move(current));
-    current.clear();
-  };
-  for (char raw : text) {
-    const auto c = static_cast<unsigned char>(raw);
-    const bool keep =
-        std::isalnum(c) || (!options_.strip_punctuation && !std::isspace(c));
-    if (keep) {
-      current += options_.lowercase
-                     ? static_cast<char>(std::tolower(c))
-                     : raw;
-    } else {
-      flush();
-    }
-  }
-  flush();
-  return tokens;
+  std::string buffer(text.size(), '\0');
+  std::vector<std::string_view> views;
+  TokenizeInto(text, buffer.data(), &views);
+  return std::vector<std::string>(views.begin(), views.end());
+}
+
+bool WordTokenizer::Keep(std::string_view word) const {
+  if (options_.remove_articles && IsArticle(word)) return false;
+  return !(options_.remove_stopwords && IsStopword(word));
 }
 
 std::string WordTokenizer::Normalize(std::string_view text) const {
@@ -67,7 +47,7 @@ std::string WordTokenizer::Normalize(std::string_view text) const {
 }
 
 bool WordTokenizer::IsStopword(std::string_view word) {
-  return Stopwords().count(std::string(word)) > 0;
+  return Stopwords().count(word) > 0;
 }
 
 std::vector<std::string> SplitSentences(std::string_view text) {

@@ -1,22 +1,33 @@
 #include "llmms/vectordb/flat_index.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "llmms/vectordb/distance.h"
 
 namespace llmms::vectordb {
 
 StatusOr<SlotId> FlatIndex::Add(const Vector& vector) {
+  return Add(Vector(vector));
+}
+
+StatusOr<SlotId> FlatIndex::Add(Vector&& vector) {
   if (vector.size() != dimension_) {
     return Status::InvalidArgument(
         "vector dimension " + std::to_string(vector.size()) +
         " does not match index dimension " + std::to_string(dimension_));
   }
-  vectors_.push_back(vector);
   norms_.push_back(Norm(vector));
+  vectors_.push_back(std::move(vector));
   removed_.push_back(false);
   ++live_count_;
   return static_cast<SlotId>(vectors_.size() - 1);
+}
+
+void FlatIndex::Reserve(size_t slots) {
+  vectors_.reserve(slots);
+  norms_.reserve(slots);
+  removed_.reserve(slots);
 }
 
 Status FlatIndex::Remove(SlotId slot) {

@@ -17,6 +17,10 @@ class FlatIndex final : public VectorIndex {
       : dimension_(dimension), metric_(metric) {}
 
   StatusOr<SlotId> Add(const Vector& vector) override;
+  // Adds `vector` without copying it.
+  StatusOr<SlotId> Add(Vector&& vector);
+  // Reserves room for `slots` slots in all.
+  void Reserve(size_t slots);
   Status Remove(SlotId slot) override;
   StatusOr<std::vector<IndexHit>> Search(const Vector& query,
                                          size_t k) const override;

@@ -79,6 +79,14 @@ TEST(HashEmbedderTest, NameIncludesDimension) {
   EXPECT_EQ(embedder.Embed("x").size(), 128u);
 }
 
+TEST(HashEmbedderTest, ZeroDimensionEmbedsAsTheEmptyVector) {
+  HashEmbedder::Options opts;
+  opts.dimension = 0;
+  HashEmbedder embedder(opts);
+  EXPECT_TRUE(embedder.Embed("the capital of France is Paris").empty());
+  EXPECT_TRUE(embedder.Embed("").empty());
+}
+
 TEST(SimilarityTest, CosineBoundsAndIdentity) {
   HashEmbedder embedder;
   const auto v = embedder.Embed("identical text");

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "embedding_corpus.h"
 #include "llmms/embedding/embedding_cache.h"
 #include "llmms/embedding/hash_embedder.h"
+#include "llmms/eval/qa_dataset.h"
 #include "llmms/llm/knowledge.h"
+#include "llmms/vectordb/distance.h"
 #include "llmms/llm/registry.h"
 #include "llmms/llm/runtime.h"
 #include "testutil.h"
@@ -91,6 +97,46 @@ TEST(KnowledgeBaseTest, AddAllAndLookupBypassTheEmbeddingCache) {
   EXPECT_EQ(cache->size(), 0u);
   EXPECT_EQ(cache->hits(), 0u);
   EXPECT_EQ(cache->misses(), 0u);
+}
+
+// AddAll reserves once, resets the memo once and moves each question's
+// vector into the index; every prompt must still resolve to the slot and
+// the similarity that adding the items one by one gives.
+TEST(KnowledgeBaseTest, AddAllResolvesLikeItemByItemAdd) {
+  const auto dataset = eval::GenerateDataset(eval::DatasetOptions{});
+  auto embedder = std::make_shared<embedding::HashEmbedder>();
+  KnowledgeBase bulk(embedder);
+  ASSERT_TRUE(bulk.AddAll(dataset).ok());
+  KnowledgeBase one_by_one(embedder);
+  for (const auto& item : dataset) ASSERT_TRUE(one_by_one.Add(item).ok());
+  ASSERT_EQ(bulk.size(), one_by_one.size());
+
+  auto prompts = testutil::MakeRagPrompts(dataset, 40, 0xADDA11ULL);
+  for (const auto& item : dataset) prompts.push_back(item.question);
+  const double kAny = -2.0;  // below every cosine similarity
+  for (const auto& prompt : prompts) {
+    const QaItem* want = one_by_one.Lookup(prompt, kAny);
+    const QaItem* got = bulk.Lookup(prompt, kAny);
+    ASSERT_NE(want, nullptr);
+    ASSERT_NE(got, nullptr);
+    const auto slot = want - one_by_one.items().data();
+    EXPECT_EQ(got - bulk.items().data(), slot) << prompt;
+    // Lookup answers at min_similarity s iff its similarity is >= s, so
+    // this pins both bases' similarity to the winning question's, computed
+    // as FlatIndex computes it.
+    const auto query = embedder->Embed(prompt);
+    const auto row = embedder->Embed(want->question);
+    const double similarity =
+        1.0 - vectordb::Distance(vectordb::DistanceMetric::kCosine, query,
+                                 vectordb::Norm(query), row,
+                                 vectordb::Norm(row));
+    const double above =
+        std::nextafter(similarity, std::numeric_limits<double>::infinity());
+    for (const KnowledgeBase* kb : {&bulk, &one_by_one}) {
+      EXPECT_NE(kb->Lookup(prompt, similarity), nullptr) << prompt;
+      EXPECT_EQ(kb->Lookup(prompt, above), nullptr) << prompt;
+    }
+  }
 }
 
 // The memo stores the best match before the min_similarity cut, so a

@@ -50,6 +50,36 @@ TEST(WordTokenizerTest, IsStopword) {
   EXPECT_FALSE(WordTokenizer::IsStopword("mineral"));
 }
 
+// Word bytes follow ASCII rules, not the process locale: bytes >= 0x80 end
+// a word, digits stay, and only A-Z lower-case.
+TEST(WordTokenizerTest, ClassifiesBytesByAsciiRules) {
+  WordTokenizer tok;
+  EXPECT_EQ(tok.Tokenize("Caf\xc3\xa9 ABC123 na\xefve \xff\x80X9"),
+            (std::vector<std::string>{"caf", "abc123", "na", "ve", "x9"}));
+  WordTokenizer::Options opts;
+  opts.strip_punctuation = false;
+  WordTokenizer keep_punctuation(opts);
+  EXPECT_EQ(keep_punctuation.Tokenize("\xc3\x89T\xc3\xa9 R&D\tOK!"),
+            (std::vector<std::string>{"\xc3\x89t\xc3\xa9", "r&d", "ok!"}));
+}
+
+TEST(WordTokenizerTest, TokenizeIntoViewsOneBuffer) {
+  WordTokenizer::Options opts;
+  opts.remove_articles = true;
+  WordTokenizer tok(opts);
+  const std::string_view text = "The Cat saw an OWL, a dog.";
+  std::string buffer(text.size(), '\0');
+  std::vector<std::string_view> words;
+  tok.TokenizeInto(text, buffer.data(), &words);
+  EXPECT_EQ(words, (std::vector<std::string_view>{"cat", "saw", "owl", "dog"}));
+  for (const auto word : words) {
+    EXPECT_GE(word.data(), buffer.data());
+    EXPECT_LE(word.data() + word.size(), buffer.data() + buffer.size());
+  }
+  EXPECT_EQ(tok.Tokenize(text),
+            (std::vector<std::string>{"cat", "saw", "owl", "dog"}));
+}
+
 TEST(SplitSentencesTest, SplitsOnTerminators) {
   const auto s = SplitSentences("First one. Second one! Third one?");
   ASSERT_EQ(s.size(), 3u);
