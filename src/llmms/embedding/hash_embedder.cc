@@ -1,15 +1,12 @@
 #include "llmms/embedding/hash_embedder.h"
 
-#include <algorithm>
 #include <cmath>
-#include <cstddef>
 #include <functional>
-#include <memory>
-#include <new>
 #include <unordered_map>
 #include <utility>
 
 #include "llmms/common/rng.h"
+#include "llmms/common/scratch.h"
 #include "llmms/tokenizer/word_tokenizer.h"
 
 namespace llmms::embedding {
@@ -19,76 +16,6 @@ namespace {
 constexpr uint64_t kUnigramSalt = 0x11;
 constexpr uint64_t kBigramSalt = 0x22;
 constexpr uint64_t kCharTrigramSalt = 0x33;
-
-// Bump allocation over a 4 KB stack buffer, falling back to doubling heap
-// blocks once it is used up. Nothing is freed before the scratch dies, so a
-// typical question's Embed allocates nothing but its result.
-class Scratch {
- public:
-  Scratch() = default;
-  Scratch(const Scratch&) = delete;
-  Scratch& operator=(const Scratch&) = delete;
-  ~Scratch() {
-    while (heap_ != nullptr) {
-      Block* next = heap_->next;
-      ::operator delete(heap_);
-      heap_ = next;
-    }
-  }
-
-  void* Allocate(size_t bytes, size_t align) {
-    void* p = next_;
-    size_t space = static_cast<size_t>(end_ - next_);
-    if (std::align(align, bytes, p, space) == nullptr) {
-      const size_t size =
-          std::max(next_block_, sizeof(Block) + bytes + align);
-      next_block_ = 2 * size;
-      auto* block = new (::operator new(size)) Block{heap_};
-      heap_ = block;
-      p = block + 1;
-      space = size - sizeof(Block);
-      std::align(align, bytes, p, space);
-      end_ = reinterpret_cast<char*>(block) + size;
-    }
-    next_ = static_cast<char*>(p) + bytes;
-    return p;
-  }
-
- private:
-  struct alignas(std::max_align_t) Block {
-    Block* next;
-  };
-
-  alignas(std::max_align_t) char stack_[4096];
-  char* next_ = stack_;
-  char* end_ = stack_ + sizeof(stack_);
-  Block* heap_ = nullptr;
-  size_t next_block_ = 2 * sizeof(stack_);
-};
-
-template <typename T>
-class ScratchAllocator {
- public:
-  using value_type = T;
-
-  explicit ScratchAllocator(Scratch* scratch) : scratch_(scratch) {}
-  template <typename U>
-  ScratchAllocator(const ScratchAllocator<U>& other)  // NOLINT
-      : scratch_(other.scratch()) {}
-
-  T* allocate(size_t n) {
-    return static_cast<T*>(scratch_->Allocate(n * sizeof(T), alignof(T)));
-  }
-  void deallocate(T*, size_t) {}
-
-  Scratch* scratch() const { return scratch_; }
-  friend bool operator==(const ScratchAllocator& a, const ScratchAllocator& b) {
-    return a.scratch_ == b.scratch_;
-  }
-
- private:
-  Scratch* scratch_;
-};
 
 }  // namespace
 

@@ -2,6 +2,7 @@
 
 #include <cctype>
 
+#include "llmms/common/scratch.h"
 #include "llmms/common/string_util.h"
 
 namespace llmms::tokenizer {
@@ -31,9 +32,12 @@ bool IsArticle(std::string_view w) {
 WordTokenizer::WordTokenizer(const Options& options) : options_(options) {}
 
 std::vector<std::string> WordTokenizer::Tokenize(std::string_view text) const {
-  std::string buffer(text.size(), '\0');
-  std::vector<std::string_view> views;
-  TokenizeInto(text, buffer.data(), &views);
+  Scratch scratch;
+  auto* buffer = static_cast<char*>(scratch.Allocate(text.size(), 1));
+  using Views =
+      std::vector<std::string_view, ScratchAllocator<std::string_view>>;
+  Views views{Views::allocator_type(&scratch)};
+  TokenizeInto(text, buffer, &views);
   return std::vector<std::string>(views.begin(), views.end());
 }
 

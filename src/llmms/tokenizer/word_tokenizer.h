@@ -54,6 +54,9 @@ class WordTokenizer {
   static char AsciiLower(char c) {
     return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
   }
+  bool IsWordByte(unsigned char c) const {
+    return IsAsciiAlnum(c) || (!options_.strip_punctuation && !IsAsciiSpace(c));
+  }
   // False for a word the options remove (articles, stopwords).
   bool Keep(std::string_view word) const;
 
@@ -64,6 +67,15 @@ template <typename Alloc>
 void WordTokenizer::TokenizeInto(
     std::string_view text, char* buffer,
     std::vector<std::string_view, Alloc>* words) const {
+  // Reserve once for every word start, so the views never regrow.
+  size_t starts = 0;
+  bool in_word = false;
+  for (const char raw : text) {
+    const bool word_byte = IsWordByte(static_cast<unsigned char>(raw));
+    starts += word_byte && !in_word;
+    in_word = word_byte;
+  }
+  words->reserve(words->size() + starts);
   char* word = buffer;
   char* end = buffer;
   const auto flush = [&]() {
@@ -76,8 +88,7 @@ void WordTokenizer::TokenizeInto(
     word = end;
   };
   for (const char raw : text) {
-    const auto c = static_cast<unsigned char>(raw);
-    if (IsAsciiAlnum(c) || (!options_.strip_punctuation && !IsAsciiSpace(c))) {
+    if (IsWordByte(static_cast<unsigned char>(raw))) {
       *end++ = options_.lowercase ? AsciiLower(raw) : raw;
     } else {
       flush();
