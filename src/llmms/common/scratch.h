@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <memory>
 #include <new>
+#include <vector>
 
 namespace llmms {
 
@@ -78,6 +79,9 @@ class ScratchAllocator {
  private:
   Scratch* scratch_;
 };
+
+template <typename T>
+using ScratchVector = std::vector<T, ScratchAllocator<T>>;
 
 }  // namespace llmms
 

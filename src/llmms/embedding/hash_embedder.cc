@@ -38,11 +38,7 @@ Vector HashEmbedder::Embed(std::string_view text) const {
   Vector v(options_.dimension, 0.0f);
   static const tokenizer::WordTokenizer kTokenizer;
   Scratch scratch;
-  auto* buffer = static_cast<char*>(scratch.Allocate(text.size(), 1));
-  using Words =
-      std::vector<std::string_view, ScratchAllocator<std::string_view>>;
-  Words words{Words::allocator_type(&scratch)};
-  kTokenizer.TokenizeInto(text, buffer, &words);
+  const auto words = kTokenizer.TokenizeInto(text, &scratch);
   if (words.empty()) return v;
 
   // Term frequencies for sub-linear weighting. The map's iteration order

@@ -2,7 +2,6 @@
 
 #include <cctype>
 
-#include "llmms/common/scratch.h"
 #include "llmms/common/string_util.h"
 
 namespace llmms::tokenizer {
@@ -27,18 +26,67 @@ bool IsArticle(std::string_view w) {
   return w == "a" || w == "an" || w == "the";
 }
 
+bool IsAsciiAlnum(unsigned char c) {
+  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
+         (c >= 'A' && c <= 'Z');
+}
+
+bool IsAsciiSpace(unsigned char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+char AsciiLower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
 }  // namespace
 
 WordTokenizer::WordTokenizer(const Options& options) : options_(options) {}
 
 std::vector<std::string> WordTokenizer::Tokenize(std::string_view text) const {
   Scratch scratch;
-  auto* buffer = static_cast<char*>(scratch.Allocate(text.size(), 1));
-  using Views =
-      std::vector<std::string_view, ScratchAllocator<std::string_view>>;
-  Views views{Views::allocator_type(&scratch)};
-  TokenizeInto(text, buffer, &views);
-  return std::vector<std::string>(views.begin(), views.end());
+  const auto words = TokenizeInto(text, &scratch);
+  return std::vector<std::string>(words.begin(), words.end());
+}
+
+ScratchVector<std::string_view> WordTokenizer::TokenizeInto(
+    std::string_view text, Scratch* scratch) const {
+  ScratchVector<std::string_view> words{
+      ScratchAllocator<std::string_view>(scratch)};
+  // Reserve once for every word start, so the views never regrow.
+  size_t starts = 0;
+  bool in_word = false;
+  for (const char raw : text) {
+    const bool word_byte = IsWordByte(static_cast<unsigned char>(raw));
+    starts += word_byte && !in_word;
+    in_word = word_byte;
+  }
+  words.reserve(starts);
+  auto* buffer = static_cast<char*>(scratch->Allocate(text.size(), 1));
+  char* word = buffer;
+  char* end = buffer;
+  const auto flush = [&]() {
+    const std::string_view w(word, static_cast<size_t>(end - word));
+    if (!w.empty() && Keep(w)) {
+      words.push_back(w);
+    } else {
+      end = word;
+    }
+    word = end;
+  };
+  for (const char raw : text) {
+    if (IsWordByte(static_cast<unsigned char>(raw))) {
+      *end++ = options_.lowercase ? AsciiLower(raw) : raw;
+    } else {
+      flush();
+    }
+  }
+  flush();
+  return words;
+}
+
+bool WordTokenizer::IsWordByte(unsigned char c) const {
+  return IsAsciiAlnum(c) || (!options_.strip_punctuation && !IsAsciiSpace(c));
 }
 
 bool WordTokenizer::Keep(std::string_view word) const {

@@ -6,6 +6,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "llmms/common/scratch.h"
+
 namespace llmms::tokenizer {
 
 // Word-level tokenization with SQuAD-style normalization (lower-case, strip
@@ -27,15 +29,13 @@ class WordTokenizer {
   std::vector<std::string> Tokenize(std::string_view text) const;
 
   // The one word rule, behind Tokenize: writes the normalized words of
-  // `text` into `buffer`, which must hold text.size() bytes, and appends a
-  // view into it for each word, in text order, to `*words`. Word bytes are
-  // classified by ASCII rules, whatever the process locale: [0-9A-Za-z]
-  // are word bytes, and every other byte (bytes >= 0x80 included) ends a
-  // word. Without strip_punctuation, every byte but ASCII whitespace is a
-  // word byte. Lower-casing maps only A-Z.
-  template <typename Alloc>
-  void TokenizeInto(std::string_view text, char* buffer,
-                    std::vector<std::string_view, Alloc>* words) const;
+  // `text` into one buffer in `scratch` and returns a view into it for each
+  // word, in text order. Word bytes are classified by ASCII rules, whatever
+  // the process locale: [0-9A-Za-z] are word bytes, and every other byte
+  // (bytes >= 0x80 included) ends a word. Without strip_punctuation, every
+  // byte but ASCII whitespace is a word byte. Lower-casing maps only A-Z.
+  ScratchVector<std::string_view> TokenizeInto(std::string_view text,
+                                               Scratch* scratch) const;
 
   // Convenience: tokens joined by single spaces.
   std::string Normalize(std::string_view text) const;
@@ -44,58 +44,12 @@ class WordTokenizer {
   static bool IsStopword(std::string_view word);
 
  private:
-  static bool IsAsciiAlnum(unsigned char c) {
-    return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
-           (c >= 'A' && c <= 'Z');
-  }
-  static bool IsAsciiSpace(unsigned char c) {
-    return c == ' ' || (c >= '\t' && c <= '\r');
-  }
-  static char AsciiLower(char c) {
-    return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
-  }
-  bool IsWordByte(unsigned char c) const {
-    return IsAsciiAlnum(c) || (!options_.strip_punctuation && !IsAsciiSpace(c));
-  }
+  bool IsWordByte(unsigned char c) const;
   // False for a word the options remove (articles, stopwords).
   bool Keep(std::string_view word) const;
 
   Options options_;
 };
-
-template <typename Alloc>
-void WordTokenizer::TokenizeInto(
-    std::string_view text, char* buffer,
-    std::vector<std::string_view, Alloc>* words) const {
-  // Reserve once for every word start, so the views never regrow.
-  size_t starts = 0;
-  bool in_word = false;
-  for (const char raw : text) {
-    const bool word_byte = IsWordByte(static_cast<unsigned char>(raw));
-    starts += word_byte && !in_word;
-    in_word = word_byte;
-  }
-  words->reserve(words->size() + starts);
-  char* word = buffer;
-  char* end = buffer;
-  const auto flush = [&]() {
-    const std::string_view w(word, static_cast<size_t>(end - word));
-    if (!w.empty() && Keep(w)) {
-      words->push_back(w);
-    } else {
-      end = word;
-    }
-    word = end;
-  };
-  for (const char raw : text) {
-    if (IsWordByte(static_cast<unsigned char>(raw))) {
-      *end++ = options_.lowercase ? AsciiLower(raw) : raw;
-    } else {
-      flush();
-    }
-  }
-  flush();
-}
 
 // Splits text into sentences on ., !, ? boundaries while keeping common
 // abbreviations intact. Used by the chunker and the extractive summarizer.
