@@ -32,7 +32,7 @@ Status KnowledgeBase::Insert(QaItem item) {
   }
   LLMMS_ASSIGN_OR_RETURN(auto slot,
                          index_.Add(embedder_->EmbedOnce(item.question)));
-  (void)slot;  // slots are assigned densely, matching items_ order
+  (void)slot;  // slots are dense (VectorIndex::Add), matching items_ order
   items_.push_back(std::move(item));
   return Status::OK();
 }

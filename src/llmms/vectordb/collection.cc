@@ -1,6 +1,7 @@
 #include "llmms/vectordb/collection.h"
 
 #include <algorithm>
+#include <cstring>
 #include <mutex>
 
 #include "llmms/vectordb/distance.h"
@@ -28,42 +29,146 @@ std::unique_ptr<VectorIndex> Collection::MakeIndex() const {
                                      hnsw);
 }
 
-Status Collection::TrainQuantizerLocked() {
-  // Collect the live vectors in slot order so the code index's slot
-  // assignment is deterministic for a given insertion history.
-  std::vector<std::pair<SlotId, const Vector*>> live;
-  live.reserve(id_to_slot_.size());
-  for (const auto& [id, slot] : id_to_slot_) {
-    const Vector* v = index_->GetVector(slot);
-    if (v != nullptr) live.emplace_back(slot, v);
+StatusOr<Collection::StoredRecord> Collection::StoredRecord::Pack(
+    const VectorRecord& record) {
+  const size_t words = 3 + 2 * record.metadata.size();
+  size_t bytes = words * sizeof(uint32_t) + record.id.size() +
+                 record.document.size();
+  for (const auto& [key, value] : record.metadata) {
+    bytes += key.size() + value.size();
   }
-  std::sort(live.begin(), live.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  if (bytes > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument("record '" + record.id +
+                                   "' exceeds 4 GiB packed");
+  }
+  StoredRecord stored;
+  stored.bytes_ = std::make_unique_for_overwrite<char[]>(bytes);
+  char* header = stored.bytes_.get();
+  char* payload = header + words * sizeof(uint32_t);
+  auto put = [&](std::string_view text) {
+    const auto size = static_cast<uint32_t>(text.size());
+    std::memcpy(header, &size, sizeof(size));
+    header += sizeof(size);
+    std::memcpy(payload, text.data(), text.size());
+    payload += text.size();
+  };
+  const auto entries = static_cast<uint32_t>(record.metadata.size());
+  std::memcpy(header, &entries, sizeof(entries));
+  header += sizeof(entries);
+  put(record.id);
+  put(record.document);
+  for (const auto& [key, value] : record.metadata) {
+    put(key);
+    put(value);
+  }
+  return stored;
+}
+
+uint32_t Collection::StoredRecord::Word(size_t i) const {
+  uint32_t word;
+  std::memcpy(&word, bytes_.get() + i * sizeof(word), sizeof(word));
+  return word;
+}
+
+std::string_view Collection::StoredRecord::id() const {
+  const char* payload = bytes_.get() + (3 + 2 * Word(0)) * sizeof(uint32_t);
+  return {payload, Word(1)};
+}
+
+std::string_view Collection::StoredRecord::document() const {
+  const char* payload = bytes_.get() + (3 + 2 * Word(0)) * sizeof(uint32_t);
+  return {payload + Word(1), Word(2)};
+}
+
+template <typename Fn>
+void Collection::StoredRecord::ForEachEntry(Fn&& fn) const {
+  const uint32_t entries = Word(0);
+  const char* at = bytes_.get() + (3 + 2 * entries) * sizeof(uint32_t) +
+                   Word(1) + Word(2);
+  for (uint32_t e = 0; e < entries; ++e) {
+    const uint32_t key_size = Word(3 + 2 * e);
+    const uint32_t value_size = Word(4 + 2 * e);
+    if (!fn(std::string_view(at, key_size),
+            std::string_view(at + key_size, value_size))) {
+      return;
+    }
+    at += key_size + value_size;
+  }
+}
+
+bool Collection::StoredRecord::MatchesFilter(
+    const MetadataFilter& filter) const {
+  for (const auto& [key, value] : filter) {
+    bool matched = false;
+    ForEachEntry([&](std::string_view k, std::string_view v) {
+      if (k != key) return true;
+      matched = v == value;
+      return false;
+    });
+    if (!matched) return false;
+  }
+  return true;
+}
+
+Metadata Collection::StoredRecord::metadata() const {
+  Metadata metadata;
+  ForEachEntry([&](std::string_view key, std::string_view value) {
+    metadata.emplace_hint(metadata.end(), key, value);
+    return true;
+  });
+  return metadata;
+}
+
+Status Collection::TrainQuantizerLocked() {
+  // Sample the live vectors in slot order so the code index's slot
+  // assignment is deterministic for a given insertion history.
+  std::vector<SlotId> live;
   std::vector<Vector> sample;
-  sample.reserve(live.size());
-  for (const auto& [slot, v] : live) sample.push_back(*v);
+  live.reserve(id_to_slot_.size());
+  sample.reserve(id_to_slot_.size());
+  for (SlotId slot = 0; slot < records_.size(); ++slot) {
+    if (!records_[slot].live()) continue;
+    live.push_back(slot);
+    sample.push_back(*index_->GetVector(slot));
+  }
 
   ScalarQuantizer quantizer;
   LLMMS_RETURN_NOT_OK(quantizer.Train(sample));
   auto qindex =
       std::make_unique<QuantizedFlatIndex>(quantizer, options_.metric);
-  std::unordered_map<SlotId, SlotId> slot_to_qslot;
-  std::unordered_map<SlotId, SlotId> qslot_to_slot;
-  for (const auto& [slot, v] : live) {
-    LLMMS_ASSIGN_OR_RETURN(SlotId qslot, qindex->Add(*v));
-    slot_to_qslot[slot] = qslot;
-    qslot_to_slot[qslot] = slot;
+  slot_to_qslot_.clear();
+  qslot_to_slot_.clear();
+  for (size_t i = 0; i < live.size(); ++i) {
+    LLMMS_ASSIGN_OR_RETURN(SlotId qslot, qindex->Add(sample[i]));
+    MapQuantizedLocked(live[i], qslot);
   }
   qindex_ = std::move(qindex);
-  slot_to_qslot_ = std::move(slot_to_qslot);
-  qslot_to_slot_ = std::move(qslot_to_slot);
   return Status::OK();
 }
 
-Status Collection::AddToQuantizedLocked(SlotId slot, const Vector& vector) {
-  LLMMS_ASSIGN_OR_RETURN(SlotId qslot, qindex_->Add(vector));
+void Collection::MapQuantizedLocked(SlotId slot, SlotId qslot) {
+  if (slot >= slot_to_qslot_.size()) slot_to_qslot_.resize(slot + 1, kNoSlot);
+  if (qslot >= qslot_to_slot_.size()) {
+    qslot_to_slot_.resize(qslot + 1, kNoSlot);
+  }
   slot_to_qslot_[slot] = qslot;
   qslot_to_slot_[qslot] = slot;
+}
+
+Status Collection::RemoveLocked(
+    std::unordered_map<std::string_view, SlotId>::iterator it) {
+  const SlotId slot = it->second;
+  LLMMS_RETURN_NOT_OK(index_->Remove(slot));
+  if (qindex_ != nullptr && slot < slot_to_qslot_.size() &&
+      slot_to_qslot_[slot] != kNoSlot) {
+    const SlotId qslot = slot_to_qslot_[slot];
+    LLMMS_RETURN_NOT_OK(qindex_->Remove(qslot));
+    qslot_to_slot_[qslot] = kNoSlot;
+    slot_to_qslot_[slot] = kNoSlot;
+  }
+  // The key views the record's bytes: erase it before freeing them.
+  id_to_slot_.erase(it);
+  records_[slot] = StoredRecord();
   return Status::OK();
 }
 
@@ -77,28 +182,23 @@ Status Collection::Upsert(VectorRecord record) {
         " does not match collection dimension " +
         std::to_string(options_.dimension));
   }
+  LLMMS_ASSIGN_OR_RETURN(StoredRecord stored, StoredRecord::Pack(record));
   std::unique_lock<std::shared_mutex> lock(mu_);
   auto existing = id_to_slot_.find(record.id);
   if (existing != id_to_slot_.end()) {
-    LLMMS_RETURN_NOT_OK(index_->Remove(existing->second));
-    if (qindex_ != nullptr) {
-      auto q = slot_to_qslot_.find(existing->second);
-      if (q != slot_to_qslot_.end()) {
-        LLMMS_RETURN_NOT_OK(qindex_->Remove(q->second));
-        qslot_to_slot_.erase(q->second);
-        slot_to_qslot_.erase(q);
-      }
-    }
-    slot_to_record_.erase(existing->second);
-    id_to_slot_.erase(existing);
+    LLMMS_RETURN_NOT_OK(RemoveLocked(existing));
   }
   LLMMS_ASSIGN_OR_RETURN(SlotId slot, index_->Add(record.vector));
-  id_to_slot_[record.id] = slot;
-  const Vector vector = std::move(record.vector);
-  slot_to_record_[slot] = std::move(record);
+  if (slot != records_.size()) {
+    return Status::Internal("index assigned slot " + std::to_string(slot) +
+                            " after " + std::to_string(records_.size()));
+  }
+  records_.push_back(std::move(stored));
+  id_to_slot_.emplace(records_.back().id(), slot);
   if (options_.quantization.enabled) {
     if (qindex_ != nullptr) {
-      LLMMS_RETURN_NOT_OK(AddToQuantizedLocked(slot, vector));
+      LLMMS_ASSIGN_OR_RETURN(SlotId qslot, qindex_->Add(record.vector));
+      MapQuantizedLocked(slot, qslot);
     } else if (id_to_slot_.size() >=
                std::max<size_t>(1, options_.quantization.train_size)) {
       LLMMS_RETURN_NOT_OK(TrainQuantizerLocked());
@@ -121,18 +221,7 @@ Status Collection::Delete(const std::string& id) {
     return Status::NotFound("no record with id '" + id + "' in collection '" +
                             name_ + "'");
   }
-  LLMMS_RETURN_NOT_OK(index_->Remove(it->second));
-  if (qindex_ != nullptr) {
-    auto q = slot_to_qslot_.find(it->second);
-    if (q != slot_to_qslot_.end()) {
-      LLMMS_RETURN_NOT_OK(qindex_->Remove(q->second));
-      qslot_to_slot_.erase(q->second);
-      slot_to_qslot_.erase(q);
-    }
-  }
-  slot_to_record_.erase(it->second);
-  id_to_slot_.erase(it);
-  return Status::OK();
+  return RemoveLocked(it);
 }
 
 StatusOr<VectorRecord> Collection::Get(const std::string& id) const {
@@ -142,8 +231,12 @@ StatusOr<VectorRecord> Collection::Get(const std::string& id) const {
     return Status::NotFound("no record with id '" + id + "' in collection '" +
                             name_ + "'");
   }
-  VectorRecord record = slot_to_record_.at(it->second);
+  const StoredRecord& stored = records_[it->second];
+  VectorRecord record;
+  record.id = id;
   record.vector = *index_->GetVector(it->second);
+  record.metadata = stored.metadata();
+  record.document = stored.document();
   return record;
 }
 
@@ -165,12 +258,12 @@ StatusOr<std::vector<IndexHit>> Collection::CandidatesLocked(
   std::vector<IndexHit> hits;
   hits.reserve(qhits.size());
   for (const IndexHit& qh : qhits) {
-    auto it = qslot_to_slot_.find(qh.slot);
-    if (it == qslot_to_slot_.end()) continue;
-    const Vector* v = index_->GetVector(it->second);
+    const SlotId slot = qslot_to_slot_[qh.slot];
+    if (slot == kNoSlot) continue;
+    const Vector* v = index_->GetVector(slot);
     if (v == nullptr) continue;
-    hits.push_back(IndexHit{it->second, Distance(options_.metric, query,
-                                                 query_norm, *v, Norm(*v))});
+    hits.push_back(IndexHit{
+        slot, Distance(options_.metric, query, query_norm, *v, Norm(*v))});
   }
   std::sort(hits.begin(), hits.end(), [](const IndexHit& a, const IndexHit& b) {
     if (a.distance != b.distance) return a.distance < b.distance;
@@ -185,11 +278,11 @@ StatusOr<std::vector<QueryResult>> Collection::Query(
   std::shared_lock<std::shared_mutex> lock(mu_);
   queries_.fetch_add(1, std::memory_order_relaxed);
   std::vector<QueryResult> out;
-  if (k == 0 || slot_to_record_.empty()) return out;
+  if (k == 0 || id_to_slot_.empty()) return out;
 
   struct Kept {
     double distance;
-    const VectorRecord* record;
+    const StoredRecord* record;
   };
   // The selected top-k is ordered by (distance, id) while the index cuts
   // its candidate list by (distance, slot), so fetch at least one past k:
@@ -201,17 +294,16 @@ StatusOr<std::vector<QueryResult>> Collection::Query(
     LLMMS_ASSIGN_OR_RETURN(auto hits, CandidatesLocked(query, fetch));
     kept.clear();
     for (const IndexHit& hit : hits) {
-      auto it = slot_to_record_.find(hit.slot);
-      if (it == slot_to_record_.end()) continue;
-      if (!MatchesFilter(it->second.metadata, filter)) continue;
-      kept.push_back(Kept{hit.distance, &it->second});
+      const StoredRecord& record = records_[hit.slot];
+      if (!record.live() || !record.MatchesFilter(filter)) continue;
+      kept.push_back(Kept{hit.distance, &record});
     }
     std::sort(kept.begin(), kept.end(), [](const Kept& a, const Kept& b) {
       if (a.distance != b.distance) return a.distance < b.distance;
-      return a.record->id < b.record->id;
+      return a.record->id() < b.record->id();
     });
     const bool exhausted =
-        hits.size() < fetch || fetch >= slot_to_record_.size();
+        hits.size() < fetch || fetch >= id_to_slot_.size();
     if (exhausted) break;
     // The boundary is decided once the worst fetched candidate is strictly
     // farther than the k-th kept one; otherwise an unfetched record could
@@ -222,12 +314,11 @@ StatusOr<std::vector<QueryResult>> Collection::Query(
   if (kept.size() > k) kept.resize(k);
   out.reserve(kept.size());
   for (const Kept& item : kept) {
-    const VectorRecord& rec = *item.record;
     QueryResult qr;
-    qr.id = rec.id;
+    qr.id = item.record->id();
     qr.score = SimilarityFromDistance(options_.metric, item.distance);
-    qr.metadata = rec.metadata;
-    qr.document = rec.document;
+    qr.metadata = item.record->metadata();
+    qr.document = item.record->document();
     out.push_back(std::move(qr));
   }
   return out;
@@ -237,7 +328,7 @@ std::vector<std::string> Collection::Ids() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   std::vector<std::string> ids;
   ids.reserve(id_to_slot_.size());
-  for (const auto& [id, slot] : id_to_slot_) ids.push_back(id);
+  for (const auto& [id, slot] : id_to_slot_) ids.emplace_back(id);
   return ids;
 }
 

@@ -2,9 +2,12 @@
 #define LLMMS_VECTORDB_COLLECTION_H_
 
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -121,12 +124,47 @@ class Collection final : public CollectionBase {
   }
 
  private:
+  // One record without its vector (the index holds that copy), packed into
+  // a single allocation: a header of uint32 sizes (entry count, id,
+  // document, then each key and value), followed by the id, the document
+  // and the metadata entries in key order. Queries filter on the packed
+  // entries and build a Metadata only for the records they return. Empty
+  // once its record is deleted or replaced.
+  class StoredRecord {
+   public:
+    StoredRecord() = default;
+    // InvalidArgument when the packed record would exceed 4 GiB.
+    static StatusOr<StoredRecord> Pack(const VectorRecord& record);
+
+    bool live() const { return bytes_ != nullptr; }
+    std::string_view id() const;
+    std::string_view document() const;
+    // Whether every (key, value) pair of `filter` is among the entries.
+    bool MatchesFilter(const MetadataFilter& filter) const;
+    Metadata metadata() const;
+
+   private:
+    uint32_t Word(size_t i) const;
+    // Calls fn(key, value) per entry in key order until it returns false.
+    template <typename Fn>
+    void ForEachEntry(Fn&& fn) const;
+
+    std::unique_ptr<char[]> bytes_;
+  };
+
+  // A slot in no quantized index (slot_to_qslot_/qslot_to_slot_).
+  static constexpr SlotId kNoSlot = std::numeric_limits<SlotId>::max();
+
   std::unique_ptr<VectorIndex> MakeIndex() const;
+  // Tombstones the record `it` names in the indexes and frees it; caller
+  // holds the exclusive lock.
+  Status RemoveLocked(
+      std::unordered_map<std::string_view, SlotId>::iterator it);
   // Trains the quantizer over the live set and back-fills the code index;
   // caller holds the exclusive lock.
   Status TrainQuantizerLocked();
-  // Adds one vector to the code index; caller holds the exclusive lock.
-  Status AddToQuantizedLocked(SlotId slot, const Vector& vector);
+  // Records that `slot` is stored at `qslot` in the code index.
+  void MapQuantizedLocked(SlotId slot, SlotId qslot);
   // Candidate hits for one fetch size: the exact index directly, or the
   // two-stage quantized scan + full-precision re-rank.
   StatusOr<std::vector<IndexHit>> CandidatesLocked(const Vector& query,
@@ -137,16 +175,18 @@ class Collection final : public CollectionBase {
 
   mutable std::shared_mutex mu_;
   std::unique_ptr<VectorIndex> index_;
-  std::unordered_map<std::string, SlotId> id_to_slot_;
-  // Records without their vectors: the index holds the one stored copy,
-  // and Get reads it back from there.
-  std::unordered_map<SlotId, VectorRecord> slot_to_record_;
+  // Live ids; each key views the id inside its record's packed bytes, so
+  // an entry is erased before its record is freed.
+  std::unordered_map<std::string_view, SlotId> id_to_slot_;
+  // Indexed by slot: index_ assigns slots densely (VectorIndex::Add), so
+  // slot i's record is records_[i], empty for a deleted slot.
+  std::vector<StoredRecord> records_;
   // Two-stage state (null until the quantizer trains). Slots in the code
   // index are assigned independently of the main index, so both directions
-  // of the mapping are kept.
+  // are kept, each indexed by its own slots; kNoSlot marks no counterpart.
   std::unique_ptr<QuantizedFlatIndex> qindex_;
-  std::unordered_map<SlotId, SlotId> slot_to_qslot_;
-  std::unordered_map<SlotId, SlotId> qslot_to_slot_;
+  std::vector<SlotId> slot_to_qslot_;
+  std::vector<SlotId> qslot_to_slot_;
 
   mutable std::atomic<uint64_t> queries_{0};
   std::atomic<size_t> quant_overfetch_{4};

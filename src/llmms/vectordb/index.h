@@ -36,10 +36,15 @@ class VectorIndex {
  public:
   virtual ~VectorIndex() = default;
 
-  // Inserts a vector and returns its slot. Fails on dimension mismatch.
+  // Inserts a vector and returns its slot. Fails on dimension mismatch,
+  // consuming no slot. Slots are dense and never reused: the n-th
+  // successful Add returns n - 1 (0, 1, 2, ...), whatever was removed
+  // before it, so callers may keep per-slot state in arrays indexed by
+  // slot (Collection's records, KnowledgeBase's items).
   virtual StatusOr<SlotId> Add(const Vector& vector) = 0;
 
-  // Tombstones a slot; it no longer appears in search results.
+  // Tombstones a slot; it no longer appears in search results and its
+  // number is not handed out again.
   virtual Status Remove(SlotId slot) = 0;
 
   // Returns up to k nearest live slots to `query`, closest first.

@@ -45,15 +45,6 @@ struct QueryResult {
 // An empty filter matches everything.
 using MetadataFilter = std::map<std::string, std::string>;
 
-inline bool MatchesFilter(const Metadata& metadata,
-                          const MetadataFilter& filter) {
-  for (const auto& [key, value] : filter) {
-    auto it = metadata.find(key);
-    if (it == metadata.end() || it->second != value) return false;
-  }
-  return true;
-}
-
 }  // namespace llmms::vectordb
 
 #endif  // LLMMS_VECTORDB_TYPES_H_
