@@ -47,24 +47,14 @@ StatusOr<std::vector<IndexHit>> FlatIndex::Search(const Vector& query,
     return Status::InvalidArgument("query dimension mismatch");
   }
   const double query_norm = Norm(query);
-  std::vector<IndexHit> hits;
-  hits.reserve(vectors_.size());
+  TopHits top(std::min(k, live_count_));
   for (size_t i = 0; i < vectors_.size(); ++i) {
     if (removed_[i]) continue;
-    hits.push_back(IndexHit{
+    top.Push(IndexHit{
         static_cast<SlotId>(i),
         Distance(metric_, query, query_norm, vectors_[i], norms_[i])});
   }
-  const size_t limit = std::min(k, hits.size());
-  std::partial_sort(hits.begin(), hits.begin() + static_cast<ptrdiff_t>(limit),
-                    hits.end(), [](const IndexHit& a, const IndexHit& b) {
-                      if (a.distance != b.distance) {
-                        return a.distance < b.distance;
-                      }
-                      return a.slot < b.slot;
-                    });
-  hits.resize(limit);
-  return hits;
+  return std::move(top).Take();
 }
 
 const Vector* FlatIndex::GetVector(SlotId slot) const {

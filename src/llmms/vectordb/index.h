@@ -1,6 +1,7 @@
 #ifndef LLMMS_VECTORDB_INDEX_H_
 #define LLMMS_VECTORDB_INDEX_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -19,6 +20,41 @@ using SlotId = uint32_t;
 struct IndexHit {
   SlotId slot;
   double distance;
+};
+
+// The index tie order: distance ascending, then slot ascending.
+inline bool CloserHit(const IndexHit& a, const IndexHit& b) {
+  if (a.distance != b.distance) return a.distance < b.distance;
+  return a.slot < b.slot;
+}
+
+// The `limit` closest hits pushed so far, under CloserHit. A max-heap keeps
+// the worst kept hit on top, so a scan costs one comparison per farther hit
+// and builds no hit for it.
+class TopHits {
+ public:
+  explicit TopHits(size_t limit) : limit_(limit) { heap_.reserve(limit); }
+
+  void Push(const IndexHit& hit) {
+    if (heap_.size() < limit_) {
+      heap_.push_back(hit);
+      std::push_heap(heap_.begin(), heap_.end(), CloserHit);
+    } else if (limit_ > 0 && CloserHit(hit, heap_.front())) {
+      std::pop_heap(heap_.begin(), heap_.end(), CloserHit);
+      heap_.back() = hit;
+      std::push_heap(heap_.begin(), heap_.end(), CloserHit);
+    }
+  }
+
+  // The kept hits, closest first.
+  std::vector<IndexHit> Take() && {
+    std::sort(heap_.begin(), heap_.end(), CloserHit);
+    return std::move(heap_);
+  }
+
+ private:
+  size_t limit_;
+  std::vector<IndexHit> heap_;
 };
 
 // Nearest-neighbor index over raw vectors. Implementations: FlatIndex

@@ -111,13 +111,6 @@ Status QuantizedFlatIndex::Remove(SlotId slot) {
 
 namespace {
 
-// "Better hit" under the index tie order (distance asc, slot asc). Used as
-// the `less` of a max-heap so the worst kept hit sits on top.
-inline bool BetterHit(const IndexHit& a, const IndexHit& b) {
-  if (a.distance != b.distance) return a.distance < b.distance;
-  return a.slot < b.slot;
-}
-
 // dot(w, codes) with eight independent accumulators: a single float
 // accumulator serializes the scan on FMA latency (strict FP ordering also
 // blocks auto-vectorization of the reduction), and this loop is the whole
@@ -174,9 +167,8 @@ StatusOr<std::vector<IndexHit>> QuantizedFlatIndex::Search(const Vector& query,
   const size_t dim = dimension();
   const size_t slots = removed_.size();
   const size_t limit = std::min(k, live_count_);
-  std::vector<IndexHit> heap;
-  if (limit == 0) return heap;
-  heap.reserve(limit + 1);
+  if (limit == 0) return std::vector<IndexHit>();
+  TopHits top(limit);
 
   // With decode(c)_d = min_d + c_d * step_d every metric reduces to a
   // constant plus a per-dimension polynomial in the raw code, so the scan
@@ -207,15 +199,7 @@ StatusOr<std::vector<IndexHit>> QuantizedFlatIndex::Search(const Vector& query,
   const double query_norm = std::sqrt(query_norm2);
 
   auto push = [&](SlotId slot, double distance) {
-    const IndexHit hit{slot, distance};
-    if (heap.size() < limit) {
-      heap.push_back(hit);
-      std::push_heap(heap.begin(), heap.end(), BetterHit);
-    } else if (BetterHit(hit, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), BetterHit);
-      heap.back() = hit;
-      std::push_heap(heap.begin(), heap.end(), BetterHit);
-    }
+    top.Push(IndexHit{slot, distance});
   };
 
   const uint8_t* codes = codes_.data();
@@ -255,8 +239,7 @@ StatusOr<std::vector<IndexHit>> QuantizedFlatIndex::Search(const Vector& query,
     }
   }
 
-  std::sort(heap.begin(), heap.end(), BetterHit);
-  return heap;
+  return std::move(top).Take();
 }
 
 const Vector* QuantizedFlatIndex::GetVector(SlotId slot) const {

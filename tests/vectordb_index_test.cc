@@ -9,6 +9,7 @@
 #include "llmms/vectordb/distance.h"
 #include "llmms/vectordb/flat_index.h"
 #include "llmms/vectordb/hnsw_index.h"
+#include "llmms/vectordb/quantizer.h"
 
 namespace llmms::vectordb {
 namespace {
@@ -167,6 +168,107 @@ TEST(FlatIndexTest, KLargerThanSize) {
   auto hits = index.Search({0.0f}, 100);
   ASSERT_TRUE(hits.ok());
   EXPECT_EQ(hits->size(), 1u);
+}
+
+// The bounded top-k scan returns exactly what ranking every live row by
+// (distance, slot) with partial_sort and cutting at k returns: the same
+// slots, distance bits and order, with duplicate rows tied at every
+// distance and tombstones in between.
+TEST(FlatIndexTest, TopKMatchesPartialSortReference) {
+  constexpr size_t kDim = 8;
+  for (DistanceMetric metric : {DistanceMetric::kCosine, DistanceMetric::kL2,
+                                DistanceMetric::kInnerProduct}) {
+    SCOPED_TRACE(DistanceMetricToString(metric));
+    Rng rng(0x70B0 + static_cast<uint64_t>(metric));
+    FlatIndex index(kDim, metric);
+    std::vector<Vector> rows;
+    for (size_t i = 0; i < 200; ++i) {
+      Vector v(kDim, 0.0f);
+      if (i > 0 && rng.Bernoulli(0.25)) {
+        v = rows[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(i) - 1))];
+      } else if (i % 50 != 3) {  // rows 3, 53, ... stay zero vectors
+        for (auto& x : v) x = static_cast<float>(rng.Normal());
+      }
+      rows.push_back(v);
+      ASSERT_TRUE(index.Add(v).ok());
+    }
+    std::vector<bool> removed(rows.size(), false);
+    for (size_t i = 0; i < rows.size(); i += 7) {
+      ASSERT_TRUE(index.Remove(static_cast<SlotId>(i)).ok());
+      removed[i] = true;
+    }
+    for (int q = 0; q < 12; ++q) {
+      // Even queries are stored rows, so their duplicates tie at the top.
+      Vector query(kDim);
+      if (q % 2 == 0) {
+        query = rows[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(rows.size()) - 1))];
+      } else {
+        for (auto& x : query) x = static_cast<float>(rng.Normal());
+      }
+      std::vector<IndexHit> all;
+      for (size_t i = 0; i < rows.size(); ++i) {
+        if (removed[i]) continue;
+        all.push_back(IndexHit{static_cast<SlotId>(i),
+                               Distance(metric, query, rows[i])});
+      }
+      for (size_t k : {0u, 1u, 3u, 10u, 170u, 171u, 500u}) {
+        std::vector<IndexHit> reference = all;
+        const size_t limit = std::min(k, reference.size());
+        std::partial_sort(
+            reference.begin(), reference.begin() + static_cast<ptrdiff_t>(limit),
+            reference.end(), [](const IndexHit& a, const IndexHit& b) {
+              if (a.distance != b.distance) return a.distance < b.distance;
+              return a.slot < b.slot;
+            });
+        reference.resize(limit);
+        auto hits = index.Search(query, k);
+        ASSERT_TRUE(hits.ok());
+        ASSERT_EQ(hits->size(), reference.size()) << "k=" << k;
+        for (size_t h = 0; h < reference.size(); ++h) {
+          EXPECT_EQ((*hits)[h].slot, reference[h].slot) << "k=" << k;
+          EXPECT_EQ((*hits)[h].distance, reference[h].distance) << "k=" << k;
+        }
+      }
+    }
+  }
+}
+
+// VectorIndex::Add's contract: slots are dense and never reused. The n-th
+// successful Add returns n - 1, after removals and failed adds alike.
+TEST(VectorIndexTest, AddAssignsDenseSlots) {
+  constexpr size_t kDim = 4;
+  Rng rng(0xD5);
+  std::vector<Vector> sample;
+  for (int i = 0; i < 32; ++i) sample.push_back(RandomUnitVector(&rng, kDim));
+  ScalarQuantizer quantizer;
+  ASSERT_TRUE(quantizer.Train(sample).ok());
+  std::vector<std::unique_ptr<VectorIndex>> indexes;
+  indexes.push_back(std::make_unique<FlatIndex>(kDim, DistanceMetric::kCosine));
+  indexes.push_back(std::make_unique<HnswIndex>(kDim, DistanceMetric::kCosine));
+  indexes.push_back(
+      std::make_unique<QuantizedFlatIndex>(quantizer, DistanceMetric::kCosine));
+  for (size_t n = 0; n < indexes.size(); ++n) {
+    SCOPED_TRACE(n);
+    VectorIndex& index = *indexes[n];
+    SlotId expected = 0;
+    for (SlotId round = 0; round < 3; ++round) {
+      for (int i = 0; i < 5; ++i) {
+        auto slot = index.Add(RandomUnitVector(&rng, kDim));
+        ASSERT_TRUE(slot.ok());
+        EXPECT_EQ(*slot, expected++);
+      }
+      EXPECT_TRUE(index.Add(Vector(kDim + 1, 1.0f)).status().IsInvalidArgument());
+      // Remove the newest slot and an older one; neither number returns.
+      ASSERT_TRUE(index.Remove(expected - 1).ok());
+      ASSERT_TRUE(index.Remove(round).ok());
+    }
+    EXPECT_EQ(index.size(), 9u);
+    auto slot = index.Add(RandomUnitVector(&rng, kDim));
+    ASSERT_TRUE(slot.ok());
+    EXPECT_EQ(*slot, 15u);
+  }
 }
 
 TEST(HnswIndexTest, ExactOnTinySets) {
