@@ -44,33 +44,120 @@ TEST(ConcurrencyTest, ParallelAsksAcrossSessions) {
   EXPECT_EQ(sessions->size(), 8u);
 }
 
+// Writers insert, replace ids with new metadata and delete, so slots are
+// cleared while readers run Get and filtered queries beside them; every
+// record a reader sees must carry its own id's metadata and document.
 TEST(ConcurrencyTest, ParallelCollectionUpsertsAndQueries) {
   vectordb::Collection::Options opts;
   opts.dimension = 8;
   opts.index_kind = vectordb::IndexKind::kHnsw;
   vectordb::Collection collection("c", opts);
 
+  constexpr int kWriters = 6;
+  constexpr int kRecords = 100;
+  auto make_record = [](Rng* rng, const std::string& owner,
+                        const std::string& id, int version) {
+    vectordb::VectorRecord record;
+    record.id = id;
+    record.vector.resize(8);
+    for (auto& x : record.vector) x = static_cast<float>(rng->Normal());
+    record.metadata["owner"] = owner;
+    record.metadata["id"] = id;
+    record.metadata["version"] = std::to_string(version);
+    record.document = id + " v" + std::to_string(version);
+    return record;
+  };
+  // A record is consistent when its metadata and document name its id.
+  auto consistent = [](const std::string& id,
+                       const vectordb::Metadata& metadata,
+                       const std::string& document) {
+    auto id_it = metadata.find("id");
+    auto version_it = metadata.find("version");
+    return metadata.size() == 3 && id_it != metadata.end() &&
+           id_it->second == id && version_it != metadata.end() &&
+           document == id + " v" + version_it->second;
+  };
+
   std::atomic<int> failures{0};
+  std::atomic<int> writers_left{kWriters};
   std::vector<std::thread> threads;
-  for (int t = 0; t < 6; ++t) {
+  for (int t = 0; t < kWriters; ++t) {
     threads.emplace_back([&, t]() {
       Rng rng(static_cast<uint64_t>(t) + 1);
-      for (int i = 0; i < 100; ++i) {
-        vectordb::VectorRecord record;
-        record.id = "t" + std::to_string(t) + "-" + std::to_string(i);
-        record.vector.resize(8);
-        for (auto& x : record.vector) x = static_cast<float>(rng.Normal());
-        if (!collection.Upsert(std::move(record)).ok()) ++failures;
+      const std::string owner = "t" + std::to_string(t);
+      auto id_of = [&](int i) { return owner + "-" + std::to_string(i); };
+      for (int i = 0; i < kRecords; ++i) {
+        if (!collection.Upsert(make_record(&rng, owner, id_of(i), 0)).ok()) {
+          ++failures;
+        }
+        // Replace the previous id with a new vector and new metadata.
+        if (i % 4 == 3 &&
+            !collection.Upsert(make_record(&rng, owner, id_of(i - 1), 1))
+                 .ok()) {
+          ++failures;
+        }
+        // Delete an older id; it is never replaced afterwards.
+        if (i % 5 == 4 && !collection.Delete(id_of(i - 2)).ok()) ++failures;
         if (i % 10 == 0) {
           vectordb::Vector query(8, 0.5f);
           if (!collection.Query(query, 3).ok()) ++failures;
+        }
+      }
+      --writers_left;
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r]() {
+      Rng rng(static_cast<uint64_t>(r) + 100);
+      // Bounded, and yielding: back-to-back shared locks would starve the
+      // writers' exclusive ones.
+      for (int n = 0; n < 400 && writers_left.load() > 0; ++n) {
+        std::this_thread::yield();
+        const std::string owner =
+            "t" + std::to_string(rng.UniformInt(0, kWriters - 1));
+        const std::string id =
+            owner + "-" + std::to_string(rng.UniformInt(0, kRecords - 1));
+        auto record = collection.Get(id);
+        if (record.ok()) {
+          if (record->id != id || record->vector.size() != 8 ||
+              !consistent(id, record->metadata, record->document)) {
+            ++failures;
+          }
+        } else if (!record.status().IsNotFound()) {
+          ++failures;
+        }
+        vectordb::Vector query(8);
+        for (auto& x : query) x = static_cast<float>(rng.Normal());
+        auto hits = collection.Query(query, 5, {{"owner", owner}});
+        if (!hits.ok()) {
+          ++failures;
+          continue;
+        }
+        for (const auto& hit : *hits) {
+          auto owner_it = hit.metadata.find("owner");
+          if (owner_it == hit.metadata.end() || owner_it->second != owner ||
+              !consistent(hit.id, hit.metadata, hit.document)) {
+            ++failures;
+          }
         }
       }
     });
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(collection.size(), 600u);
+  // Each writer deletes 20 of its 100 ids.
+  EXPECT_EQ(collection.size(), static_cast<size_t>(kWriters * 80));
+  for (int t = 0; t < kWriters; ++t) {
+    for (int i = 0; i < kRecords; ++i) {
+      const std::string id = "t" + std::to_string(t) + "-" + std::to_string(i);
+      auto record = collection.Get(id);
+      const bool deleted = i % 5 == 2 && i + 2 < kRecords;
+      ASSERT_EQ(record.ok(), !deleted) << id;
+      if (deleted) continue;
+      EXPECT_TRUE(consistent(id, record->metadata, record->document)) << id;
+      EXPECT_EQ(record->metadata["version"], i % 4 == 2 ? "1" : "0") << id;
+    }
+  }
 }
 
 // The HTTP server serves /api/upload on several workers, so two uploads can
