@@ -70,22 +70,22 @@ uint32_t Collection::StoredRecord::Word(size_t i) const {
   return word;
 }
 
+const char* Collection::StoredRecord::Payload() const {
+  return bytes_.get() + (3 + 2 * Word(0)) * sizeof(uint32_t);
+}
+
 std::string_view Collection::StoredRecord::id() const {
-  const char* payload = bytes_.get() + (3 + 2 * Word(0)) * sizeof(uint32_t);
-  return {payload, Word(1)};
+  return {Payload(), Word(1)};
 }
 
 std::string_view Collection::StoredRecord::document() const {
-  const char* payload = bytes_.get() + (3 + 2 * Word(0)) * sizeof(uint32_t);
-  return {payload + Word(1), Word(2)};
+  return {Payload() + Word(1), Word(2)};
 }
 
 template <typename Fn>
 void Collection::StoredRecord::ForEachEntry(Fn&& fn) const {
-  const uint32_t entries = Word(0);
-  const char* at = bytes_.get() + (3 + 2 * entries) * sizeof(uint32_t) +
-                   Word(1) + Word(2);
-  for (uint32_t e = 0; e < entries; ++e) {
+  const char* at = Payload() + Word(1) + Word(2);
+  for (uint32_t e = 0; e < Word(0); ++e) {
     const uint32_t key_size = Word(3 + 2 * e);
     const uint32_t value_size = Word(4 + 2 * e);
     if (!fn(std::string_view(at, key_size),

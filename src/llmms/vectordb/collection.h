@@ -145,6 +145,8 @@ class Collection final : public CollectionBase {
 
    private:
     uint32_t Word(size_t i) const;
+    // Where the id starts, after the header.
+    const char* Payload() const;
     // Calls fn(key, value) per entry in key order until it returns false.
     template <typename Fn>
     void ForEachEntry(Fn&& fn) const;
@@ -176,7 +178,9 @@ class Collection final : public CollectionBase {
   mutable std::shared_mutex mu_;
   std::unique_ptr<VectorIndex> index_;
   // Live ids; each key views the id inside its record's packed bytes, so
-  // an entry is erased before its record is freed.
+  // an entry is erased before its record is freed. std::hash of a view
+  // equals that of the string, so the map iterates, and Ids() lists, in
+  // the order a string-keyed map would.
   std::unordered_map<std::string_view, SlotId> id_to_slot_;
   // Indexed by slot: index_ assigns slots densely (VectorIndex::Add), so
   // slot i's record is records_[i], empty for a deleted slot.
