@@ -30,7 +30,8 @@ inline bool CloserHit(const IndexHit& a, const IndexHit& b) {
 
 // The `limit` closest hits pushed so far, under CloserHit. A max-heap keeps
 // the worst kept hit on top, so a scan costs one comparison per farther hit
-// and builds no hit for it.
+// and builds no hit for it. Room for `limit` hits is reserved up front, so
+// callers cap it at their live count.
 class TopHits {
  public:
   explicit TopHits(size_t limit) : limit_(limit) { heap_.reserve(limit); }
