@@ -16,7 +16,6 @@ Status KnowledgeBase::Add(QaItem item) {
 
 Status KnowledgeBase::AddAll(const std::vector<QaItem>& items) {
   items_.reserve(items_.size() + items.size());
-  index_.Reserve(items_.size() + items.size());
   Status status = Status::OK();
   for (const auto& item : items) {
     status = Insert(item);

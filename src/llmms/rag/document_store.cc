@@ -33,8 +33,8 @@ StatusOr<size_t> DocumentStore::AddDocument(const std::string& document_id,
     LLMMS_RETURN_NOT_OK(RemoveDocumentLocked(document_id));
   }
 
-  // Retrieval embeds only the query, so a chunk is embedded once: its
-  // vector lives in the collection, not in an embedding cache.
+  // A chunk is embedded once: its vector lives in the collection, not in
+  // an embedding cache.
   const auto chunks = chunker_.Chunk(text);
   for (const auto& chunk : chunks) {
     vectordb::VectorRecord record;
@@ -77,8 +77,10 @@ StatusOr<std::vector<RetrievedChunk>> DocumentStore::Retrieve(
     const std::string& query, size_t k, const std::string& document_id) const {
   vectordb::MetadataFilter filter;
   if (!document_id.empty()) filter["document_id"] = document_id;
+  // A retrieval question is embedded for this query only, like the scoring
+  // texts, so it stays out of a shared embedding cache.
   LLMMS_ASSIGN_OR_RETURN(
-      auto hits, collection_->Query(embedder_->Embed(query), k, filter));
+      auto hits, collection_->Query(embedder_->EmbedOnce(query), k, filter));
   std::vector<RetrievedChunk> out;
   out.reserve(hits.size());
   for (auto& hit : hits) {

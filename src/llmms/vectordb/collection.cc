@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <mutex>
+#include <shared_mutex>
 
 #include "llmms/vectordb/distance.h"
 #include "llmms/vectordb/flat_index.h"
@@ -129,7 +130,8 @@ Status Collection::TrainQuantizerLocked() {
   for (SlotId slot = 0; slot < records_.size(); ++slot) {
     if (!records_[slot].live()) continue;
     live.push_back(slot);
-    sample.push_back(*index_->GetVector(slot));
+    const std::span<const float> row = index_->GetVector(slot);
+    sample.emplace_back(row.begin(), row.end());
   }
 
   ScalarQuantizer quantizer;
@@ -183,7 +185,7 @@ Status Collection::Upsert(VectorRecord record) {
         std::to_string(options_.dimension));
   }
   LLMMS_ASSIGN_OR_RETURN(StoredRecord stored, StoredRecord::Pack(record));
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  std::unique_lock<WriterPreferringSharedMutex> lock(mu_);
   auto existing = id_to_slot_.find(record.id);
   if (existing != id_to_slot_.end()) {
     LLMMS_RETURN_NOT_OK(RemoveLocked(existing));
@@ -215,7 +217,7 @@ Status Collection::UpsertBatch(std::vector<VectorRecord> records) {
 }
 
 Status Collection::Delete(const std::string& id) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  std::unique_lock<WriterPreferringSharedMutex> lock(mu_);
   auto it = id_to_slot_.find(id);
   if (it == id_to_slot_.end()) {
     return Status::NotFound("no record with id '" + id + "' in collection '" +
@@ -225,7 +227,7 @@ Status Collection::Delete(const std::string& id) {
 }
 
 StatusOr<VectorRecord> Collection::Get(const std::string& id) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::shared_lock<WriterPreferringSharedMutex> lock(mu_);
   auto it = id_to_slot_.find(id);
   if (it == id_to_slot_.end()) {
     return Status::NotFound("no record with id '" + id + "' in collection '" +
@@ -234,14 +236,15 @@ StatusOr<VectorRecord> Collection::Get(const std::string& id) const {
   const StoredRecord& stored = records_[it->second];
   VectorRecord record;
   record.id = id;
-  record.vector = *index_->GetVector(it->second);
+  const std::span<const float> row = index_->GetVector(it->second);
+  record.vector.assign(row.begin(), row.end());
   record.metadata = stored.metadata();
   record.document = stored.document();
   return record;
 }
 
 bool Collection::Contains(const std::string& id) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::shared_lock<WriterPreferringSharedMutex> lock(mu_);
   return id_to_slot_.find(id) != id_to_slot_.end();
 }
 
@@ -260,10 +263,10 @@ StatusOr<std::vector<IndexHit>> Collection::CandidatesLocked(
   for (const IndexHit& qh : qhits) {
     const SlotId slot = qslot_to_slot_[qh.slot];
     if (slot == kNoSlot) continue;
-    const Vector* v = index_->GetVector(slot);
-    if (v == nullptr) continue;
+    const std::span<const float> row = index_->GetVector(slot);
+    if (row.empty()) continue;
     hits.push_back(IndexHit{
-        slot, Distance(options_.metric, query, query_norm, *v, Norm(*v))});
+        slot, Distance(options_.metric, query, query_norm, row, Norm(row))});
   }
   std::sort(hits.begin(), hits.end(), [](const IndexHit& a, const IndexHit& b) {
     if (a.distance != b.distance) return a.distance < b.distance;
@@ -275,7 +278,7 @@ StatusOr<std::vector<IndexHit>> Collection::CandidatesLocked(
 
 StatusOr<std::vector<QueryResult>> Collection::Query(
     const Vector& query, size_t k, const MetadataFilter& filter) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::shared_lock<WriterPreferringSharedMutex> lock(mu_);
   queries_.fetch_add(1, std::memory_order_relaxed);
   std::vector<QueryResult> out;
   if (k == 0 || id_to_slot_.empty()) return out;
@@ -325,7 +328,7 @@ StatusOr<std::vector<QueryResult>> Collection::Query(
 }
 
 std::vector<std::string> Collection::Ids() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::shared_lock<WriterPreferringSharedMutex> lock(mu_);
   std::vector<std::string> ids;
   ids.reserve(id_to_slot_.size());
   for (const auto& [id, slot] : id_to_slot_) ids.emplace_back(id);
@@ -333,17 +336,17 @@ std::vector<std::string> Collection::Ids() const {
 }
 
 size_t Collection::size() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::shared_lock<WriterPreferringSharedMutex> lock(mu_);
   return id_to_slot_.size();
 }
 
 bool Collection::quantized() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::shared_lock<WriterPreferringSharedMutex> lock(mu_);
   return qindex_ != nullptr;
 }
 
 size_t Collection::approx_vector_bytes() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::shared_lock<WriterPreferringSharedMutex> lock(mu_);
   size_t bytes = id_to_slot_.size() * options_.dimension * sizeof(float);
   if (qindex_ != nullptr) bytes += qindex_->code_bytes();
   return bytes;

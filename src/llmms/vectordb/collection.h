@@ -5,13 +5,13 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "llmms/common/result.h"
+#include "llmms/common/shared_mutex.h"
 #include "llmms/common/status.h"
 #include "llmms/vectordb/index.h"
 #include "llmms/vectordb/quantizer.h"
@@ -61,6 +61,8 @@ class CollectionBase {
 //
 // Concurrency: reads (Query/Get/Contains/Ids/size) take a shared lock and
 // run in parallel; mutations (Upsert/Delete) take the lock exclusively.
+// The lock prefers writers, so readers that query back to back cannot
+// starve an upload; no method takes it while already holding it.
 class Collection final : public CollectionBase {
  public:
   // Opt-in two-stage retrieval: once `train_size` records exist, a
@@ -175,7 +177,7 @@ class Collection final : public CollectionBase {
   std::string name_;
   Options options_;
 
-  mutable std::shared_mutex mu_;
+  mutable WriterPreferringSharedMutex mu_;
   std::unique_ptr<VectorIndex> index_;
   // Live ids; each key views the id inside its record's packed bytes, so
   // an entry is erased before its record is freed. std::hash of a view

@@ -44,7 +44,7 @@ double Dot(const float* a, const float* b, size_t n) {
   return LaneSum(a, b, n, [](float x, float y) { return x * y; });
 }
 
-double Norm(const Vector& v) {
+double Norm(std::span<const float> v) {
   return std::sqrt(Dot(v.data(), v.data(), v.size()));
 }
 
@@ -60,15 +60,16 @@ const char* DistanceMetricToString(DistanceMetric metric) {
   return "unknown";
 }
 
-double Distance(DistanceMetric metric, const Vector& a, const Vector& b) {
+double Distance(DistanceMetric metric, std::span<const float> a,
+                std::span<const float> b) {
   if (metric == DistanceMetric::kCosine) {
     return Distance(metric, a, Norm(a), b, Norm(b));
   }
   return Distance(metric, a, 0.0, b, 0.0);
 }
 
-double Distance(DistanceMetric metric, const Vector& a, double norm_a,
-                const Vector& b, double norm_b) {
+double Distance(DistanceMetric metric, std::span<const float> a,
+                double norm_a, std::span<const float> b, double norm_b) {
   switch (metric) {
     case DistanceMetric::kCosine:
       return CosineFrom(Dot(a.data(), b.data(), a.size()), norm_a, norm_b);

@@ -2,6 +2,7 @@
 #define LLMMS_VECTORDB_DISTANCE_H_
 
 #include <cstddef>
+#include <span>
 
 #include "llmms/vectordb/types.h"
 
@@ -17,17 +18,19 @@ namespace llmms::vectordb {
 double Dot(const float* a, const float* b, size_t n);
 
 // sqrt(Dot(v, v)). Indexes compute it once per stored vector.
-double Norm(const Vector& v);
+double Norm(std::span<const float> v);
 
 // Distance for index-internal ordering: smaller = closer, for every metric.
-// kCosine -> 1 - cos, kL2 -> squared L2, kInnerProduct -> -dot.
-double Distance(DistanceMetric metric, const Vector& a, const Vector& b);
+// kCosine -> 1 - cos, kL2 -> squared L2, kInnerProduct -> -dot. A Vector
+// converts to the span implicitly.
+double Distance(DistanceMetric metric, std::span<const float> a,
+                std::span<const float> b);
 
 // The same distance from norms the caller already holds (only kCosine
 // reads them). Bit-equal to Distance(metric, a, b) when norm_a == Norm(a)
 // and norm_b == Norm(b).
-double Distance(DistanceMetric metric, const Vector& a, double norm_a,
-                const Vector& b, double norm_b);
+double Distance(DistanceMetric metric, std::span<const float> a,
+                double norm_a, std::span<const float> b, double norm_b);
 
 // User-facing similarity: larger = closer. kCosine -> cos, kL2 -> -sqrt(d2),
 // kInnerProduct -> dot.

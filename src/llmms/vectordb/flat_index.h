@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "llmms/vectordb/index.h"
+#include "llmms/vectordb/row_store.h"
 
 namespace llmms::vectordb {
 
@@ -14,28 +15,24 @@ namespace llmms::vectordb {
 class FlatIndex final : public VectorIndex {
  public:
   FlatIndex(size_t dimension, DistanceMetric metric)
-      : dimension_(dimension), metric_(metric) {}
+      : metric_(metric), rows_(dimension) {}
 
-  StatusOr<SlotId> Add(const Vector& vector) override;
-  // Adds `vector` without copying it.
-  StatusOr<SlotId> Add(Vector&& vector);
-  // Reserves room for `slots` slots in all.
-  void Reserve(size_t slots);
-  Status Remove(SlotId slot) override;
+  StatusOr<SlotId> Add(const Vector& vector) override {
+    return rows_.Add(vector);
+  }
+  Status Remove(SlotId slot) override { return rows_.Remove(slot); }
   StatusOr<std::vector<IndexHit>> Search(const Vector& query,
                                          size_t k) const override;
-  size_t size() const override { return live_count_; }
-  size_t dimension() const override { return dimension_; }
+  size_t size() const override { return rows_.live_count(); }
+  size_t dimension() const override { return rows_.dimension(); }
   DistanceMetric metric() const override { return metric_; }
-  const Vector* GetVector(SlotId slot) const override;
+  std::span<const float> GetVector(SlotId slot) const override {
+    return rows_.Get(slot);
+  }
 
  private:
-  size_t dimension_;
   DistanceMetric metric_;
-  std::vector<Vector> vectors_;
-  std::vector<double> norms_;  // Norm(vectors_[slot]), fixed at Add
-  std::vector<bool> removed_;
-  size_t live_count_ = 0;
+  RowStore rows_;
 };
 
 }  // namespace llmms::vectordb

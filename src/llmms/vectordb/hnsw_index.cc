@@ -41,27 +41,57 @@ HnswIndex::Options ClampM(HnswIndex::Options options) {
 
 HnswIndex::HnswIndex(size_t dimension, DistanceMetric metric,
                      const Options& options)
-    : dimension_(dimension),
-      metric_(metric),
+    : metric_(metric),
       options_(ClampM(options)),
       level_lambda_(1.0 / std::log(static_cast<double>(
                               options_.M > 1 ? options_.M : 2))),
+      rows_(dimension),
+      level0_words_(kNodeHeaderWords + LinkList::kHeaderWords +
+                    MaxNeighbors(0) + 1),
+      level0_distances_(MaxNeighbors(0) + 1),
       rng_(options.seed) {}
 
 std::vector<std::vector<SlotId>> HnswIndex::links(SlotId slot) const {
   std::vector<std::vector<SlotId>> out;
-  out.reserve(nodes_[slot].levels.size());
-  for (const LinkList& level : nodes_[slot].levels) out.push_back(level.links);
+  for (int l = 0; l <= Level(slot); ++l) {
+    const std::span<const SlotId> level = Links(slot, l);
+    out.emplace_back(level.begin(), level.end());
+  }
   return out;
 }
 
-double HnswIndex::Dist(const Vector& query, double query_norm,
+int HnswIndex::Level(SlotId slot) const {
+  const uint32_t upper = UpperIndex(slot);
+  return upper == kNoUpper ? 0 : static_cast<int>(upper_[upper].levels);
+}
+
+std::span<const SlotId> HnswIndex::Links(SlotId slot, int level) const {
+  if (level == 0) {
+    return LinkList::LinksAt(level0_words_[slot] + kNodeHeaderWords);
+  }
+  return LinkList::LinksAt(upper_[UpperIndex(slot)].words.get() +
+                           static_cast<size_t>(level - 1) * UpperWords());
+}
+
+HnswIndex::LinkList HnswIndex::List(SlotId slot, int level) {
+  if (level == 0) {
+    return LinkList(level0_words_[slot] + kNodeHeaderWords,
+                    level0_distances_[slot]);
+  }
+  UpperLevels& upper = upper_[UpperIndex(slot)];
+  const size_t record = static_cast<size_t>(level - 1);
+  return LinkList(upper.words.get() + record * UpperWords(),
+                  upper.distances.get() + record * UpperDistances());
+}
+
+double HnswIndex::Dist(std::span<const float> query, double query_norm,
                        SlotId b) const {
-  return Distance(metric_, query, query_norm, vectors_[b], norms_[b]);
+  return Distance(metric_, query, query_norm, rows_.row(b), rows_.norm(b));
 }
 
 double HnswIndex::Dist(SlotId a, SlotId b) const {
-  return Distance(metric_, vectors_[a], norms_[a], vectors_[b], norms_[b]);
+  return Distance(metric_, rows_.row(a), rows_.norm(a), rows_.row(b),
+                  rows_.norm(b));
 }
 
 int HnswIndex::DrawLevel() {
@@ -71,17 +101,17 @@ int HnswIndex::DrawLevel() {
   return std::min(level, 32);
 }
 
-SlotId HnswIndex::GreedyDescend(const Vector& query, double query_norm,
-                                SlotId entry, int top, int bottom) const {
+SlotId HnswIndex::GreedyDescend(std::span<const float> query,
+                                double query_norm, SlotId entry, int top,
+                                int bottom) const {
   SlotId current = entry;
   double best = Dist(query, query_norm, current);
   for (int l = top; l > bottom; --l) {
     bool improved = true;
     while (improved) {
       improved = false;
-      const auto& levels = nodes_[current].levels;
-      if (l >= static_cast<int>(levels.size())) break;
-      for (SlotId nbr : levels[static_cast<size_t>(l)].links) {
+      if (l > Level(current)) break;
+      for (SlotId nbr : Links(current, l)) {
         const double d = Dist(query, query_norm, nbr);
         if (d < best) {
           best = d;
@@ -94,11 +124,9 @@ SlotId HnswIndex::GreedyDescend(const Vector& query, double query_norm,
   return current;
 }
 
-std::vector<HnswIndex::Candidate> HnswIndex::SearchLayer(const Vector& query,
-                                                         double query_norm,
-                                                         SlotId entry,
-                                                         size_t ef,
-                                                         int level) const {
+std::vector<HnswIndex::Candidate> HnswIndex::SearchLayer(
+    std::span<const float> query, double query_norm, SlotId entry, size_t ef,
+    int level) const {
   // Best-first search with a bounded result heap (the HNSW paper's
   // SEARCH-LAYER). `candidates` pops closest-first; `results` holds the ef
   // best found so far, with the worst on top.
@@ -106,7 +134,7 @@ std::vector<HnswIndex::Candidate> HnswIndex::SearchLayer(const Vector& query,
                       std::greater<Candidate>>
       candidates;
   std::priority_queue<Candidate> results;
-  const uint32_t epoch = visited_marks.Begin(nodes_.size());
+  const uint32_t epoch = visited_marks.Begin(slot_count());
   std::vector<uint32_t>& visited = visited_marks.marks;
 
   const Candidate start{Dist(query, query_norm, entry), entry};
@@ -121,9 +149,8 @@ std::vector<HnswIndex::Candidate> HnswIndex::SearchLayer(const Vector& query,
         results.size() >= ef) {
       break;
     }
-    const auto& levels = nodes_[current.slot].levels;
-    if (level >= static_cast<int>(levels.size())) continue;
-    for (SlotId nbr : levels[static_cast<size_t>(level)].links) {
+    if (level > 0 && level > Level(current.slot)) continue;
+    for (SlotId nbr : Links(current.slot, level)) {
       if (visited[nbr] == epoch) continue;
       visited[nbr] = epoch;
       const double d = Dist(query, query_norm, nbr);
@@ -146,41 +173,38 @@ std::vector<HnswIndex::Candidate> HnswIndex::SearchLayer(const Vector& query,
 }
 
 void HnswIndex::SelectNeighbors(std::vector<Candidate> candidates, size_t m,
-                                LinkList* out) const {
+                                LinkList out) const {
   // Heuristic from the HNSW paper: keep a candidate only if it is closer to
   // the query than to every already-selected neighbor. This preserves edge
   // diversity, which is what gives the graph its navigability.
   std::sort(candidates.begin(), candidates.end());
-  out->links.clear();
-  out->distances.clear();
+  out.Clear();
   std::vector<Candidate> discarded;
   for (const Candidate& c : candidates) {
-    if (out->links.size() >= m) break;
+    if (out.size() >= m) break;
     bool keep = true;
-    for (SlotId s : out->links) {
-      if (Dist(c.slot, s) < c.distance) {
+    for (size_t i = 0; i < out.size(); ++i) {
+      if (Dist(c.slot, out.link(i)) < c.distance) {
         keep = false;
         break;
       }
     }
     if (keep) {
-      out->links.push_back(c.slot);
-      out->distances.push_back(c.distance);
+      out.Push(c.slot, c.distance);
     } else {
       discarded.push_back(c);
     }
   }
-  out->kept = static_cast<uint16_t>(out->links.size());
+  out.MarkKept();
   // Backfill with the closest discarded candidates if underfull.
   for (const Candidate& c : discarded) {
-    if (out->links.size() >= m) break;
-    out->links.push_back(c.slot);
-    out->distances.push_back(c.distance);
+    if (out.size() >= m) break;
+    out.Push(c.slot, c.distance);
   }
-  out->evaluated = static_cast<uint16_t>(out->links.size());
+  out.MarkEvaluated();
 }
 
-void HnswIndex::PruneLinks(LinkList* list, size_t cap) const {
+void HnswIndex::PruneLinks(LinkList list, size_t cap) const {
   // SelectNeighbors decides each link from the links kept before it in
   // (distance, slot) order alone, and the links the last selection dropped
   // were discarded or came after every kept one, so the recorded split is
@@ -193,14 +217,14 @@ void HnswIndex::PruneLinks(LinkList* list, size_t cap) const {
     Was was;
     bool keep;
   };
-  const size_t n = list->links.size();
+  const size_t n = list.size();
   std::vector<Link> order;
   order.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    const Was was = i < list->kept        ? kKept
-                    : i < list->evaluated ? kDiscarded
-                                          : kAppended;
-    order.push_back(Link{{list->distances[i], list->links[i]}, was, false});
+    const Was was = i < list.kept()        ? kKept
+                    : i < list.evaluated() ? kDiscarded
+                                           : kAppended;
+    order.push_back(Link{{list.distance(i), list.link(i)}, was, false});
   }
   std::sort(order.begin(), order.end(),
             [](const Link& a, const Link& b) { return a.c < b.c; });
@@ -237,46 +261,32 @@ void HnswIndex::PruneLinks(LinkList* list, size_t cap) const {
     }
   }
 
-  list->links.clear();
-  list->distances.clear();
+  list.Clear();
   for (size_t j = 0; j < evaluated; ++j) {
-    if (!order[j].keep) continue;
-    list->links.push_back(order[j].c.slot);
-    list->distances.push_back(order[j].c.distance);
+    if (order[j].keep) list.Push(order[j].c.slot, order[j].c.distance);
   }
-  list->kept = static_cast<uint16_t>(kept);
+  list.MarkKept();
   // Backfill with the closest discarded links, as SelectNeighbors does.
-  for (size_t j = 0; j < evaluated && list->links.size() < cap; ++j) {
-    if (order[j].keep) continue;
-    list->links.push_back(order[j].c.slot);
-    list->distances.push_back(order[j].c.distance);
+  for (size_t j = 0; j < evaluated && list.size() < cap; ++j) {
+    if (!order[j].keep) list.Push(order[j].c.slot, order[j].c.distance);
   }
-  list->evaluated = static_cast<uint16_t>(list->links.size());
+  list.MarkEvaluated();
 }
 
 StatusOr<SlotId> HnswIndex::Add(const Vector& vector) {
-  if (vector.size() != dimension_) {
-    return Status::InvalidArgument(
-        "vector dimension " + std::to_string(vector.size()) +
-        " does not match index dimension " + std::to_string(dimension_));
-  }
-  const SlotId slot = static_cast<SlotId>(vectors_.size());
+  LLMMS_ASSIGN_OR_RETURN(const SlotId slot, rows_.Add(vector));
   const int level = DrawLevel();
-
-  const double norm = Norm(vector);
-  vectors_.push_back(vector);
-  norms_.push_back(norm);
-  Node node;
-  node.levels.resize(static_cast<size_t>(level) + 1);
-  // A list holds at most its cap plus the one reverse edge pushed before a
-  // prune; sized at that, a full list never doubles its allocation.
-  for (int l = 0; l <= level; ++l) {
-    LinkList& list = node.levels[static_cast<size_t>(l)];
-    list.links.reserve(MaxNeighbors(l) + 1);
-    list.distances.reserve(MaxNeighbors(l) + 1);
+  uint32_t* node = level0_words_.Append();
+  level0_distances_.Append();
+  node[0] = kNoUpper;
+  if (level > 0) {
+    node[0] = static_cast<uint32_t>(upper_.size());
+    const size_t levels = static_cast<size_t>(level);
+    upper_.push_back(UpperLevels{
+        static_cast<uint32_t>(level),
+        std::make_unique<uint32_t[]>(levels * UpperWords()),
+        std::make_unique<double[]>(levels * UpperDistances())});
   }
-  nodes_.push_back(std::move(node));
-  ++live_count_;
 
   if (slot == 0) {
     entry_point_ = slot;
@@ -284,25 +294,27 @@ StatusOr<SlotId> HnswIndex::Add(const Vector& vector) {
     return slot;
   }
 
+  // The stored row and norm, bit-equal to `vector` and its Norm.
+  const std::span<const float> row = rows_.row(slot);
+  const double norm = rows_.norm(slot);
   // Greedy descent through levels above the new node's level.
-  SlotId current = GreedyDescend(vector, norm, entry_point_, max_level_, level);
+  SlotId current = GreedyDescend(row, norm, entry_point_, max_level_, level);
 
   // Connect on each level from min(level, max_level_) down to 0.
   for (int l = std::min(level, max_level_); l >= 0; --l) {
     auto candidates =
-        SearchLayer(vector, norm, current, options_.ef_construction, l);
+        SearchLayer(row, norm, current, options_.ef_construction, l);
     if (!candidates.empty()) current = candidates.front().slot;
-    LinkList& own = nodes_[slot].levels[static_cast<size_t>(l)];
-    SelectNeighbors(std::move(candidates), options_.M, &own);
+    const LinkList own = List(slot, l);
+    SelectNeighbors(std::move(candidates), options_.M, own);
     // Add reverse edges, shrinking neighbor lists that overflow. The
     // reverse edge stores the forward edge's distance: Distance() is
-    // symmetric bit for bit, and `vector` and `norm` are the stored row's.
+    // symmetric bit for bit.
     const size_t cap = MaxNeighbors(l);
-    for (size_t i = 0; i < own.links.size(); ++i) {
-      LinkList& list = nodes_[own.links[i]].levels[static_cast<size_t>(l)];
-      list.links.push_back(slot);
-      list.distances.push_back(own.distances[i]);
-      if (list.links.size() > cap) PruneLinks(&list, cap);
+    for (size_t i = 0; i < own.size(); ++i) {
+      LinkList list = List(own.link(i), l);
+      list.Push(slot, own.distance(i));
+      if (list.size() > cap) PruneLinks(list, cap);
     }
   }
 
@@ -313,16 +325,7 @@ StatusOr<SlotId> HnswIndex::Add(const Vector& vector) {
   return slot;
 }
 
-Status HnswIndex::Remove(SlotId slot) {
-  if (slot >= nodes_.size()) {
-    return Status::NotFound("slot " + std::to_string(slot) + " out of range");
-  }
-  if (!nodes_[slot].removed) {
-    nodes_[slot].removed = true;
-    --live_count_;
-  }
-  return Status::OK();
-}
+Status HnswIndex::Remove(SlotId slot) { return rows_.Remove(slot); }
 
 StatusOr<std::vector<IndexHit>> HnswIndex::Search(const Vector& query,
                                                   size_t k) const {
@@ -332,33 +335,28 @@ StatusOr<std::vector<IndexHit>> HnswIndex::Search(const Vector& query,
 StatusOr<std::vector<IndexHit>> HnswIndex::SearchWithEf(const Vector& query,
                                                         size_t k,
                                                         size_t ef_search) const {
-  if (query.size() != dimension_) {
+  if (query.size() != dimension()) {
     return Status::InvalidArgument("query dimension mismatch");
   }
   std::vector<IndexHit> hits;
-  if (vectors_.empty() || live_count_ == 0 || k == 0) return hits;
+  if (size() == 0 || k == 0) return hits;
 
   const double query_norm = Norm(query);
   const SlotId current =
       GreedyDescend(query, query_norm, entry_point_, max_level_, /*bottom=*/0);
 
   // Over-fetch when tombstones exist so k live results survive filtering.
-  const size_t tombstones = vectors_.size() - live_count_;
+  const size_t tombstones = slot_count() - size();
   const size_t ef = std::max(ef_search, k) + tombstones;
   const auto candidates =
       SearchLayer(query, query_norm, current, ef, /*level=*/0);
   hits.reserve(std::min(k, candidates.size()));
   for (const Candidate& c : candidates) {
-    if (nodes_[c.slot].removed) continue;
+    if (rows_.removed(c.slot)) continue;
     hits.push_back(IndexHit{c.slot, c.distance});
     if (hits.size() >= k) break;
   }
   return hits;
-}
-
-const Vector* HnswIndex::GetVector(SlotId slot) const {
-  if (slot >= vectors_.size() || nodes_[slot].removed) return nullptr;
-  return &vectors_[slot];
 }
 
 }  // namespace llmms::vectordb

@@ -2,10 +2,13 @@
 #define LLMMS_VECTORDB_HNSW_INDEX_H_
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "llmms/common/rng.h"
 #include "llmms/vectordb/index.h"
+#include "llmms/vectordb/row_store.h"
 
 namespace llmms::vectordb {
 
@@ -18,9 +21,15 @@ namespace llmms::vectordb {
 // seeded RNG; neighbor selection uses the paper's select-neighbors
 // heuristic. Deleted slots are tombstoned: they still route traversals but
 // never appear in results.
+//
+// Storage: the rows sit in a RowStore. Each node's level-0 list sits in
+// fixed-stride records with room for 2*M + 1 links and distances, so a
+// node on level 0 alone makes no allocation of its own; a node with upper
+// levels (about 1 in M) gets one pair of arrays holding them all.
 class HnswIndex final : public VectorIndex {
  public:
-  // Largest M: a level-0 list's 2*M links must fit LinkList's counts.
+  // Largest M. It bounds a node's level-0 record (2*M + 1 links and
+  // distances); a snapshot declaring more fails to load.
   static constexpr size_t kMaxM = 32767;
 
   struct Options {
@@ -48,38 +57,79 @@ class HnswIndex final : public VectorIndex {
   // rebuilding per setting.
   StatusOr<std::vector<IndexHit>> SearchWithEf(const Vector& query, size_t k,
                                                size_t ef) const;
-  size_t size() const override { return live_count_; }
-  size_t dimension() const override { return dimension_; }
+  size_t size() const override { return rows_.live_count(); }
+  size_t dimension() const override { return rows_.dimension(); }
   DistanceMetric metric() const override { return metric_; }
-  const Vector* GetVector(SlotId slot) const override;
+  std::span<const float> GetVector(SlotId slot) const override {
+    return rows_.Get(slot);
+  }
 
   const Options& options() const { return options_; }
   int max_level() const { return max_level_; }
   // Slots assigned so far, tombstoned ones included.
-  size_t slot_count() const { return nodes_.size(); }
+  size_t slot_count() const { return rows_.slot_count(); }
   // `slot`'s adjacency lists, one per level (0..its level), in stored order;
   // lets tests pin the built graph. Requires slot < slot_count().
   std::vector<std::vector<SlotId>> links(SlotId slot) const;
 
  private:
-  // One level's adjacency list. distances[i] is the distance from the owner
-  // to links[i], kept so pruning an overflowing list needs no distance to
-  // the owner. The list also keeps the split its last selection made:
-  // links[0, kept) were kept and links[kept, evaluated) discarded by the
-  // select-neighbors heuristic, each in (distance, slot) order, and
-  // links[evaluated, size) were appended since. A list holds at most
-  // 2 * kMaxM + 1 links, so the counts fit 16 bits.
-  struct LinkList {
-    std::vector<SlotId> links;
-    std::vector<double> distances;
-    uint16_t kept = 0;
-    uint16_t evaluated = 0;
+  // A view of one level's adjacency list in the link records: `words`
+  // holds the size, kept and evaluated counts and then the links, and
+  // distances[i] is the distance from the owner to link i, kept so pruning
+  // an overflowing list needs no distance to the owner. The counts keep
+  // the split the last selection made: links[0, kept) were kept and
+  // links[kept, evaluated) discarded by the select-neighbors heuristic,
+  // each in (distance, slot) order, and links[evaluated, size) were
+  // appended since. A record has room for MaxNeighbors(level) + 1 links:
+  // a list overflows by one reverse edge before it is pruned.
+  class LinkList {
+   public:
+    // The words before the links, and their count.
+    enum Word : size_t { kSize, kKept, kEvaluated, kHeaderWords };
+
+    LinkList(uint32_t* words, double* distances)
+        : words_(words), distances_(distances) {}
+
+    // The links of the list whose words start at `words`.
+    static std::span<const SlotId> LinksAt(const uint32_t* words) {
+      return {words + kHeaderWords, words[kSize]};
+    }
+
+    size_t size() const { return words_[kSize]; }
+    size_t kept() const { return words_[kKept]; }
+    size_t evaluated() const { return words_[kEvaluated]; }
+    SlotId link(size_t i) const { return words_[kHeaderWords + i]; }
+    double distance(size_t i) const { return distances_[i]; }
+
+    void Clear() { words_[kSize] = 0; }
+    void Push(SlotId slot, double distance) {
+      const uint32_t n = words_[kSize];
+      words_[kHeaderWords + n] = slot;
+      distances_[n] = distance;
+      words_[kSize] = n + 1;
+    }
+    // Records the links pushed so far as the kept, then the evaluated, ones.
+    void MarkKept() { words_[kKept] = words_[kSize]; }
+    void MarkEvaluated() { words_[kEvaluated] = words_[kSize]; }
+
+   private:
+    uint32_t* words_;
+    double* distances_;
   };
 
-  struct Node {
-    std::vector<LinkList> levels;  // levels[l] for l in 0..the node's level
-    bool removed = false;
+  // A node's lists on levels 1..levels: record l - 1 of each array, with
+  // room for M + 1 links and distances per level.
+  struct UpperLevels {
+    uint32_t levels;
+    std::unique_ptr<uint32_t[]> words;
+    std::unique_ptr<double[]> distances;
   };
+
+  // A node's level-0 record opens with one header word, the node's index
+  // in upper_ (kNoUpper when it has no upper levels); its level-0 list's
+  // words follow.
+  static constexpr size_t kNodeHeaderWords = 1;
+  static constexpr uint32_t kNoUpper = UINT32_MAX;
 
   struct Candidate {
     double distance;
@@ -91,46 +141,63 @@ class HnswIndex final : public VectorIndex {
     bool operator>(const Candidate& other) const { return other < *this; }
   };
 
-  // Distances through the cached norms: query-to-slot and slot-to-slot.
-  double Dist(const Vector& query, double query_norm, SlotId b) const;
+  // Distances through the stored norms: query-to-slot and slot-to-slot.
+  double Dist(std::span<const float> query, double query_norm,
+              SlotId b) const;
   double Dist(SlotId a, SlotId b) const;
   int DrawLevel();
 
+  uint32_t UpperIndex(SlotId slot) const { return level0_words_[slot][0]; }
+  // The node's highest level.
+  int Level(SlotId slot) const;
+  // `slot`'s list on `level`, which must be at most Level(slot): its links
+  // for reading, or the whole list for linking.
+  std::span<const SlotId> Links(SlotId slot, int level) const;
+  LinkList List(SlotId slot, int level);
+
   // Greedy descent from `entry` through levels top..bottom+1, moving to a
   // closer neighbor until none is closer; returns the last slot reached.
-  SlotId GreedyDescend(const Vector& query, double query_norm, SlotId entry,
-                       int top, int bottom) const;
+  SlotId GreedyDescend(std::span<const float> query, double query_norm,
+                       SlotId entry, int top, int bottom) const;
 
   // Greedy best-first search restricted to one level; returns up to `ef`
   // closest candidates to `query` starting from `entry`.
-  std::vector<Candidate> SearchLayer(const Vector& query, double query_norm,
-                                     SlotId entry, size_t ef, int level) const;
+  std::vector<Candidate> SearchLayer(std::span<const float> query,
+                                     double query_norm, SlotId entry,
+                                     size_t ef, int level) const;
 
   // Select-neighbors heuristic (keeps diverse edges): replaces `out`'s
   // links with up to `m` of `candidates`, whose distances are to the node
   // being linked, and records the split.
   void SelectNeighbors(std::vector<Candidate> candidates, size_t m,
-                       LinkList* out) const;
+                       LinkList out) const;
   // Re-selects `cap` of an overflowing list's links: the result of
   // SelectNeighbors over the whole list, computing only the distances whose
   // outcome the links appended since the last selection can change.
-  void PruneLinks(LinkList* list, size_t cap) const;
+  void PruneLinks(LinkList list, size_t cap) const;
 
   size_t MaxNeighbors(int level) const {
     return level == 0 ? options_.M * 2 : options_.M;
   }
 
-  size_t dimension_;
+  // Words and distances in one upper-level record.
+  size_t UpperWords() const { return LinkList::kHeaderWords + options_.M + 1; }
+  size_t UpperDistances() const { return options_.M + 1; }
+
   DistanceMetric metric_;
   Options options_;
   double level_lambda_;  // 1 / ln(M)
 
-  std::vector<Vector> vectors_;
-  std::vector<double> norms_;  // Norm(vectors_[slot]), fixed at Add
-  std::vector<Node> nodes_;
+  RowStore rows_;
+  // One record per slot: the node header, then its level-0 list's words
+  // (kNodeHeaderWords + LinkList::kHeaderWords + 2*M + 1), and beside it
+  // the list's 2*M + 1 distances.
+  FixedBlocks<uint32_t> level0_words_;
+  FixedBlocks<double> level0_distances_;
+  // The nodes above level 0, in slot order.
+  std::vector<UpperLevels> upper_;
   SlotId entry_point_ = 0;
   int max_level_ = -1;
-  size_t live_count_ = 0;
   Rng rng_;
 };
 

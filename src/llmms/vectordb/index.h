@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -94,9 +95,17 @@ class VectorIndex {
   virtual size_t dimension() const = 0;
   virtual DistanceMetric metric() const = 0;
 
-  // Access to the stored vector for a slot (needed for persistence and for
-  // re-ranking); returns nullptr for removed/unknown slots.
-  virtual const Vector* GetVector(SlotId slot) const = 0;
+  // The stored vector of a live slot (for persistence and re-ranking);
+  // empty for a removed or unknown slot. Callers copy what they keep: the
+  // span is valid only while the caller's hold on the index lasts (for
+  // Collection, its lock), and for these implementations:
+  // - FlatIndex and HnswIndex view their RowStore row, which never moves,
+  //   so the span outlives later Adds and Removes, up to the index's
+  //   destruction.
+  // - QuantizedFlatIndex decodes into thread-local scratch, so the span is
+  //   overwritten by the calling thread's next GetVector on any quantized
+  //   index.
+  virtual std::span<const float> GetVector(SlotId slot) const = 0;
 };
 
 }  // namespace llmms::vectordb

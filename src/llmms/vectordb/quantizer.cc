@@ -242,8 +242,8 @@ StatusOr<std::vector<IndexHit>> QuantizedFlatIndex::Search(const Vector& query,
   return std::move(top).Take();
 }
 
-const Vector* QuantizedFlatIndex::GetVector(SlotId slot) const {
-  if (slot >= removed_.size() || removed_[slot]) return nullptr;
+std::span<const float> QuantizedFlatIndex::GetVector(SlotId slot) const {
+  if (slot >= removed_.size() || removed_[slot]) return {};
   const size_t dim = dimension();
   // Thread-local scratch: GetVector must be callable under the shared
   // (reader) lock, so per-object mutable state is off the table.
@@ -253,7 +253,7 @@ const Vector* QuantizedFlatIndex::GetVector(SlotId slot) const {
   for (size_t d = 0; d < dim; ++d) {
     decoded[d] = quantizer_.DecodeDim(d, base[d]);
   }
-  return &decoded;
+  return decoded;
 }
 
 }  // namespace llmms::vectordb

@@ -69,7 +69,8 @@ class QuantizedFlatIndex final : public VectorIndex {
   size_t size() const override { return live_count_; }
   size_t dimension() const override { return quantizer_.dimension(); }
   DistanceMetric metric() const override { return metric_; }
-  const Vector* GetVector(SlotId slot) const override;
+  // A view of thread-local scratch holding the decoded row (index.h).
+  std::span<const float> GetVector(SlotId slot) const override;
 
   // Bytes used by the stored codes (excluding bookkeeping).
   size_t code_bytes() const { return codes_.size(); }

@@ -3,11 +3,15 @@
 // surfaces from many threads; run under TSan for full effect.
 
 #include <atomic>
+#include <chrono>
 #include <gtest/gtest.h>
+#include <mutex>
+#include <shared_mutex>
 #include <thread>
 
 #include "llmms/app/service.h"
 #include "llmms/common/rng.h"
+#include "llmms/common/shared_mutex.h"
 #include "llmms/common/thread_pool.h"
 #include "llmms/embedding/embedding_cache.h"
 #include "llmms/llm/batch_scheduler.h"
@@ -158,6 +162,125 @@ TEST(ConcurrencyTest, ParallelCollectionUpsertsAndQueries) {
       EXPECT_EQ(record->metadata["version"], i % 4 == 2 ? "1" : "0") << id;
     }
   }
+}
+
+// A writer queued behind a reader keeps every new reader out, and takes the
+// lock as soon as that reader leaves.
+TEST(WriterPreferringSharedMutexTest, QueuedWriterBlocksNewReaders) {
+  WriterPreferringSharedMutex mu;
+  mu.lock_shared();
+  std::atomic<bool> writer_ran{false};
+  std::thread writer([&]() {
+    std::unique_lock<WriterPreferringSharedMutex> lock(mu);
+    writer_ran = true;
+  });
+  // A second reader gets in until the writer queues, and none after.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  bool queued = false;
+  while (!queued && std::chrono::steady_clock::now() < deadline) {
+    queued = !mu.try_lock_shared();
+    if (!queued) {
+      mu.unlock_shared();
+      std::this_thread::yield();
+    }
+  }
+  EXPECT_TRUE(queued) << "a reader got in past a waiting writer for 60 s";
+  EXPECT_FALSE(mu.try_lock());
+  EXPECT_FALSE(writer_ran.load());
+  mu.unlock_shared();
+  writer.join();
+  EXPECT_TRUE(writer_ran.load());
+  ASSERT_TRUE(mu.try_lock_shared());
+  ASSERT_TRUE(mu.try_lock_shared());
+  mu.unlock_shared();
+  mu.unlock_shared();
+  ASSERT_TRUE(mu.try_lock());
+  EXPECT_FALSE(mu.try_lock_shared());
+  mu.unlock();
+}
+
+// Two readers loop Get and a filtered Query with no pause, so their shared
+// holds overlap, while one writer upserts 200 records. Collection's lock
+// prefers writers, so each upsert waits only for the reads in progress
+// (QueuedWriterBlocksNewReaders pins that property). This case checks that
+// the readers and the writer all finish, with consistent reads. A path that
+// took the lock shared twice on one thread would hang here once a writer
+// queued between the two holds; a writer held off for kPatience fails.
+TEST(ConcurrencyTest, NonYieldingReadersDoNotStarveAWriter) {
+  vectordb::Collection::Options opts;
+  opts.dimension = 8;
+  opts.index_kind = vectordb::IndexKind::kHnsw;
+  vectordb::Collection collection("c", opts);
+
+  constexpr int kPreloaded = 40;
+  constexpr int kUpserts = 200;
+  constexpr auto kPatience = std::chrono::seconds(20);
+  auto owner_of = [](int i) { return i % 2 == 0 ? "even" : "odd"; };
+  auto id_of = [](int i) {
+    std::string id = "r";
+    id += std::to_string(i);
+    return id;
+  };
+  auto make_record = [&](Rng* rng, int i) {
+    vectordb::VectorRecord record;
+    record.id = id_of(i);
+    record.vector.resize(8);
+    for (auto& x : record.vector) x = static_cast<float>(rng->Normal());
+    record.metadata["owner"] = owner_of(i);
+    record.document = record.id;
+    return record;
+  };
+  Rng writer_rng(3);
+  for (int i = 0; i < kPreloaded; ++i) {
+    ASSERT_TRUE(collection.Upsert(make_record(&writer_rng, i)).ok());
+  }
+
+  std::atomic<int> failures{0};
+  std::atomic<bool> writer_done{false};
+  std::atomic<bool> gave_up{false};
+  const auto deadline = std::chrono::steady_clock::now() + kPatience;
+  std::thread writer([&]() {
+    for (int i = kPreloaded; i < kPreloaded + kUpserts; ++i) {
+      if (!collection.Upsert(make_record(&writer_rng, i)).ok()) ++failures;
+    }
+    writer_done = true;
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r]() {
+      Rng rng(static_cast<uint64_t>(r) + 50);
+      const std::string owner = owner_of(r);
+      while (!writer_done.load()) {
+        if (std::chrono::steady_clock::now() > deadline) {
+          gave_up = true;
+          return;
+        }
+        const int i = rng.UniformInt(0, kPreloaded + kUpserts - 1);
+        auto record = collection.Get(id_of(i));
+        if (record.ok() ? record->metadata["owner"] != owner_of(i)
+                        : !record.status().IsNotFound()) {
+          ++failures;
+        }
+        vectordb::Vector query(8);
+        for (auto& x : query) x = static_cast<float>(rng.Normal());
+        auto hits = collection.Query(query, 5, {{"owner", owner}});
+        if (!hits.ok()) {
+          ++failures;
+          continue;
+        }
+        for (const auto& hit : *hits) {
+          if (hit.metadata.at("owner") != owner) ++failures;
+        }
+      }
+    });
+  }
+  writer.join();
+  for (auto& reader : readers) reader.join();
+  EXPECT_FALSE(gave_up.load()) << "the writer was starved for "
+                               << kPatience.count() << " s";
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(collection.size(), static_cast<size_t>(kPreloaded + kUpserts));
 }
 
 // The HTTP server serves /api/upload on several workers, so two uploads can

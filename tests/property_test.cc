@@ -220,20 +220,20 @@ TEST_P(HnswPropertyTest, ResultsSortedLiveAndWithinK) {
       }
       // Reported distance must equal the true distance to that vector, bit
       // for bit: the index reaches the same kernel through cached norms.
-      const auto* vec = index.GetVector((*hits)[i].slot);
-      ASSERT_NE(vec, nullptr);
+      const auto vec = index.GetVector((*hits)[i].slot);
+      ASSERT_FALSE(vec.empty());
       EXPECT_EQ((*hits)[i].distance,
                 vectordb::Distance(vectordb::DistanceMetric::kCosine, query,
-                                   *vec));
+                                   vec));
     }
     auto exact = flat.Search(query, 12);
     ASSERT_TRUE(exact.ok());
     for (const auto& hit : *exact) {
-      const auto* vec = flat.GetVector(hit.slot);
-      ASSERT_NE(vec, nullptr);
+      const auto vec = flat.GetVector(hit.slot);
+      ASSERT_FALSE(vec.empty());
       EXPECT_EQ(hit.distance,
                 vectordb::Distance(vectordb::DistanceMetric::kCosine, query,
-                                   *vec));
+                                   vec));
     }
   }
 }

@@ -109,11 +109,11 @@ TEST(QuantizedFlatIndexTest, RemoveAndGetVector) {
   ASSERT_TRUE(index.Add({0.2f, 0.8f}).ok());
   ASSERT_TRUE(index.Add({0.9f, 0.1f}).ok());
   EXPECT_EQ(index.size(), 2u);
-  const Vector* v = index.GetVector(0);
-  ASSERT_NE(v, nullptr);
-  EXPECT_NEAR((*v)[0], 0.2f, 0.01f);
+  const std::span<const float> v = index.GetVector(0);
+  ASSERT_EQ(v.size(), 2u);
+  EXPECT_NEAR(v[0], 0.2f, 0.01f);
   ASSERT_TRUE(index.Remove(0).ok());
-  EXPECT_EQ(index.GetVector(0), nullptr);
+  EXPECT_TRUE(index.GetVector(0).empty());
   EXPECT_TRUE(index.Remove(9).IsNotFound());
   auto hits = index.Search({0.2f, 0.8f}, 5);
   ASSERT_TRUE(hits.ok());

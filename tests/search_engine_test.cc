@@ -166,8 +166,9 @@ TEST_F(SearchEngineTest, MemoryGraphOffByDefault) {
             std::string::npos);
 }
 
-// Scoring embeds the prompt and the responses query-scoped, so an engine
-// over a shared EmbeddingCache leaves it untouched on non-RAG queries and
+// Scoring embeds the prompt and the responses query-scoped, and uploads
+// and retrieval embed through EmbedOnce, so an engine over a shared
+// EmbeddingCache leaves it untouched on plain and RAG queries alike and
 // answers bit for bit like one over the bare embedder.
 TEST(SearchEngineCacheTest, ScoringBypassesSharedCacheWithIdenticalAnswers) {
   auto cached_world = testutil::MakeWorld(6);
@@ -186,31 +187,48 @@ TEST(SearchEngineCacheTest, ScoringBypassesSharedCacheWithIdenticalAnswers) {
     std::memcpy(&b, &v, sizeof b);
     return b;
   };
-  for (auto algorithm : {Algorithm::kOua, Algorithm::kMab, Algorithm::kHybrid,
-                         Algorithm::kSingle}) {
-    SearchEngine::QueryOptions options;
-    options.algorithm = algorithm;
-    options.use_rag = false;
-    for (size_t q = 0; q < 3; ++q) {
-      const std::string& question = cached_world.dataset[q].question;
-      auto a = cached.Ask("s-cache", question, options);
-      auto b = bare.Ask("s-cache", question, options);
-      ASSERT_TRUE(a.ok()) << AlgorithmToString(algorithm);
-      ASSERT_TRUE(b.ok()) << AlgorithmToString(algorithm);
-      EXPECT_EQ(a->orchestration.answer, b->orchestration.answer);
-      EXPECT_EQ(a->orchestration.best_model, b->orchestration.best_model);
-      ASSERT_EQ(a->orchestration.per_model.size(),
-                b->orchestration.per_model.size());
-      for (const auto& [model, outcome] : a->orchestration.per_model) {
-        const ModelOutcome& other = b->orchestration.per_model.at(model);
-        EXPECT_EQ(bits(outcome.final_score), bits(other.final_score))
-            << AlgorithmToString(algorithm) << " " << model;
-        EXPECT_EQ(bits(outcome.query_similarity),
-                  bits(other.query_similarity))
-            << AlgorithmToString(algorithm) << " " << model;
-        EXPECT_EQ(bits(outcome.inter_similarity),
-                  bits(other.inter_similarity))
-            << AlgorithmToString(algorithm) << " " << model;
+  // A RAG session: uploads and retrieval embed around the cache too.
+  for (size_t d = 0; d < 3; ++d) {
+    const std::string id = "notes" + std::to_string(d);
+    const std::string text = "Background fact. " +
+                             cached_world.dataset[d].golden +
+                             " More background noise.";
+    ASSERT_TRUE(cached.Upload("s-rag", id, text).ok());
+    ASSERT_TRUE(bare.Upload("s-rag", id, text).ok());
+  }
+  for (const bool rag : {false, true}) {
+    for (auto algorithm : {Algorithm::kOua, Algorithm::kMab, Algorithm::kHybrid,
+                           Algorithm::kSingle}) {
+      SearchEngine::QueryOptions options;
+      options.algorithm = algorithm;
+      options.use_rag = rag;
+      const std::string session = rag ? "s-rag" : "s-cache";
+      for (size_t q = 0; q < 3; ++q) {
+        const std::string& question = cached_world.dataset[q].question;
+        auto a = cached.Ask(session, question, options);
+        auto b = bare.Ask(session, question, options);
+        ASSERT_TRUE(a.ok()) << AlgorithmToString(algorithm);
+        ASSERT_TRUE(b.ok()) << AlgorithmToString(algorithm);
+        EXPECT_EQ(a->retrieved_chunks, b->retrieved_chunks);
+        if (rag) {
+          EXPECT_GT(a->retrieved_chunks, 0u);
+        }
+        EXPECT_EQ(a->prompt, b->prompt);
+        EXPECT_EQ(a->orchestration.answer, b->orchestration.answer);
+        EXPECT_EQ(a->orchestration.best_model, b->orchestration.best_model);
+        ASSERT_EQ(a->orchestration.per_model.size(),
+                  b->orchestration.per_model.size());
+        for (const auto& [model, outcome] : a->orchestration.per_model) {
+          const ModelOutcome& other = b->orchestration.per_model.at(model);
+          EXPECT_EQ(bits(outcome.final_score), bits(other.final_score))
+              << AlgorithmToString(algorithm) << " " << model;
+          EXPECT_EQ(bits(outcome.query_similarity),
+                    bits(other.query_similarity))
+              << AlgorithmToString(algorithm) << " " << model;
+          EXPECT_EQ(bits(outcome.inter_similarity),
+                    bits(other.inter_similarity))
+              << AlgorithmToString(algorithm) << " " << model;
+        }
       }
     }
   }
