@@ -20,10 +20,11 @@ namespace llmms::embedding {
 // once in its own memo (DESIGN.md §5, §15).
 //
 // Embed caches what may be embedded again. EmbedOnce goes around the cache:
-// it neither looks up nor stores, so one-shot texts such as uploaded
-// document chunks (whose vectors the vector index holds), retrieval
-// questions and scoring texts do not evict texts that will be looked up
-// again, and leave hits(), misses() and size() unchanged.
+// it neither looks up nor stores, and leaves hits(), misses() and size()
+// unchanged. Uploaded document chunks (whose vectors the vector index
+// holds) and scoring texts use it because they are not embedded again.
+// Retrieval questions use it although they repeat: re-embedding a short
+// question costs less than holding it (DESIGN.md §15).
 class EmbeddingCache final : public Embedder {
  public:
   // `inner` must outlive the cache. `capacity` is the max number of cached

@@ -77,8 +77,9 @@ StatusOr<std::vector<RetrievedChunk>> DocumentStore::Retrieve(
     const std::string& query, size_t k, const std::string& document_id) const {
   vectordb::MetadataFilter filter;
   if (!document_id.empty()) filter["document_id"] = document_id;
-  // A retrieval question is embedded for this query only, like the scoring
-  // texts, so it stays out of a shared embedding cache.
+  // A retrieval question is embedded for this query only and stays out of
+  // a shared embedding cache. Questions repeat, so this spends one short
+  // embed per query to keep each from holding a cached vector (DESIGN §15).
   LLMMS_ASSIGN_OR_RETURN(
       auto hits, collection_->Query(embedder_->EmbedOnce(query), k, filter));
   std::vector<RetrievedChunk> out;
