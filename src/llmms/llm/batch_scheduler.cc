@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <limits>
 #include <set>
 #include <tuple>
+
+#include "llmms/common/string_util.h"
 
 namespace llmms::llm {
 namespace {
@@ -15,15 +15,6 @@ namespace {
 // Finished-stream records kept for the fairness index; old entries are
 // overwritten ring-style so a long-lived server stays bounded.
 constexpr size_t kRetiredCapacity = 1024;
-
-std::string Format(const char* fmt, ...) {
-  char buffer[256];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buffer, sizeof(buffer), fmt, args);
-  va_end(args);
-  return buffer;
-}
 
 }  // namespace
 
@@ -72,10 +63,11 @@ BatchScheduler::Stream* BatchScheduler::FindLocked(StreamId id) {
   return it == streams_.end() ? nullptr : &it->second;
 }
 
-void BatchScheduler::TraceLocked(const std::string& line) {
+template <typename LineFn>
+void BatchScheduler::TraceLocked(LineFn&& line) {
   if (config_.trace_capacity == 0) return;
   if (trace_.size() >= config_.trace_capacity) trace_.pop_front();
-  trace_.push_back(line);
+  trace_.push_back(line());
 }
 
 BatchScheduler::StreamId BatchScheduler::AdmitLocked(
@@ -101,10 +93,12 @@ BatchScheduler::StreamId BatchScheduler::AdmitLocked(
   stream.virtual_time = ModelOf(options.model)->virtual_clock;
   ++admitted_total_;
   if (stream.hedge) ++hedge_admitted_total_;
-  TraceLocked(Format("admit s=%llu model=%s w=%.3f hedge=%d vt=%.3f",
+  TraceLocked([&] {
+    return StrFormat("admit s=%llu model=%s w=%.3f hedge=%d vt=%.3f",
                      static_cast<unsigned long long>(stream.id),
                      stream.model.c_str(), stream.weight,
-                     stream.hedge ? 1 : 0, stream.virtual_time));
+                     stream.hedge ? 1 : 0, stream.virtual_time);
+  });
   const StreamId id = stream.id;
   streams_.emplace(id, std::move(stream));
   return id;
@@ -135,9 +129,11 @@ void BatchScheduler::RetireLocked(Stream* stream) {
     retired_[retired_next_] = {stream->service_tokens, stream->weight};
     retired_next_ = (retired_next_ + 1) % kRetiredCapacity;
   }
-  TraceLocked(Format("finish s=%llu tokens=%zu",
+  TraceLocked([&] {
+    return StrFormat("finish s=%llu tokens=%zu",
                      static_cast<unsigned long long>(stream->id),
-                     stream->service_tokens));
+                     stream->service_tokens);
+  });
   // A stream still holding a slot (or parked in ExecuteChunk) is erased by
   // that path once it unwinds; erasing it here would dangle its pointer.
   if (!stream->running && !stream->granted && !parked) {
@@ -196,9 +192,11 @@ void BatchScheduler::GrantSlotLocked(ModelState* state, Stream* stream) {
       // output lives in its own stream object, untouched.
       ++evicted->preemptions;
       ++preempted_total_;
-      TraceLocked(Format("preempt s=%llu slot=%zu by=%llu",
+      TraceLocked([&] {
+        return StrFormat("preempt s=%llu slot=%zu by=%llu",
                          static_cast<unsigned long long>(previous), slot,
-                         static_cast<unsigned long long>(stream->id)));
+                         static_cast<unsigned long long>(stream->id));
+      });
     }
   }
   state->slot_holder[slot] = stream->id;
@@ -217,9 +215,11 @@ void BatchScheduler::GrantSlotLocked(ModelState* state, Stream* stream) {
     epoch_grants_.clear();
   }
   epoch_grants_.push_back(stream->id);
-  TraceLocked(Format("grant r=%zu s=%llu model=%s slot=%zu", rounds_,
+  TraceLocked([&] {
+    return StrFormat("grant r=%zu s=%llu model=%s slot=%zu", rounds_,
                      static_cast<unsigned long long>(stream->id),
-                     stream->model.c_str(), slot));
+                     stream->model.c_str(), slot);
+  });
 }
 
 void BatchScheduler::YieldSlotLocked(ModelState* state, Stream* stream,
@@ -237,9 +237,11 @@ void BatchScheduler::YieldSlotLocked(ModelState* state, Stream* stream,
   // stalled stream cannot pin its replica's priority forever.
   stream->virtual_time +=
       static_cast<double>(std::max<size_t>(tokens, 1)) / stream->weight;
-  TraceLocked(Format("yield s=%llu tokens=%zu vt=%.3f",
+  TraceLocked([&] {
+    return StrFormat("yield s=%llu tokens=%zu vt=%.3f",
                      static_cast<unsigned long long>(stream->id), tokens,
-                     stream->virtual_time));
+                     stream->virtual_time);
+  });
 }
 
 void BatchScheduler::ScheduleLocked(const std::string& model) {
@@ -270,9 +272,11 @@ StatusOr<Chunk> BatchScheduler::ExecuteChunk(StreamId id, size_t max_tokens,
     Status alive = stream->context->Check();
     if (!alive.ok()) {
       ++expired_total_;
-      TraceLocked(Format("expire s=%llu code=%s",
+      TraceLocked([&] {
+        return StrFormat("expire s=%llu code=%s",
                          static_cast<unsigned long long>(id),
-                         StatusCodeToString(alive.code())));
+                         StatusCodeToString(alive.code()));
+      });
       RetireLocked(stream);
       return alive;
     }
@@ -298,9 +302,11 @@ StatusOr<Chunk> BatchScheduler::ExecuteChunk(StreamId id, size_t max_tokens,
       if (!alive.ok()) {
         stream->waiting = false;
         ++expired_total_;
-        TraceLocked(Format("expire s=%llu code=%s",
+        TraceLocked([&] {
+          return StrFormat("expire s=%llu code=%s",
                            static_cast<unsigned long long>(id),
-                           StatusCodeToString(alive.code())));
+                           StatusCodeToString(alive.code()));
+        });
         RetireLocked(stream);
         streams_.erase(id);
         cv_.notify_all();
@@ -362,9 +368,11 @@ BatchScheduler::RoundResult BatchScheduler::RunRound(size_t max_tokens) {
     Stream* stream = FindLocked(id);
     Status dead = stream->context->Check();
     ++expired_total_;
-    TraceLocked(Format("expire s=%llu code=%s",
+    TraceLocked([&] {
+      return StrFormat("expire s=%llu code=%s",
                        static_cast<unsigned long long>(id),
-                       StatusCodeToString(dead.code())));
+                       StatusCodeToString(dead.code()));
+    });
     RetireLocked(stream);
     result.unwound.emplace_back(id, dead);
   }
@@ -407,9 +415,11 @@ BatchScheduler::RoundResult BatchScheduler::RunRound(size_t max_tokens) {
     ModelState* state = ModelOf(stream->model);
     if (!chunk_or.ok()) {
       YieldSlotLocked(state, stream, 0, 0.0);
-      TraceLocked(Format("expire s=%llu code=%s",
+      TraceLocked([&] {
+        return StrFormat("expire s=%llu code=%s",
                          static_cast<unsigned long long>(id),
-                         StatusCodeToString(chunk_or.status().code())));
+                         StatusCodeToString(chunk_or.status().code()));
+      });
       RetireLocked(stream);
       streams_.erase(id);
       result.unwound.emplace_back(id, chunk_or.status());

@@ -47,8 +47,10 @@ struct SchedulerConfig {
   // proportionally (urgency), up to urgency_cap.
   double urgency_slack_seconds = 30.0;
   double urgency_cap = 4.0;
-  // Decision log ring size; 0 disables tracing.
-  size_t trace_capacity = 4096;
+  // Decision log ring size (see Trace()). 0, the default, turns the log
+  // off: no decision is formatted or stored. Tests and debugging sessions
+  // opt in; nothing in the served stack reads the log.
+  size_t trace_capacity = 0;
 };
 
 class BatchScheduler {
@@ -173,7 +175,8 @@ class BatchScheduler {
   Stats stats() const;
 
   // The decision log (admit/grant/yield/preempt/expire/finish lines),
-  // oldest first — deterministic under RunRound, used by the golden-trace
+  // oldest first, at most trace_capacity lines; empty when the log is off
+  // (the default). Deterministic under RunRound, used by the golden-trace
   // suite.
   std::vector<std::string> Trace() const;
 
@@ -227,7 +230,11 @@ class BatchScheduler {
   // Grants free slots to waiting threaded streams in priority order.
   void ScheduleLocked(const std::string& model);
   void RetireLocked(Stream* stream);
-  void TraceLocked(const std::string& line);
+  // Appends line() to the decision log, dropping the oldest line at
+  // trace_capacity. With the log off it returns before calling line(), so
+  // a decision costs no formatting and no allocation.
+  template <typename LineFn>
+  void TraceLocked(LineFn&& line);
   double JainLocked() const;
   StreamId AdmitLocked(const AdmitOptions& options, ChunkFn source);
 

@@ -257,7 +257,11 @@ StatusOr<std::vector<IndexHit>> Collection::CandidatesLocked(
   // exact distance against the stored full-precision vector re-ranks them.
   const size_t overfetch = quant_overfetch_.load(std::memory_order_relaxed);
   LLMMS_ASSIGN_OR_RETURN(auto qhits, qindex_->Search(query, fetch * overfetch));
-  const double query_norm = Norm(query);
+  // Only cosine reads norms; a row's comes from the exact index, which
+  // fixed it at Add.
+  const DistanceMetric metric = options_.metric;
+  const bool cosine = metric == DistanceMetric::kCosine;
+  const double query_norm = cosine ? Norm(query) : 0.0;
   std::vector<IndexHit> hits;
   hits.reserve(qhits.size());
   for (const IndexHit& qh : qhits) {
@@ -266,7 +270,9 @@ StatusOr<std::vector<IndexHit>> Collection::CandidatesLocked(
     const std::span<const float> row = index_->GetVector(slot);
     if (row.empty()) continue;
     hits.push_back(IndexHit{
-        slot, Distance(options_.metric, query, query_norm, row, Norm(row))});
+        slot, cosine ? Distance(metric, query, query_norm, row,
+                                index_->GetNorm(slot))
+                     : Distance(metric, query, row)});
   }
   std::sort(hits.begin(), hits.end(), [](const IndexHit& a, const IndexHit& b) {
     if (a.distance != b.distance) return a.distance < b.distance;

@@ -9,6 +9,7 @@
 
 #include "llmms/common/result.h"
 #include "llmms/common/status.h"
+#include "llmms/vectordb/distance.h"
 #include "llmms/vectordb/types.h"
 
 namespace llmms::vectordb {
@@ -106,6 +107,11 @@ class VectorIndex {
   //   overwritten by the calling thread's next GetVector on any quantized
   //   index.
   virtual std::span<const float> GetVector(SlotId slot) const = 0;
+
+  // Norm(GetVector(slot)), bit for bit; 0 for a removed or unknown slot.
+  // FlatIndex and HnswIndex return the norm fixed at Add, so a cosine
+  // re-rank reads it instead of recomputing it per candidate.
+  virtual double GetNorm(SlotId slot) const { return Norm(GetVector(slot)); }
 };
 
 }  // namespace llmms::vectordb

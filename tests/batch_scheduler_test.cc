@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "llmms/common/deadline.h"
+#include "llmms/common/string_util.h"
 #include "llmms/llm/batch_scheduler.h"
 #include "testutil.h"
 
@@ -410,20 +411,24 @@ TEST(BatchSchedulerTest, SchedulerOnMatchesSchedulerOffOutputs) {
 // ---------------------------------------------------------------------------
 // Golden decision trace.
 
-TEST(BatchSchedulerTest, GoldenTraceIsDeterministic) {
+// The golden scenario's decision log with the log sized at
+// `trace_capacity` and every stream on `model`.
+std::vector<std::string> GoldenScenarioTrace(size_t trace_capacity,
+                                             const std::string& model) {
   SchedulerConfig config;
   config.replicas_per_model = 2;
+  config.trace_capacity = trace_capacity;
   BatchScheduler scheduler(config);
 
   Scripted a{"a", 3}, b{"b", 2}, c{"c", 4}, h{"h", 1}, dead{"d", 2};
-  scheduler.AdmitSource(Options("m", 1.0), SourceOf(&a));
-  scheduler.AdmitSource(Options("m", 2.0), SourceOf(&b));
-  scheduler.AdmitSource(Options("m", 1.0), SourceOf(&c));
+  scheduler.AdmitSource(Options(model, 1.0), SourceOf(&a));
+  scheduler.AdmitSource(Options(model, 2.0), SourceOf(&b));
+  scheduler.AdmitSource(Options(model, 1.0), SourceOf(&c));
   scheduler.RunRound(8);
   scheduler.RunRound(8);
   // A hedge admission mid-run and a stream whose caller is already gone.
-  scheduler.AdmitSource(Options("m", 1.0, /*hedge=*/true), SourceOf(&h));
-  auto cancelled = Options("m", 1.0);
+  scheduler.AdmitSource(Options(model, 1.0, /*hedge=*/true), SourceOf(&h));
+  auto cancelled = Options(model, 1.0);
   cancelled.context = RequestContext::Unbounded();
   scheduler.AdmitSource(cancelled, SourceOf(&dead));
   cancelled.context->Cancel("golden: caller gone");
@@ -431,9 +436,12 @@ TEST(BatchSchedulerTest, GoldenTraceIsDeterministic) {
     scheduler.RunRound(8);
   }
   EXPECT_FALSE(scheduler.HasRunnable());
+  return scheduler.Trace();
+}
 
+TEST(BatchSchedulerTest, GoldenTraceIsDeterministic) {
   std::string serialized;
-  for (const auto& line : scheduler.Trace()) {
+  for (const auto& line : GoldenScenarioTrace(4096, "m")) {
     serialized += line;
     serialized += '\n';
   }
@@ -450,6 +458,33 @@ TEST(BatchSchedulerTest, GoldenTraceIsDeterministic) {
       << "scheduler decision sequence diverged from the committed golden "
          "trace; if the change is intentional, regenerate with "
          "LLMMS_UPDATE_GOLDEN=1";
+
+  // The same scenario, read through the log's other settings: off, a ring
+  // small enough to evict, and a model name longer than any fixed-size
+  // line buffer, which must come back whole in its admit and grant lines.
+  const std::vector<std::string> golden =
+      Split(ReadFile(golden_path), '\n', /*skip_empty=*/true);
+  const std::string long_model(300, 'x');
+  std::vector<std::string> renamed = golden;
+  for (auto& line : renamed) {
+    const size_t at = line.find(" model=m ");
+    if (at != std::string::npos) line.replace(at + 7, 1, long_model);
+  }
+  struct Case {
+    const char* name;
+    size_t capacity;
+    std::string model;
+    std::vector<std::string> expected;
+  };
+  const Case cases[] = {
+      {"off", 0, "m", {}},
+      {"last five", 5, "m", {golden.end() - 5, golden.end()}},
+      {"300-character model", 4096, long_model, renamed},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(GoldenScenarioTrace(c.capacity, c.model), c.expected);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@
 #include <chrono>
 #include <gtest/gtest.h>
 #include <mutex>
+#include <set>
 #include <shared_mutex>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "llmms/app/service.h"
 #include "llmms/common/rng.h"
@@ -113,10 +116,9 @@ TEST(ConcurrencyTest, ParallelCollectionUpsertsAndQueries) {
   for (int r = 0; r < 2; ++r) {
     threads.emplace_back([&, r]() {
       Rng rng(static_cast<uint64_t>(r) + 100);
-      // Bounded, and yielding: back-to-back shared locks would starve the
-      // writers' exclusive ones.
-      for (int n = 0; n < 400 && writers_left.load() > 0; ++n) {
-        std::this_thread::yield();
+      // Back to back for the writers' whole run: the collection's lock
+      // prefers writers, so the readers cannot starve them.
+      while (writers_left.load() > 0) {
         const std::string owner =
             "t" + std::to_string(rng.UniformInt(0, kWriters - 1));
         const std::string id =
@@ -493,6 +495,8 @@ TEST(ConcurrencyTest, SharedSchedulerAcrossConcurrentQueries) {
 TEST(ConcurrencyTest, SchedulerAdmitExecuteFinishHammer) {
   llm::SchedulerConfig config;
   config.replicas_per_model = 2;
+  // A decision log small enough that the threads wrap it many times over.
+  config.trace_capacity = 16;
   llm::BatchScheduler scheduler(config);
 
   std::atomic<int> failures{0};
@@ -536,6 +540,14 @@ TEST(ConcurrencyTest, SchedulerAdmitExecuteFinishHammer) {
   EXPECT_EQ(stats.running, 0u);
   EXPECT_EQ(stats.admitted_total, 8u * 40u);
   EXPECT_EQ(stats.finished_total, stats.admitted_total);
+
+  const std::vector<std::string> trace = scheduler.Trace();
+  EXPECT_EQ(trace.size(), config.trace_capacity);
+  const std::set<std::string> decisions = {"admit",  "grant",  "yield",
+                                           "preempt", "finish", "expire"};
+  for (const auto& line : trace) {
+    EXPECT_EQ(decisions.count(line.substr(0, line.find(' '))), 1u) << line;
+  }
 }
 
 // Sharded vector search under one writer and many readers (DESIGN.md §15):

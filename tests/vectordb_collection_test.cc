@@ -6,6 +6,7 @@
 #include "llmms/common/rng.h"
 #include "llmms/vectordb/collection.h"
 #include "llmms/vectordb/database.h"
+#include "llmms/vectordb/distance.h"
 
 namespace llmms::vectordb {
 namespace {
@@ -185,6 +186,22 @@ TEST(CollectionTest, GetReturnsTheStoredVectorBitForBit) {
       ASSERT_TRUE(rec.ok());
       EXPECT_TRUE(SameBits(rec->vector, expected[i]))
           << "quantized, id " << i;
+    }
+
+    // The quantized re-rank scores each hit exactly as a cosine over the
+    // stored vectors would, norms included.
+    const Vector query = random_vector();
+    auto hits = c.Query(query, expected.size());
+    ASSERT_TRUE(hits.ok());
+    ASSERT_EQ(hits->size(), expected.size());
+    for (const QueryResult& hit : *hits) {
+      rec = c.Get(hit.id);
+      ASSERT_TRUE(rec.ok());
+      EXPECT_EQ(hit.score,
+                SimilarityFromDistance(
+                    DistanceMetric::kCosine,
+                    Distance(DistanceMetric::kCosine, query, rec->vector)))
+          << "quantized re-rank, id " << hit.id;
     }
 
     const std::string path = ::testing::TempDir() + "/vdb_vectors.bin";
