@@ -5,8 +5,7 @@
 //
 // Phase 1 (durability): WAL append throughput per sync policy — kNone is
 // the in-memory ceiling, kGroupCommit amortizes one fsync over
-// group_commit_every appends, kEveryRecord is the acked-means-durable mode
-// — and whole-database snapshot save throughput.
+// group_commit_every appends, kEveryRecord is the acked-means-durable mode.
 //
 // Phase 2 (Pareto): a clustered corpus of LLMMS_BENCH_VECTORS embeddings
 // (default 1M) is loaded into ShardedCollections across a shard-count sweep,
@@ -38,7 +37,6 @@
 #include "llmms/common/rng.h"
 #include "llmms/common/thread_pool.h"
 #include "llmms/vectordb/collection.h"
-#include "llmms/vectordb/database.h"
 #include "llmms/vectordb/sharded_collection.h"
 #include "llmms/vectordb/wal.h"
 
@@ -99,45 +97,6 @@ Json BenchWalAppend(WriteAheadLog::SyncPolicy policy, const char* label,
   row.Set("appends_per_sec",
           seconds > 0.0 ? static_cast<double>(appends) / seconds : 0.0);
   (void)fs.Remove(path);
-  return row;
-}
-
-Json BenchSnapshotSave(size_t items, size_t dim) {
-  RealFileSystem fs;
-  vectordb::VectorDatabase db;
-  Collection::Options options;
-  options.dimension = dim;
-  options.index_kind = vectordb::IndexKind::kFlat;
-  auto collection = db.CreateCollection("bench", options);
-  Rng rng(23);
-  for (size_t i = 0; i < items; ++i) {
-    VectorRecord record;
-    record.id = "rec-" + std::to_string(i);
-    record.vector.resize(dim);
-    for (auto& x : record.vector) x = static_cast<float>(rng.Normal());
-    (void)(*collection)->Upsert(std::move(record));
-  }
-  const std::string path = "/tmp/llmms_bench_snapshot.bin";
-  // A warmup save, then timed saves until ~0.5s of samples.
-  (void)db.Save(&fs, path);
-  size_t saves = 0;
-  const auto start = Clock::now();
-  double seconds = 0.0;
-  while (seconds < 0.5) {
-    (void)db.Save(&fs, path);
-    ++saves;
-    seconds = SecondsSince(start);
-  }
-  (void)fs.Remove(path);
-  Json row = Json::MakeObject();
-  row.Set("items", items);
-  row.Set("saves", saves);
-  row.Set("seconds", seconds);
-  row.Set("items_per_sec",
-          seconds > 0.0
-              ? static_cast<double>(items) * static_cast<double>(saves) /
-                    seconds
-              : 0.0);
   return row;
 }
 
@@ -249,12 +208,8 @@ int Main(int argc, char** argv) {
                  wal_rows.At(i)["sync_policy"].AsString().c_str(),
                  wal_rows.At(i)["appends_per_sec"].AsDouble(0.0));
   }
-  Json snapshot_row = BenchSnapshotSave(100000, dim);
-  std::fprintf(stderr, "  snapshot save %.0f items/s\n",
-               snapshot_row["items_per_sec"].AsDouble(0.0));
   Json durability = Json::MakeObject();
   durability.Set("wal_append", std::move(wal_rows));
-  durability.Set("snapshot_save", std::move(snapshot_row));
 
   std::fprintf(stderr,
                "pareto phase: %zu vectors, dim %zu, %zu queries, k=%zu\n", n,
@@ -343,7 +298,7 @@ int Main(int argc, char** argv) {
   Json out = Json::MakeObject();
   out.Set("bench", "vectordb");
   out.Set("description",
-          "WAL/snapshot durability throughput, then the recall-vs-QPS "
+          "WAL append throughput per sync policy, then the recall-vs-QPS "
           "Pareto for sharded exact vs. quantized two-stage retrieval; "
           "recall is against the single-shard exact ground truth");
   out.Set("config", std::move(config));

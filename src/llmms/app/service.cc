@@ -572,10 +572,6 @@ Json ApiService::HandleHealth() {
     recovery.Set("sequence_breaks", sc.sequence_breaks.load());
     recovery.Set("compactions", sc.compactions.load());
     recovery.Set("compaction_failures", sc.compaction_failures.load());
-    recovery.Set("snapshot_saves", sc.snapshot_saves.load());
-    recovery.Set("snapshot_save_failures", sc.snapshot_save_failures.load());
-    recovery.Set("snapshot_loads", sc.snapshot_loads.load());
-    recovery.Set("snapshot_load_failures", sc.snapshot_load_failures.load());
     recovery.Set("state_saves", sc.state_saves.load());
     recovery.Set("state_save_failures", sc.state_save_failures.load());
     recovery.Set("state_cold_starts", sc.state_cold_starts.load());

@@ -17,7 +17,7 @@
 namespace llmms {
 
 // The storage plane's single I/O seam (DESIGN.md §14). Every durability
-// path — the vectordb WAL and snapshots, and llm::StateStore — does its
+// path — the vectordb WAL and llm::StateStore — does its
 // file I/O through FileSystem so that
 //   - durability barriers are explicit: Sync (fsync the file) and SyncDir
 //     (fsync the parent directory, which is what makes a rename durable)
@@ -253,10 +253,6 @@ struct StorageCounters {
   std::atomic<uint64_t> sequence_breaks{0};
   std::atomic<uint64_t> compactions{0};
   std::atomic<uint64_t> compaction_failures{0};
-  std::atomic<uint64_t> snapshot_saves{0};
-  std::atomic<uint64_t> snapshot_save_failures{0};
-  std::atomic<uint64_t> snapshot_loads{0};
-  std::atomic<uint64_t> snapshot_load_failures{0};
   std::atomic<uint64_t> state_saves{0};
   std::atomic<uint64_t> state_save_failures{0};
   std::atomic<uint64_t> state_cold_starts{0};

@@ -14,7 +14,7 @@
 namespace llmms {
 
 // Minimal JSON document model used by the app layer (request/response
-// payloads) and the eval module (JSONL datasets). Supports the full JSON
+// payloads) and the eval module (frontier rows). Supports the full JSON
 // grammar; numbers are stored as double plus an integer flag.
 class Json {
  public:

@@ -1,9 +1,7 @@
 #include "llmms/eval/qa_dataset.h"
 
 #include <cctype>
-#include <fstream>
 
-#include "llmms/common/json.h"
 #include "llmms/common/rng.h"
 
 namespace llmms::eval {
@@ -574,64 +572,6 @@ std::vector<llm::QaItem> GenerateCompositeDataset(
     out.push_back(std::move(item));
   }
   return out;
-}
-
-Status SaveDatasetJsonl(const std::vector<llm::QaItem>& items,
-                        const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::IOError("cannot open for write: " + path);
-  for (const auto& item : items) {
-    Json record = Json::MakeObject();
-    record.Set("id", item.id);
-    record.Set("domain", item.domain);
-    record.Set("question", item.question);
-    record.Set("golden", item.golden);
-    Json correct = Json::MakeArray();
-    for (const auto& a : item.correct) correct.Append(a);
-    record.Set("correct", std::move(correct));
-    Json incorrect = Json::MakeArray();
-    for (const auto& a : item.incorrect) incorrect.Append(a);
-    record.Set("incorrect", std::move(incorrect));
-    out << record.Dump() << "\n";
-  }
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
-}
-
-StatusOr<std::vector<llm::QaItem>> LoadDatasetJsonl(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  std::vector<llm::QaItem> items;
-  std::string line;
-  size_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.empty()) continue;
-    auto parsed = Json::Parse(line);
-    if (!parsed.ok()) {
-      return Status::IOError("bad JSONL at line " +
-                             std::to_string(line_number) + ": " +
-                             parsed.status().message());
-    }
-    const Json& record = *parsed;
-    llm::QaItem item;
-    item.id = record["id"].AsString();
-    item.domain = record["domain"].AsString();
-    item.question = record["question"].AsString();
-    item.golden = record["golden"].AsString();
-    for (const auto& a : record["correct"].AsArray()) {
-      item.correct.push_back(a.AsString());
-    }
-    for (const auto& a : record["incorrect"].AsArray()) {
-      item.incorrect.push_back(a.AsString());
-    }
-    if (item.question.empty()) {
-      return Status::IOError("missing question at line " +
-                             std::to_string(line_number));
-    }
-    items.push_back(std::move(item));
-  }
-  return items;
 }
 
 }  // namespace llmms::eval

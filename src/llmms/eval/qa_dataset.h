@@ -4,8 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "llmms/common/result.h"
-#include "llmms/common/status.h"
 #include "llmms/llm/knowledge.h"
 
 namespace llmms::eval {
@@ -36,12 +34,6 @@ std::vector<llm::QaItem> GenerateDataset(const DatasetOptions& options);
 std::vector<llm::QaItem> GenerateCompositeDataset(
     const std::vector<llm::QaItem>& base, size_t count,
     uint64_t seed = 0xC0117ULL);
-
-// JSONL persistence (one QaItem object per line) so datasets can be
-// inspected, shipped, and reloaded.
-Status SaveDatasetJsonl(const std::vector<llm::QaItem>& items,
-                        const std::string& path);
-StatusOr<std::vector<llm::QaItem>> LoadDatasetJsonl(const std::string& path);
 
 }  // namespace llmms::eval
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 #include <unordered_set>
 
 #include "llmms/common/rng.h"
@@ -89,6 +90,55 @@ double ContentOverlap(const std::unordered_set<std::string>& words,
   return static_cast<double>(found) / static_cast<double>(reference.size());
 }
 
+// The stance half of a plan, which BuildPlan and PreviewStance share: the
+// item the prompt resolves to (null: no knowledge, and nothing drawn), the
+// effective competence, the drawn stance, and the question's content words
+// with their set, which the elaboration reuses. `rng` is left where
+// BuildPlan continues.
+struct Stance {
+  explicit Stance(uint64_t seed) : rng(seed) {}
+
+  Rng rng;
+  const QaItem* item = nullptr;
+  double competence = 0.0;
+  bool correct = false;
+  std::vector<std::string> question_words;
+  std::unordered_set<std::string> question_set;
+};
+
+Stance DrawStance(const ModelProfile& profile, const KnowledgeBase* knowledge,
+                  std::string_view prompt, uint64_t request_seed) {
+  Stance stance(profile.seed ^ HashBytes(prompt.data(), prompt.size()) ^
+                MixHash64(request_seed + 1));
+  stance.item = knowledge != nullptr ? knowledge->Lookup(prompt) : nullptr;
+  if (stance.item == nullptr) return stance;
+  const QaItem& item = *stance.item;
+
+  // Effective competence: per-domain skill, jitter, and RAG uplift when the
+  // prompt carries grounded context overlapping the golden answer beyond
+  // what the bare question provides.
+  double competence = profile.CompetenceFor(item.domain);
+  competence += stance.rng.Normal(0.0, 0.05);
+
+  const auto prompt_words_vec = ContentWords(prompt);
+  const std::unordered_set<std::string> prompt_words(prompt_words_vec.begin(),
+                                                     prompt_words_vec.end());
+  stance.question_words = ContentWords(item.question);
+  stance.question_set = std::unordered_set<std::string>(
+      stance.question_words.begin(), stance.question_words.end());
+  std::vector<std::string> golden_only;
+  for (auto& w : ContentWords(item.golden)) {
+    if (stance.question_set.count(w) == 0) golden_only.push_back(std::move(w));
+  }
+  if (!golden_only.empty() &&
+      ContentOverlap(prompt_words, golden_only) >= 0.5) {
+    competence = std::max(competence, profile.rag_uplift);
+  }
+  stance.competence = std::clamp(competence, 0.02, 0.98);
+  stance.correct = stance.rng.Bernoulli(stance.competence);
+  return stance;
+}
+
 // The stream over a pre-planned word sequence.
 class SyntheticStream final : public GenerationStream {
  public:
@@ -162,15 +212,12 @@ SyntheticModel::SyntheticModel(ModelProfile profile,
 
 SyntheticModel::Plan SyntheticModel::BuildPlan(
     const GenerationRequest& request) const {
-  Rng rng(profile_.seed ^
-          HashBytes(request.prompt.data(), request.prompt.size()) ^
-          MixHash64(request.seed + 1));
+  Stance stance =
+      DrawStance(profile_, knowledge_.get(), request.prompt, request.seed);
+  Rng& rng = stance.rng;
 
   Plan plan;
-  const QaItem* item =
-      knowledge_ ? knowledge_->Lookup(request.prompt) : nullptr;
-
-  if (item == nullptr) {
+  if (stance.item == nullptr) {
     // The model has no knowledge of this topic: hedge.
     AppendPhrase(UnknownWords(), &plan.words);
     const auto& filler = FillerWords();
@@ -183,31 +230,10 @@ SyntheticModel::Plan SyntheticModel::BuildPlan(
     }
     return plan;
   }
-
-  // Effective competence: per-domain skill, jitter, and RAG uplift when the
-  // prompt carries grounded context overlapping the golden answer beyond
-  // what the bare question provides.
-  double competence = profile_.CompetenceFor(item->domain);
-  competence += rng.Normal(0.0, 0.05);
-
-  const auto prompt_words_vec = ContentWords(request.prompt);
-  const std::unordered_set<std::string> prompt_words(prompt_words_vec.begin(),
-                                                     prompt_words_vec.end());
-  const auto question_words_vec = ContentWords(item->question);
-  const std::unordered_set<std::string> question_words(
-      question_words_vec.begin(), question_words_vec.end());
-  const auto golden_words = ContentWords(item->golden);
-  std::vector<std::string> golden_only;
-  for (const auto& w : golden_words) {
-    if (question_words.count(w) == 0) golden_only.push_back(w);
-  }
-  if (!golden_only.empty() &&
-      ContentOverlap(prompt_words, golden_only) >= 0.5) {
-    competence = std::max(competence, profile_.rag_uplift);
-  }
-  competence = std::clamp(competence, 0.02, 0.98);
-
-  const bool correct_stance = rng.Bernoulli(competence);
+  const QaItem* item = stance.item;
+  const double competence = stance.competence;
+  const bool correct_stance = stance.correct;
+  const auto& question_words = stance.question_set;
 
   // Choose the answer text.
   std::string answer_text;
@@ -254,7 +280,7 @@ SyntheticModel::Plan SyntheticModel::BuildPlan(
 
   // Elaboration: verbosity-scaled sentences mixing topic, answer, filler,
   // and distractor vocabulary.
-  std::vector<std::string> topic_pool = question_words_vec;
+  const std::vector<std::string>& topic_pool = stance.question_words;
   // The discriminative part of the answer: its content words that the
   // question does not already contain. Repeating these is what creates
   // inter-model agreement among same-stance models (and divergence across
@@ -326,34 +352,14 @@ StatusOr<std::unique_ptr<GenerationStream>> SyntheticModel::StartGeneration(
 
 SyntheticModel::StancePreview SyntheticModel::PreviewStance(
     const std::string& prompt, uint64_t request_seed) const {
-  // Replays the stance portion of BuildPlan with the identical RNG sequence.
+  const Stance stance =
+      DrawStance(profile_, knowledge_.get(), prompt, request_seed);
   StancePreview preview;
-  Rng rng(profile_.seed ^ HashBytes(prompt.data(), prompt.size()) ^
-          MixHash64(request_seed + 1));
-  const QaItem* item = knowledge_ ? knowledge_->Lookup(prompt) : nullptr;
-  if (item == nullptr) return preview;
-  preview.has_knowledge = true;
-
-  double competence = profile_.CompetenceFor(item->domain);
-  competence += rng.Normal(0.0, 0.05);
-
-  const auto prompt_words_vec = ContentWords(prompt);
-  const std::unordered_set<std::string> prompt_words(prompt_words_vec.begin(),
-                                                     prompt_words_vec.end());
-  const auto question_words_vec = ContentWords(item->question);
-  const std::unordered_set<std::string> question_words(
-      question_words_vec.begin(), question_words_vec.end());
-  std::vector<std::string> golden_only;
-  for (const auto& w : ContentWords(item->golden)) {
-    if (question_words.count(w) == 0) golden_only.push_back(w);
+  preview.has_knowledge = stance.item != nullptr;
+  if (preview.has_knowledge) {
+    preview.effective_competence = stance.competence;
+    preview.correct = stance.correct;
   }
-  if (!golden_only.empty() &&
-      ContentOverlap(prompt_words, golden_only) >= 0.5) {
-    competence = std::max(competence, profile_.rag_uplift);
-  }
-  competence = std::clamp(competence, 0.02, 0.98);
-  preview.effective_competence = competence;
-  preview.correct = rng.Bernoulli(competence);
   return preview;
 }
 

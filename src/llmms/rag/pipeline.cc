@@ -14,19 +14,8 @@ StatusOr<std::unique_ptr<RagPipeline>> RagPipeline::Create(
   copts.dimension = embedder->dimension();
   copts.metric = vectordb::DistanceMetric::kCosine;
   copts.index_kind = vectordb::IndexKind::kHnsw;
-  copts.quantization = options.quantization;
-  std::shared_ptr<vectordb::CollectionBase> collection;
-  if (options.vector_shards <= 1) {
-    LLMMS_ASSIGN_OR_RETURN(collection,
-                           db->GetOrCreateCollection(collection_name, copts));
-  } else {
-    vectordb::ShardedCollection::Options sopts;
-    sopts.collection = copts;
-    sopts.num_shards = options.vector_shards;
-    sopts.pool = options.query_pool;
-    LLMMS_ASSIGN_OR_RETURN(
-        collection, db->GetOrCreateShardedCollection(collection_name, sopts));
-  }
+  LLMMS_ASSIGN_OR_RETURN(auto collection,
+                         db->GetOrCreateCollection(collection_name, copts));
   auto store = std::make_unique<DocumentStore>(std::move(collection), embedder,
                                                Chunker(options.chunker));
   return std::unique_ptr<RagPipeline>(new RagPipeline(

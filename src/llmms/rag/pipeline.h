@@ -12,31 +12,19 @@
 #include "llmms/rag/prompt_builder.h"
 #include "llmms/vectordb/database.h"
 
-namespace llmms {
-class ThreadPool;
-}  // namespace llmms
-
 namespace llmms::rag {
 
 // End-to-end retrieval-augmented generation pipeline: one per user session.
-// Owns a session-scoped collection in the vector database (the paper stores
-// session embeddings "temporarily in memory during the session", §1.4),
-// ingests uploads, and turns (query, history) into an augmented prompt.
+// Owns a session-scoped collection in the vector database, a plain cosine
+// HNSW Collection (the paper stores session embeddings "temporarily in
+// memory during the session", §1.4), ingests uploads, and turns (query,
+// history) into an augmented prompt.
 class RagPipeline {
  public:
   struct Options {
     size_t top_k = 3;
     // Chunks scoring below this are not worth injecting.
     double min_score = 0.1;
-    // Scale knobs for the session collection (DESIGN.md §15). With
-    // vector_shards == 1 and quantization off (the defaults) the pipeline
-    // uses a plain Collection — the exact path unchanged. More shards
-    // hash-partition the chunks (queries fan out over `query_pool` when
-    // set); enabling quantization switches retrieval to the two-stage
-    // quantized-scan + rerank path once enough chunks are indexed.
-    size_t vector_shards = 1;
-    ThreadPool* query_pool = nullptr;
-    vectordb::Collection::Quantization quantization;
     Chunker::Options chunker;
     PromptBuilder::Options prompt;
   };

@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "llmms/common/fs.h"
 #include "llmms/common/result.h"
 #include "llmms/common/status.h"
 #include "llmms/vectordb/collection.h"
@@ -17,9 +16,9 @@ namespace llmms::vectordb {
 
 // Top-level vector database: a registry of named collections, mirroring the
 // ChromaDB client API (create_collection / get_collection / delete_collection
-// / list_collections) plus whole-database binary persistence. Plain and
-// sharded collections share one namespace: a name identifies exactly one of
-// the two, and the usual registry calls (Drop/List/count) see both.
+// / list_collections). Plain and sharded collections share one namespace: a
+// name identifies exactly one of the two, and the usual registry calls
+// (Drop/List/count) see both.
 class VectorDatabase {
  public:
   VectorDatabase() = default;
@@ -63,22 +62,6 @@ class VectorDatabase {
     std::vector<ShardedCollection::ShardStats> shards;
   };
   std::vector<CollectionStats> Stats() const;
-
-  // Persists every collection (records only; indexes are rebuilt on load) to
-  // a single binary file, and restores it. Save goes through the atomic
-  // tmp + fsync + rename + fsync-dir barrier (common/fs.h AtomicWriteFile):
-  // a crash at any point leaves the old snapshot or the new one, never a
-  // torn mixture. The overloads without `fs` use FileSystem::Default().
-  //
-  // Format v2 adds quantization options per plain collection and a sharded-
-  // collection section (records stored merged, re-partitioned by hash on
-  // load); v1 files still load. Save always writes v2.
-  Status Save(FileSystem* fs, const std::string& path) const;
-  Status Save(const std::string& path) const;
-  static StatusOr<std::unique_ptr<VectorDatabase>> Load(
-      FileSystem* fs, const std::string& path);
-  static StatusOr<std::unique_ptr<VectorDatabase>> Load(
-      const std::string& path);
 
  private:
   bool NameTakenLocked(const std::string& name) const {

@@ -1,11 +1,5 @@
 #include "llmms/vectordb/durable_collection.h"
 
-#include <algorithm>
-#include <unordered_set>
-
-#include "llmms/common/json.h"
-#include "llmms/vectordb/sharded_collection.h"
-
 namespace llmms::vectordb {
 
 DurableCollection::DurableCollection(FileSystem* fs,
@@ -110,282 +104,6 @@ Status DurableCollection::Compact() {
     counters.compaction_failures.fetch_add(1, std::memory_order_relaxed);
     return dir_sync;
   }
-  counters.compactions.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
-}
-
-// ----------------------------------------------------------------------
-// ShardedDurableCollection
-
-namespace {
-
-std::string ShardWalName(size_t shard, uint64_t generation) {
-  return "shard-" + std::to_string(shard) + ".g" +
-         std::to_string(generation) + ".wal";
-}
-
-}  // namespace
-
-constexpr const char ShardedDurableCollection::kManifestName[];
-
-ShardedDurableCollection::ShardedDurableCollection(
-    FileSystem* fs, std::string name, std::string dir, Options options,
-    uint64_t generation, std::vector<std::string> wal_names,
-    std::vector<std::unique_ptr<DurableCollection>> shards)
-    : fs_(fs),
-      name_(std::move(name)),
-      dir_(std::move(dir)),
-      options_(std::move(options)),
-      generation_(generation),
-      wal_names_(std::move(wal_names)),
-      shards_(std::move(shards)) {}
-
-Status ShardedDurableCollection::WriteManifest(
-    const std::vector<std::string>& wal_names, uint64_t generation) const {
-  Json manifest = Json::MakeObject();
-  manifest.Set("name", name_);
-  manifest.Set("num_shards", wal_names.size());
-  manifest.Set("generation", generation);
-  manifest.Set("dimension", options_.collection.dimension);
-  manifest.Set("metric",
-               static_cast<int>(options_.collection.metric));
-  Json wals = Json::MakeArray();
-  for (const auto& w : wal_names) wals.Append(w);
-  manifest.Set("wals", std::move(wals));
-  return AtomicWriteFile(fs_, dir_ + "/" + kManifestName, manifest.Dump(2));
-}
-
-StatusOr<std::unique_ptr<ShardedDurableCollection>>
-ShardedDurableCollection::Open(const std::string& name, const std::string& dir,
-                               const Options& options, OpenStats* stats,
-                               FileSystem* fs) {
-  if (fs == nullptr) fs = FileSystem::Default();
-  const std::string manifest_path = dir + "/" + kManifestName;
-
-  size_t num_shards = std::max<size_t>(1, options.num_shards);
-  uint64_t generation = 1;
-  std::vector<std::string> wal_names;
-  bool fresh = true;
-
-  if (fs->Exists(manifest_path)) {
-    LLMMS_ASSIGN_OR_RETURN(auto raw, fs->ReadFile(manifest_path));
-    // The manifest is written atomically, so unlike a WAL tail a parse
-    // failure is real corruption, not a crash artifact.
-    auto parsed = Json::Parse(raw);
-    if (!parsed.ok()) {
-      return Status::IOError("corrupt shard manifest: " + manifest_path);
-    }
-    const Json& m = *parsed;
-    if (!m.is_object() || !m.Contains("wals") || !m["wals"].is_array() ||
-        m["wals"].Size() == 0) {
-      return Status::IOError("malformed shard manifest: " + manifest_path);
-    }
-    if (static_cast<size_t>(m["dimension"].AsInt()) !=
-            options.collection.dimension ||
-        m["metric"].AsInt() != static_cast<int>(options.collection.metric)) {
-      return Status::FailedPrecondition(
-          "sharded collection at '" + dir +
-          "' exists with incompatible options");
-    }
-    num_shards = m["wals"].Size();
-    generation = static_cast<uint64_t>(m["generation"].AsInt(1));
-    for (size_t i = 0; i < num_shards; ++i) {
-      wal_names.push_back(m["wals"].At(i).AsString());
-    }
-    fresh = false;
-  } else {
-    for (size_t i = 0; i < num_shards; ++i) {
-      wal_names.push_back(ShardWalName(i, generation));
-    }
-  }
-
-  Options opened = options;
-  opened.num_shards = num_shards;
-
-  std::vector<std::unique_ptr<DurableCollection>> shards;
-  shards.reserve(num_shards);
-  if (stats != nullptr) {
-    stats->num_shards = num_shards;
-    stats->generation = generation;
-  }
-  for (size_t i = 0; i < num_shards; ++i) {
-    DurableCollection::OpenStats shard_stats;
-    LLMMS_ASSIGN_OR_RETURN(
-        auto shard,
-        DurableCollection::Open(name + "/shard-" + std::to_string(i),
-                                options.collection, dir + "/" + wal_names[i],
-                                &shard_stats, fs, options.wal));
-    if (stats != nullptr) {
-      stats->replayed_upserts += shard_stats.replayed_upserts;
-      stats->replayed_deletes += shard_stats.replayed_deletes;
-      stats->torn_tails += shard_stats.recovered_torn_tail ? 1 : 0;
-      stats->sequence_breaks += shard_stats.sequence_break ? 1 : 0;
-    }
-    shards.push_back(std::move(shard));
-  }
-
-  auto out = std::unique_ptr<ShardedDurableCollection>(
-      new ShardedDurableCollection(fs, name, dir, opened, generation,
-                                   wal_names, std::move(shards)));
-
-  if (fresh) {
-    // Commit the initial shard set. The shard WALs already exist (opening
-    // created them); make their directory entries durable before the
-    // manifest names them.
-    LLMMS_RETURN_NOT_OK(fs->SyncDir(dir));
-    LLMMS_RETURN_NOT_OK(out->WriteManifest(wal_names, generation));
-  }
-
-  // Sweep orphans: shard files from a generation that lost its manifest
-  // race (crash mid-checkpoint) or leftover recovery temporaries. Anything
-  // `shard-*` the manifest does not name is dead by construction.
-  std::unordered_set<std::string> live(wal_names.begin(), wal_names.end());
-  LLMMS_ASSIGN_OR_RETURN(auto entries, fs->List(dir));
-  for (const auto& entry : entries) {
-    if (entry.rfind("shard-", 0) != 0) continue;
-    if (live.count(entry) > 0) continue;
-    Status removed = fs->Remove(dir + "/" + entry);
-    if (removed.ok() && stats != nullptr) ++stats->orphan_files_removed;
-  }
-
-  return out;
-}
-
-Status ShardedDurableCollection::Upsert(VectorRecord record) {
-  const size_t s = ShardedCollection::ShardFor(record.id, shards_.size());
-  if (shards_[s] == nullptr) {
-    return Status::FailedPrecondition(
-        "shard " + std::to_string(s) + " unavailable after failed checkpoint");
-  }
-  return shards_[s]->Upsert(std::move(record));
-}
-
-Status ShardedDurableCollection::Delete(const std::string& id) {
-  const size_t s = ShardedCollection::ShardFor(id, shards_.size());
-  if (shards_[s] == nullptr) {
-    return Status::FailedPrecondition(
-        "shard " + std::to_string(s) + " unavailable after failed checkpoint");
-  }
-  return shards_[s]->Delete(id);
-}
-
-Status ShardedDurableCollection::Sync() {
-  for (auto& shard : shards_) {
-    if (shard == nullptr) {
-      return Status::FailedPrecondition(
-          "shard unavailable after failed checkpoint");
-    }
-    LLMMS_RETURN_NOT_OK(shard->Sync());
-  }
-  return Status::OK();
-}
-
-StatusOr<std::vector<QueryResult>> ShardedDurableCollection::Query(
-    const Vector& query, size_t k, const MetadataFilter& filter) const {
-  std::vector<std::vector<QueryResult>> per_shard(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (shards_[i] == nullptr) continue;
-    LLMMS_ASSIGN_OR_RETURN(per_shard[i], shards_[i]->Query(query, k, filter));
-  }
-  return MergeShardResults(std::move(per_shard), k);
-}
-
-StatusOr<VectorRecord> ShardedDurableCollection::Get(
-    const std::string& id) const {
-  const size_t s = ShardedCollection::ShardFor(id, shards_.size());
-  if (shards_[s] == nullptr) {
-    return Status::FailedPrecondition(
-        "shard " + std::to_string(s) + " unavailable after failed checkpoint");
-  }
-  return shards_[s]->Get(id);
-}
-
-bool ShardedDurableCollection::Contains(const std::string& id) const {
-  const size_t s = ShardedCollection::ShardFor(id, shards_.size());
-  return shards_[s] != nullptr && shards_[s]->collection()->Contains(id);
-}
-
-std::vector<std::string> ShardedDurableCollection::Ids() const {
-  std::vector<std::string> ids;
-  for (const auto& shard : shards_) {
-    if (shard == nullptr) continue;
-    auto shard_ids = shard->collection()->Ids();
-    ids.insert(ids.end(), std::make_move_iterator(shard_ids.begin()),
-               std::make_move_iterator(shard_ids.end()));
-  }
-  return ids;
-}
-
-size_t ShardedDurableCollection::size() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    if (shard != nullptr) total += shard->size();
-  }
-  return total;
-}
-
-Status ShardedDurableCollection::Checkpoint() {
-  auto& counters = GlobalStorageCounters();
-  const uint64_t next_gen = generation_ + 1;
-  std::vector<std::string> next_names;
-  next_names.reserve(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    next_names.push_back(ShardWalName(i, next_gen));
-  }
-
-  // Phase 1: write every shard's compacted next-generation log, fully
-  // synced, while the current generation keeps serving. Failure here is
-  // clean — the manifest still names the old files.
-  Status status = Status::OK();
-  for (size_t i = 0; i < shards_.size() && status.ok(); ++i) {
-    if (shards_[i] == nullptr) {
-      status = Status::FailedPrecondition(
-          "shard " + std::to_string(i) + " unavailable; cannot checkpoint");
-      break;
-    }
-    status = WriteAheadLog::WriteCompacted(fs_, dir_ + "/" + next_names[i],
-                                           *shards_[i]->collection(),
-                                           options_.wal);
-  }
-  // The new files' directory entries must be durable before the manifest
-  // can name them.
-  if (status.ok()) status = fs_->SyncDir(dir_);
-  // Phase 2: the commit point — atomically swap the manifest.
-  if (status.ok()) status = WriteManifest(next_names, next_gen);
-  if (!status.ok()) {
-    counters.compaction_failures.fetch_add(1, std::memory_order_relaxed);
-    for (const auto& n : next_names) (void)fs_->Remove(dir_ + "/" + n);
-    return status;
-  }
-
-  // Phase 3: move the shard handles onto the new generation. The old
-  // handles point at files no manifest names; journaling into them would
-  // lose acknowledged writes, so each shard is dropped before its reopen —
-  // a failed reopen leaves that slot null and mutations fail loudly.
-  const std::vector<std::string> old_names = std::move(wal_names_);
-  wal_names_ = next_names;
-  generation_ = next_gen;
-  Status reopen_status = Status::OK();
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i].reset();
-    auto reopened = DurableCollection::Open(
-        name_ + "/shard-" + std::to_string(i), options_.collection,
-        dir_ + "/" + wal_names_[i], nullptr, fs_, options_.wal);
-    if (!reopened.ok()) {
-      if (reopen_status.ok()) reopen_status = reopened.status();
-      continue;
-    }
-    shards_[i] = std::move(*reopened);
-  }
-  if (!reopen_status.ok()) {
-    counters.compaction_failures.fetch_add(1, std::memory_order_relaxed);
-    return reopen_status;
-  }
-
-  // Phase 4: retire the old generation (best effort — a crash here leaves
-  // orphans for the next Open's sweep).
-  for (const auto& n : old_names) (void)fs_->Remove(dir_ + "/" + n);
-  (void)fs_->SyncDir(dir_);
   counters.compactions.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }

@@ -13,8 +13,7 @@ namespace llmms::vectordb {
 
 // A Collection whose mutations are journaled to a write-ahead log before
 // they are applied, so the in-memory state is rebuilt from disk on open —
-// the durability story of the storage layer (§3.3) at record granularity
-// (whole-database snapshots via VectorDatabase::Save complement it).
+// the durability story of the storage layer (§3.3) at record granularity.
 //
 // Open() replays any existing log (including torn tails from a crash) into
 // a fresh Collection, then appends subsequent mutations to the same log.
@@ -83,95 +82,6 @@ class DurableCollection {
   Collection::Options options_;
   WriteAheadLog::Options wal_options_;
   std::string name_;
-};
-
-// N DurableCollection shards under one directory, tied together by a
-// crash-safe manifest: `dir/MANIFEST` (written with AtomicWriteFile's
-// tmp + fsync + rename + fsync-dir barrier) maps each shard index to its
-// generation-numbered WAL file (`shard-<i>.g<G>.wal`). Records are placed
-// with the same FNV-1a hash ShardedCollection uses, so the durable and
-// in-memory sharded layouts agree.
-//
-// Checkpoint() compacts every shard into a new file generation, fsyncs the
-// new files and the directory, then atomically swaps the manifest — the
-// single commit point. A crash anywhere leaves either the old manifest
-// (naming the old, intact logs) or the new one (naming the new, fully
-// synced logs); files of the losing generation are orphans, swept on the
-// next Open(). Mutations and Checkpoint() must be externally serialized
-// (one writer), matching the single-writer-per-shard contract.
-class ShardedDurableCollection {
- public:
-  struct Options {
-    Collection::Options collection;
-    size_t num_shards = 4;
-    WriteAheadLog::Options wal;
-  };
-
-  struct OpenStats {
-    size_t num_shards = 0;
-    uint64_t generation = 0;
-    size_t replayed_upserts = 0;
-    size_t replayed_deletes = 0;
-    size_t torn_tails = 0;
-    size_t sequence_breaks = 0;
-    size_t orphan_files_removed = 0;
-  };
-
-  // Opens (or creates) the sharded collection rooted at directory `dir`
-  // (which must exist). An existing manifest wins over `options.num_shards`
-  // — shard count is fixed at creation. Dimension/metric must match the
-  // manifest or Open fails with FailedPrecondition.
-  static StatusOr<std::unique_ptr<ShardedDurableCollection>> Open(
-      const std::string& name, const std::string& dir, const Options& options,
-      OpenStats* stats = nullptr, FileSystem* fs = nullptr);
-
-  // Journal-then-apply on the owning shard (FailedPrecondition when that
-  // shard lost its journal to a half-failed swap).
-  Status Upsert(VectorRecord record);
-  Status Delete(const std::string& id);
-
-  // Fsyncs every shard's journal.
-  Status Sync();
-
-  // Reads fan out / dispatch to the in-memory shard collections; Query
-  // merges per-shard top-k deterministically (see MergeShardResults).
-  StatusOr<std::vector<QueryResult>> Query(
-      const Vector& query, size_t k, const MetadataFilter& filter = {}) const;
-  StatusOr<VectorRecord> Get(const std::string& id) const;
-  bool Contains(const std::string& id) const;
-  std::vector<std::string> Ids() const;
-  size_t size() const;
-
-  // Compacts every shard into generation G+1 and commits it with an atomic
-  // manifest swap, then removes the old generation's files (best effort —
-  // leftovers are swept at the next Open). See the class comment for the
-  // crash story.
-  Status Checkpoint();
-
-  uint64_t generation() const { return generation_; }
-  size_t num_shards() const { return shards_.size(); }
-  DurableCollection* shard(size_t i) { return shards_[i].get(); }
-  const std::string& dir() const { return dir_; }
-
-  static constexpr const char kManifestName[] = "MANIFEST";
-
- private:
-  ShardedDurableCollection(FileSystem* fs, std::string name, std::string dir,
-                           Options options, uint64_t generation,
-                           std::vector<std::string> wal_names,
-                           std::vector<std::unique_ptr<DurableCollection>> shards);
-
-  Status WriteManifest(const std::vector<std::string>& wal_names,
-                       uint64_t generation) const;
-
-  FileSystem* fs_;
-  std::string name_;
-  std::string dir_;
-  Options options_;
-  uint64_t generation_;
-  // WAL file name (relative to dir_) per shard index.
-  std::vector<std::string> wal_names_;
-  std::vector<std::unique_ptr<DurableCollection>> shards_;
 };
 
 }  // namespace llmms::vectordb

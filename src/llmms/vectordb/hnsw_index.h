@@ -29,7 +29,7 @@ namespace llmms::vectordb {
 class HnswIndex final : public VectorIndex {
  public:
   // Largest M. It bounds a node's level-0 record (2*M + 1 links and
-  // distances); a snapshot declaring more fails to load.
+  // distances).
   static constexpr size_t kMaxM = 32767;
 
   struct Options {

@@ -56,7 +56,7 @@ class ShardedCollection final : public CollectionBase {
   ShardedCollection& operator=(const ShardedCollection&) = delete;
 
   // Which shard owns `id` under `num_shards` partitions (FNV-1a, stable
-  // across processes — durable manifests and snapshots rely on it).
+  // across processes).
   static size_t ShardFor(const std::string& id, size_t num_shards);
 
   Status Upsert(VectorRecord record) override;

@@ -16,8 +16,7 @@ namespace llmms::vectordb {
 // Append-only write-ahead log for one collection: every upsert/delete is
 // recorded as a length-prefixed, checksummed, sequence-numbered record, so
 // the collection state can be rebuilt after a crash by replaying the log
-// (the standard database-durability pattern; whole-database snapshots via
-// VectorDatabase::Save complement it).
+// (the standard database-durability pattern).
 //
 // Record framing (v2):
 //   [u32 payload length][u32 FNV checksum][u64 sequence][payload]
@@ -105,9 +104,8 @@ class WriteAheadLog {
   // Writes a fresh, fsynced log at `path` holding exactly the live records
   // of `collection`, removing any stale file at `path` first (a previous
   // crash mid-rewrite may have left one; appending to it would resurrect
-  // deleted records). The caller makes the file live afterwards — with
-  // Rename + SyncDir for in-place compaction, or a manifest swap for
-  // sharded checkpoints.
+  // deleted records). The caller makes the file live afterwards with
+  // Rename + SyncDir (DurableCollection's compaction).
   static Status WriteCompacted(FileSystem* fs, const std::string& path,
                                const CollectionBase& collection,
                                const Options& options);

@@ -1,5 +1,4 @@
 #include <cmath>
-#include <cstdio>
 #include <gtest/gtest.h>
 #include <unordered_set>
 
@@ -67,38 +66,6 @@ TEST(QaDatasetTest, DeterministicForSeed) {
   options.seed = 999;
   const auto c = GenerateDataset(options);
   EXPECT_NE(a[0].question, c[0].question);
-}
-
-TEST(QaDatasetTest, JsonlRoundTrip) {
-  DatasetOptions options;
-  options.questions_per_domain = 3;
-  const auto items = GenerateDataset(options);
-  const std::string path = ::testing::TempDir() + "/dataset.jsonl";
-  ASSERT_TRUE(SaveDatasetJsonl(items, path).ok());
-  auto loaded = LoadDatasetJsonl(path);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->size(), items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    EXPECT_EQ((*loaded)[i].id, items[i].id);
-    EXPECT_EQ((*loaded)[i].question, items[i].question);
-    EXPECT_EQ((*loaded)[i].golden, items[i].golden);
-    EXPECT_EQ((*loaded)[i].correct, items[i].correct);
-    EXPECT_EQ((*loaded)[i].incorrect, items[i].incorrect);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(QaDatasetTest, LoadRejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "/bad.jsonl";
-  {
-    FILE* f = fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    fputs("this is not json\n", f);
-    fclose(f);
-  }
-  EXPECT_FALSE(LoadDatasetJsonl(path).ok());
-  EXPECT_FALSE(LoadDatasetJsonl("/nonexistent.jsonl").ok());
-  std::remove(path.c_str());
 }
 
 TEST(MetricsTest, ScoreResponseRewardsTruthfulAnswer) {

@@ -9,7 +9,6 @@
 #include "llmms/common/fs.h"
 #include "llmms/common/json.h"
 #include "llmms/common/rng.h"
-#include "llmms/eval/qa_dataset.h"
 #include "llmms/vectordb/wal.h"
 
 namespace llmms {
@@ -223,41 +222,6 @@ TEST(FuzzTest, NlConfigNeverCrashesAndPoolStaysValid) {
       EXPECT_GT(result->options.token_budget, 0u) << instruction;
     }
   }
-}
-
-TEST(FuzzTest, DatasetLoaderSurvivesMutatedJsonl) {
-  Rng rng(0xF029);
-  eval::DatasetOptions opts;
-  opts.questions_per_domain = 1;
-  const auto items = eval::GenerateDataset(opts);
-  const std::string path = ::testing::TempDir() + "/fuzz.jsonl";
-  ASSERT_TRUE(eval::SaveDatasetJsonl(items, path).ok());
-  std::string contents;
-  {
-    FILE* f = fopen(path.c_str(), "rb");
-    char buf[65536];
-    size_t n = 0;
-    while ((n = fread(buf, 1, sizeof(buf), f)) > 0) contents.append(buf, n);
-    fclose(f);
-  }
-  for (int i = 0; i < 200; ++i) {
-    std::string mutated = contents;
-    const size_t pos = static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(mutated.size()) - 1));
-    mutated[pos] = static_cast<char>(rng.UniformInt(32, 126));
-    {
-      FILE* f = fopen(path.c_str(), "wb");
-      fwrite(mutated.data(), 1, mutated.size(), f);
-      fclose(f);
-    }
-    auto loaded = eval::LoadDatasetJsonl(path);
-    if (loaded.ok()) {
-      for (const auto& item : *loaded) {
-        EXPECT_FALSE(item.question.empty());
-      }
-    }
-  }
-  std::remove(path.c_str());
 }
 
 // WAL record-parser seeds: recovery must treat anything on disk — truncated

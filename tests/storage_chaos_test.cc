@@ -1,10 +1,10 @@
 // Crash-at-every-syscall recovery harness for the storage plane
 // (DESIGN.md §14). For each durable component — the WAL append path,
-// DurableCollection compaction, VectorDatabase snapshots, and the
-// StateStore — the sweep counts the I/O ops of a baseline run, then reruns
-// the workload once per op index with FaultyFileSystem armed to kill the
-// world exactly there, reopens through a clean filesystem (a process
-// restart after a power cut), and asserts the recovery contract:
+// DurableCollection compaction and the StateStore — the sweep counts the
+// I/O ops of a baseline run, then reruns the workload once per op index
+// with FaultyFileSystem armed to kill the world exactly there, reopens
+// through a clean filesystem (a process restart after a power cut), and
+// asserts the recovery contract:
 //
 //   acked ⊆ recovered ⊆ attempted-prefix, record-atomically.
 //
@@ -26,7 +26,6 @@
 
 #include "llmms/common/fs.h"
 #include "llmms/llm/state_store.h"
-#include "llmms/vectordb/database.h"
 #include "llmms/vectordb/durable_collection.h"
 #include "llmms/vectordb/wal.h"
 
@@ -35,7 +34,6 @@ namespace {
 
 using vectordb::Collection;
 using vectordb::DurableCollection;
-using vectordb::VectorDatabase;
 using vectordb::VectorRecord;
 using vectordb::WriteAheadLog;
 
@@ -421,183 +419,6 @@ TEST(StorageChaosTest, CompactionSurvivesCrashAtEveryIoOp) {
     ASSERT_TRUE(reopened.ok()) << "crash at op " << k << ": "
                                << reopened.status().ToString();
     EXPECT_EQ(CollectionState(reopened->get()), expected)
-        << "crash at op " << k;
-  }
-}
-
-// --- Snapshot (VectorDatabase::Save) sweep ---------------------------------
-
-TEST(StorageChaosTest, SnapshotSaveIsOldOrNewAtEveryCrashPoint) {
-  RealFileSystem real;
-
-  // The "new" database the workload saves.
-  VectorDatabase next;
-  {
-    auto collection = next.CreateCollection("fresh", Dim3Options());
-    ASSERT_TRUE(collection.ok());
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE((*collection)
-                      ->Upsert(MakeRecord("n" + std::to_string(i),
-                                          0.1f * static_cast<float>(i)))
-                      .ok());
-    }
-  }
-
-  auto seed_old = [&](const std::string& path) {
-    VectorDatabase old_db;
-    auto collection = old_db.CreateCollection("old_marker", Dim3Options());
-    ASSERT_TRUE(collection.ok());
-    ASSERT_TRUE((*collection)->Upsert(MakeRecord("o", 0.5f)).ok());
-    ASSERT_TRUE(old_db.Save(&real, path).ok());
-  };
-
-  const std::string base = FreshDir("snap_base") + "/db.bin";
-  seed_old(base);
-  const int64_t total = RunWithCrashAt(&real, -1, [&](FileSystem* fs) {
-    ASSERT_TRUE(next.Save(fs, base).ok());
-  });
-  ASSERT_GT(total, 2);
-
-  for (int64_t k = 0; k < total; ++k) {
-    const std::string path = FreshDir("snap") + "/db.bin";
-    seed_old(path);
-    bool acked = false;
-    RunWithCrashAt(&real, k, [&](FileSystem* fs) {
-      acked = next.Save(fs, path).ok();
-    });
-
-    auto loaded = VectorDatabase::Load(&real, path);
-    ASSERT_TRUE(loaded.ok()) << "crash at op " << k << ": "
-                             << loaded.status().ToString();
-    const bool is_new = (*loaded)->GetCollection("fresh").ok();
-    const bool is_old = (*loaded)->GetCollection("old_marker").ok();
-    EXPECT_TRUE(is_new != is_old) << "crash at op " << k;
-    if (acked) {
-      EXPECT_TRUE(is_new) << "acked save lost at op " << k;
-    }
-    if (is_new) {
-      auto fresh = (*loaded)->GetCollection("fresh");
-      EXPECT_EQ((*fresh)->size(), 3u) << "torn snapshot at op " << k;
-    }
-  }
-}
-
-// --- Sharded manifest sweep (DESIGN.md §15) --------------------------------
-
-// Crash at every I/O op during a multi-shard mutation stream plus a full
-// Checkpoint (per-shard compacted next-generation logs, directory sync,
-// atomic manifest swap, old-generation removal). Reopening through a clean
-// filesystem must always find a consistent shard set — the old manifest or
-// the new one, state a prefix ≥ the acked mutations — and the orphan sweep
-// must leave no shard file on disk that the live manifest does not name.
-TEST(StorageChaosTest, ShardedManifestCheckpointSurvivesCrashAtEveryIoOp) {
-  using vectordb::ShardedDurableCollection;
-  RealFileSystem real;
-
-  ShardedDurableCollection::Options opts;
-  opts.collection = Dim3Options();
-  opts.num_shards = 3;
-  opts.wal = EveryRecord();
-
-  const std::vector<MutationOp> seed_ops = {
-      {false, "a", 0.1f}, {false, "b", 0.2f}, {false, "c", 0.3f},
-      {false, "d", 0.4f}, {true, "d", 0.0f},
-  };
-  const std::vector<MutationOp> crash_ops = {
-      {false, "x1", 0.6f}, {false, "x2", 0.7f},  // pre-checkpoint
-      {false, "y1", 0.8f},                       // post-checkpoint
-  };
-  std::vector<MutationOp> all_ops = seed_ops;
-  all_ops.insert(all_ops.end(), crash_ops.begin(), crash_ops.end());
-
-  auto seed = [&](const std::string& dir) {
-    auto db = ShardedDurableCollection::Open("c", dir, opts, nullptr, &real);
-    ASSERT_TRUE(db.ok());
-    for (const auto& op : seed_ops) {
-      const Status status = op.is_delete
-                                ? (*db)->Delete(op.id)
-                                : (*db)->Upsert(MakeRecord(op.id, op.value));
-      ASSERT_TRUE(status.ok());
-    }
-  };
-
-  // Open, mutate, checkpoint mid-stream, mutate again; stop at the first
-  // failure the way a real writer would. Counts acked mutations.
-  auto workload = [&](FileSystem* fs, const std::string& dir, size_t* acked) {
-    *acked = 0;
-    auto db = ShardedDurableCollection::Open("c", dir, opts, nullptr, fs);
-    if (!db.ok()) return;
-    for (size_t i = 0; i < crash_ops.size(); ++i) {
-      if (i == 2 && !(*db)->Checkpoint().ok()) return;
-      const Status status =
-          crash_ops[i].is_delete
-              ? (*db)->Delete(crash_ops[i].id)
-              : (*db)->Upsert(MakeRecord(crash_ops[i].id, crash_ops[i].value));
-      if (!status.ok()) return;
-      ++*acked;
-    }
-  };
-
-  auto sharded_state = [](ShardedDurableCollection* db) {
-    std::map<std::string, float> state;
-    for (const auto& id : db->Ids()) {
-      auto record = db->Get(id);
-      EXPECT_TRUE(record.ok());
-      state[id] = record->vector[0];
-    }
-    return state;
-  };
-
-  const std::string base_dir = FreshDir("manifest_base");
-  seed(base_dir);
-  size_t acked = 0;
-  const int64_t total = RunWithCrashAt(&real, -1, [&](FileSystem* fs) {
-    workload(fs, base_dir, &acked);
-  });
-  ASSERT_EQ(acked, crash_ops.size());
-  ASSERT_GT(total, 10);
-
-  for (int64_t k = 0; k < total; ++k) {
-    const std::string dir = FreshDir("manifest");
-    seed(dir);
-    size_t acked_at_crash = 0;
-    RunWithCrashAt(&real, k, [&](FileSystem* fs) {
-      workload(fs, dir, &acked_at_crash);
-    });
-
-    // Reopen through a clean filesystem: a process restart after the cut.
-    ShardedDurableCollection::OpenStats stats;
-    auto reopened =
-        ShardedDurableCollection::Open("c", dir, opts, &stats, &real);
-    ASSERT_TRUE(reopened.ok()) << "crash at op " << k << ": "
-                               << reopened.status().ToString();
-    EXPECT_EQ(stats.num_shards, 3u) << "crash at op " << k;
-    CheckPrefixInvariant(all_ops, seed_ops.size() + acked_at_crash,
-                         sharded_state(reopened->get()),
-                         "crash at op " + std::to_string(k));
-
-    // No orphan shard files left live: everything named shard-* must
-    // belong to the generation the recovered manifest committed.
-    const std::string live_tag =
-        ".g" + std::to_string((*reopened)->generation()) + ".wal";
-    auto entries = real.List(dir);
-    ASSERT_TRUE(entries.ok());
-    size_t shard_files = 0;
-    for (const auto& entry : *entries) {
-      if (entry.rfind("shard-", 0) != 0) continue;
-      ++shard_files;
-      EXPECT_NE(entry.find(live_tag), std::string::npos)
-          << "crash at op " << k << ": stale shard file " << entry;
-    }
-    EXPECT_EQ(shard_files, 3u) << "crash at op " << k;
-
-    // Recovery is sticky: a second reopen sweeps nothing and agrees.
-    ShardedDurableCollection::OpenStats again;
-    auto twice = ShardedDurableCollection::Open("c", dir, opts, &again, &real);
-    ASSERT_TRUE(twice.ok()) << "crash at op " << k;
-    EXPECT_EQ(again.orphan_files_removed, 0u) << "crash at op " << k;
-    EXPECT_EQ(again.torn_tails, 0u) << "crash at op " << k;
-    EXPECT_EQ(sharded_state(twice->get()), sharded_state(reopened->get()))
         << "crash at op " << k;
   }
 }

@@ -7,6 +7,7 @@
 #include "llmms/vectordb/collection.h"
 #include "llmms/vectordb/database.h"
 #include "llmms/vectordb/distance.h"
+#include "llmms/vectordb/durable_collection.h"
 
 namespace llmms::vectordb {
 namespace {
@@ -141,7 +142,7 @@ bool SameBits(const Vector& a, const Vector& b) {
 
 // A record keeps one copy of its vector, in the index; Get must hand back
 // exactly what was upserted, and never the int8 decode of the quantized
-// code index.
+// code index, also after the records are replayed from their journal.
 TEST(CollectionTest, GetReturnsTheStoredVectorBitForBit) {
   for (IndexKind kind : {IndexKind::kFlat, IndexKind::kHnsw}) {
     SCOPED_TRACE(kind == IndexKind::kFlat ? "flat" : "hnsw");
@@ -155,20 +156,22 @@ TEST(CollectionTest, GetReturnsTheStoredVectorBitForBit) {
     opts.dimension = 8;
     opts.quantization.enabled = true;
     opts.quantization.train_size = 6;
-    VectorDatabase db;
-    auto created = db.CreateCollection("vectors", opts);
-    ASSERT_TRUE(created.ok());
-    Collection& c = **created;
+    const std::string path = ::testing::TempDir() + "/vdb_vectors.wal";
+    std::remove(path.c_str());
+    auto durable = DurableCollection::Open("vectors", opts, path);
+    ASSERT_TRUE(durable.ok());
+    DurableCollection& d = **durable;
+    const Collection& c = *d.collection();
     std::vector<Vector> expected;
 
     expected.push_back(random_vector());
-    ASSERT_TRUE(c.Upsert(MakeRecord("0", expected[0])).ok());
+    ASSERT_TRUE(d.Upsert(MakeRecord("0", expected[0])).ok());
     auto rec = c.Get("0");
     ASSERT_TRUE(rec.ok());
     EXPECT_TRUE(SameBits(rec->vector, expected[0])) << "after insert";
 
     expected[0] = random_vector();
-    ASSERT_TRUE(c.Upsert(MakeRecord("0", expected[0])).ok());
+    ASSERT_TRUE(d.Upsert(MakeRecord("0", expected[0])).ok());
     rec = c.Get("0");
     ASSERT_TRUE(rec.ok());
     EXPECT_TRUE(SameBits(rec->vector, expected[0])) << "after replace";
@@ -176,11 +179,11 @@ TEST(CollectionTest, GetReturnsTheStoredVectorBitForBit) {
     for (size_t i = 1; i < 10; ++i) {
       expected.push_back(random_vector());
       ASSERT_TRUE(
-          c.Upsert(MakeRecord(std::to_string(i), expected[i])).ok());
+          d.Upsert(MakeRecord(std::to_string(i), expected[i])).ok());
     }
     ASSERT_TRUE(c.quantized());
     expected[3] = random_vector();
-    ASSERT_TRUE(c.Upsert(MakeRecord("3", expected[3])).ok());
+    ASSERT_TRUE(d.Upsert(MakeRecord("3", expected[3])).ok());
     for (size_t i = 0; i < expected.size(); ++i) {
       rec = c.Get(std::to_string(i));
       ASSERT_TRUE(rec.ok());
@@ -204,16 +207,15 @@ TEST(CollectionTest, GetReturnsTheStoredVectorBitForBit) {
           << "quantized re-rank, id " << hit.id;
     }
 
-    const std::string path = ::testing::TempDir() + "/vdb_vectors.bin";
-    ASSERT_TRUE(db.Save(path).ok());
-    auto loaded = VectorDatabase::Load(path);
+    durable->reset();
+    DurableCollection::OpenStats stats;
+    auto reopened = DurableCollection::Open("vectors", opts, path, &stats);
     std::remove(path.c_str());
-    ASSERT_TRUE(loaded.ok());
-    auto reloaded = (*loaded)->GetCollection("vectors");
-    ASSERT_TRUE(reloaded.ok());
-    ASSERT_TRUE((*reloaded)->quantized());
+    ASSERT_TRUE(reopened.ok());
+    EXPECT_EQ(stats.replayed_upserts, expected.size() + 2);
+    ASSERT_TRUE((*reopened)->collection()->quantized());
     for (size_t i = 0; i < expected.size(); ++i) {
-      rec = (*reloaded)->Get(std::to_string(i));
+      rec = (*reopened)->Get(std::to_string(i));
       ASSERT_TRUE(rec.ok());
       EXPECT_TRUE(SameBits(rec->vector, expected[i]))
           << "reloaded, id " << i;
@@ -247,51 +249,6 @@ TEST(VectorDatabaseTest, GetOrCreateChecksCompatibility) {
   EXPECT_TRUE(db.GetOrCreateCollection("c", other)
                   .status()
                   .IsFailedPrecondition());
-}
-
-TEST(VectorDatabaseTest, SaveLoadRoundTrip) {
-  VectorDatabase db;
-  auto collection = db.CreateCollection("docs", SmallOptions(IndexKind::kHnsw));
-  ASSERT_TRUE(collection.ok());
-  ASSERT_TRUE((*collection)
-                  ->Upsert(MakeRecord("a", {1, 0, 0, 0}, {{"k", "v"}}))
-                  .ok());
-  ASSERT_TRUE((*collection)->Upsert(MakeRecord("b", {0, 1, 0, 0})).ok());
-  auto second = db.CreateCollection("other", SmallOptions());
-  ASSERT_TRUE(second.ok());
-  ASSERT_TRUE((*second)->Upsert(MakeRecord("x", {0, 0, 1, 0})).ok());
-
-  const std::string path = ::testing::TempDir() + "/vdb_roundtrip.bin";
-  ASSERT_TRUE(db.Save(path).ok());
-
-  auto loaded = VectorDatabase::Load(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ((*loaded)->collection_count(), 2u);
-  auto docs = (*loaded)->GetCollection("docs");
-  ASSERT_TRUE(docs.ok());
-  EXPECT_EQ((*docs)->size(), 2u);
-  auto rec = (*docs)->Get("a");
-  ASSERT_TRUE(rec.ok());
-  EXPECT_EQ(rec->metadata.at("k"), "v");
-  EXPECT_EQ(rec->document, "doc-a");
-  auto hits = (*docs)->Query({1, 0, 0, 0}, 1);
-  ASSERT_TRUE(hits.ok());
-  ASSERT_EQ(hits->size(), 1u);
-  EXPECT_EQ((*hits)[0].id, "a");
-  std::remove(path.c_str());
-}
-
-TEST(VectorDatabaseTest, LoadRejectsCorruptFiles) {
-  const std::string path = ::testing::TempDir() + "/vdb_bad.bin";
-  {
-    FILE* f = fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    fputs("garbage data here", f);
-    fclose(f);
-  }
-  EXPECT_FALSE(VectorDatabase::Load(path).ok());
-  EXPECT_FALSE(VectorDatabase::Load("/nonexistent/db.bin").ok());
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -5,17 +5,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <random>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "llmms/common/fs.h"
 #include "llmms/vectordb/collection.h"
 #include "llmms/vectordb/database.h"
-#include "llmms/vectordb/durable_collection.h"
 #include "llmms/vectordb/sharded_collection.h"
 
 namespace llmms::vectordb {
@@ -59,16 +56,6 @@ std::vector<VectorRecord> MakeCorpus(size_t n, uint64_t seed = 7) {
     records.push_back(MakeRecord("rec-" + std::to_string(i), std::move(v)));
   }
   return records;
-}
-
-// A fresh scratch directory per test, mirroring storage_chaos_test.
-std::string FreshDir(const std::string& tag) {
-  static int counter = 0;
-  const std::string dir = ::testing::TempDir() + "/vectordb_shard_" + tag +
-                          "_" + std::to_string(counter++);
-  std::string cmd = "rm -rf '" + dir + "' && mkdir -p '" + dir + "'";
-  EXPECT_EQ(std::system(cmd.c_str()), 0);
-  return dir;
 }
 
 Vector MakeQuery(uint64_t seed) {
@@ -428,7 +415,7 @@ TEST(ShardedCollectionTest, StatsReportPerShardGauges) {
   EXPECT_EQ(queries, 8u);  // 2 queries fanned out over 4 shards
 }
 
-TEST(VectorDatabaseShardTest, RegistryAndSnapshotRoundTrip) {
+TEST(VectorDatabaseShardTest, RegistrySharesOneNamespace) {
   auto db = std::make_unique<VectorDatabase>();
   ShardedCollection::Options sopts;
   sopts.collection = FlatOptions();
@@ -450,139 +437,11 @@ TEST(VectorDatabaseShardTest, RegistryAndSnapshotRoundTrip) {
     ASSERT_TRUE((*sharded)->Upsert(r).ok());
   }
 
-  const std::string path = ::testing::TempDir() + "/vdb_sharded.bin";
-  ASSERT_TRUE(db->Save(path).ok());
-  auto loaded = VectorDatabase::Load(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ((*loaded)->collection_count(), 2u);
-  auto reloaded = (*loaded)->GetShardedCollection("big");
-  ASSERT_TRUE(reloaded.ok());
-  EXPECT_EQ((*reloaded)->num_shards(), 3u);
-  EXPECT_EQ((*reloaded)->size(), 90u);
-  // Re-partitioning is deterministic: per-shard contents match.
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ((*reloaded)->shard(i)->size(), (*sharded)->shard(i)->size());
-  }
-  const Vector q = MakeQuery(77);
-  auto expected = (*sharded)->Query(q, 10);
-  auto actual = (*reloaded)->Query(q, 10);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_TRUE(actual.ok());
-  ExpectIdenticalResults(*expected, *actual, "snapshot round-trip");
-  std::remove(path.c_str());
-}
-
-TEST(ShardedDurableCollectionTest, ReopenRecoversAcrossShards) {
-  RealFileSystem fs;
-  const std::string dir = FreshDir("reopen");
-  ShardedDurableCollection::Options opts;
-  opts.collection = FlatOptions();
-  opts.num_shards = 3;
-
-  const auto corpus = MakeCorpus(60);
-  {
-    auto db = ShardedDurableCollection::Open("c", dir, opts, nullptr, &fs);
-    ASSERT_TRUE(db.ok());
-    for (const auto& r : corpus) {
-      ASSERT_TRUE((*db)->Upsert(r).ok());
-    }
-    ASSERT_TRUE((*db)->Delete(corpus[0].id).ok());
-    ASSERT_TRUE((*db)->Sync().ok());
-  }
-  ShardedDurableCollection::OpenStats stats;
-  auto reopened = ShardedDurableCollection::Open("c", dir, opts, &stats, &fs);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ(stats.num_shards, 3u);
-  EXPECT_EQ(stats.replayed_upserts, 60u);
-  EXPECT_EQ(stats.replayed_deletes, 1u);
-  EXPECT_EQ((*reopened)->size(), 59u);
-  EXPECT_FALSE((*reopened)->Contains(corpus[0].id));
-  EXPECT_TRUE((*reopened)->Contains(corpus[1].id));
-}
-
-TEST(ShardedDurableCollectionTest, ManifestPinsShardCount) {
-  RealFileSystem fs;
-  const std::string dir = FreshDir("manifest");
-  ShardedDurableCollection::Options opts;
-  opts.collection = FlatOptions();
-  opts.num_shards = 4;
-  {
-    auto db = ShardedDurableCollection::Open("c", dir, opts, nullptr, &fs);
-    ASSERT_TRUE(db.ok());
-    EXPECT_EQ((*db)->num_shards(), 4u);
-  }
-  // Reopening with a different configured count keeps the manifest's.
-  opts.num_shards = 16;
-  ShardedDurableCollection::OpenStats stats;
-  auto reopened = ShardedDurableCollection::Open("c", dir, opts, &stats, &fs);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ((*reopened)->num_shards(), 4u);
-  // Incompatible geometry is refused outright.
-  opts.collection.dimension = kDim * 2;
-  EXPECT_TRUE(ShardedDurableCollection::Open("c", dir, opts, nullptr, &fs)
-                  .status()
-                  .IsFailedPrecondition());
-}
-
-TEST(ShardedDurableCollectionTest, CheckpointSwapsGenerationAndSweepsOld) {
-  RealFileSystem fs;
-  const std::string dir = FreshDir("checkpoint");
-  ShardedDurableCollection::Options opts;
-  opts.collection = FlatOptions();
-  opts.num_shards = 2;
-  auto db = ShardedDurableCollection::Open("c", dir, opts, nullptr, &fs);
-  ASSERT_TRUE(db.ok());
-  const auto corpus = MakeCorpus(40);
-  for (const auto& r : corpus) {
-    ASSERT_TRUE((*db)->Upsert(r).ok());
-  }
-  for (size_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE((*db)->Delete(corpus[i].id).ok());
-  }
-  EXPECT_EQ((*db)->generation(), 1u);
-  ASSERT_TRUE((*db)->Checkpoint().ok());
-  EXPECT_EQ((*db)->generation(), 2u);
-  EXPECT_EQ((*db)->size(), 30u);
-  // Old-generation files are gone; the new generation is live.
-  auto entries = fs.List(dir);
-  ASSERT_TRUE(entries.ok());
-  for (const auto& e : *entries) {
-    EXPECT_EQ(e.find(".g1."), std::string::npos) << e;
-  }
-  // Mutations keep flowing after the swap, and a reopen replays compacted
-  // logs only.
-  ASSERT_TRUE((*db)->Upsert(corpus[0]).ok());
-  ASSERT_TRUE((*db)->Sync().ok());
-  ShardedDurableCollection::OpenStats stats;
-  auto reopened = ShardedDurableCollection::Open("c", dir, opts, &stats, &fs);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ(stats.generation, 2u);
-  EXPECT_EQ((*reopened)->size(), 31u);
-  EXPECT_EQ(stats.replayed_deletes, 0u);  // compaction dropped the deletes
-}
-
-TEST(ShardedDurableCollectionTest, OpenSweepsOrphanShardFiles) {
-  RealFileSystem fs;
-  const std::string dir = FreshDir("orphans");
-  ShardedDurableCollection::Options opts;
-  opts.collection = FlatOptions();
-  opts.num_shards = 2;
-  {
-    auto db = ShardedDurableCollection::Open("c", dir, opts, nullptr, &fs);
-    ASSERT_TRUE(db.ok());
-    ASSERT_TRUE((*db)->Upsert(MakeRecord("a", Vector(kDim, 1.0f))).ok());
-    ASSERT_TRUE((*db)->Sync().ok());
-  }
-  // Plant orphans from a hypothetical crashed checkpoint.
-  ASSERT_TRUE(AtomicWriteFile(&fs, dir + "/shard-0.g9.wal", "junk").ok());
-  ASSERT_TRUE(AtomicWriteFile(&fs, dir + "/shard-1.g9.wal", "junk").ok());
-  ShardedDurableCollection::OpenStats stats;
-  auto reopened = ShardedDurableCollection::Open("c", dir, opts, &stats, &fs);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ(stats.orphan_files_removed, 2u);
-  EXPECT_FALSE(fs.Exists(dir + "/shard-0.g9.wal"));
-  EXPECT_FALSE(fs.Exists(dir + "/shard-1.g9.wal"));
-  EXPECT_EQ((*reopened)->size(), 1u);
+  auto found = db->GetShardedCollection("big");
+  ASSERT_TRUE(found.ok());
+  EXPECT_EQ(found->get(), sharded->get());
+  EXPECT_EQ((*found)->size(), 90u);
+  EXPECT_TRUE(db->GetShardedCollection("small").status().IsNotFound());
 }
 
 }  // namespace
