@@ -3,9 +3,9 @@
 // replacements of existing ids with new metadata, deletes and re-inserts,
 // then Get (metadata, document, vector digest), the sorted ids and filtered
 // and unfiltered top-k queries (ids, score bits, metadata, documents). The
-// same history runs over a flat, an HNSW, a quantized and a 4-shard
-// collection, so a change to how records are stored must leave every line
-// as it is.
+// same history runs over a flat L2, an HNSW cosine, a flat inner-product,
+// a quantized and a 4-shard collection, so a change to how records are
+// stored must leave every line as it is.
 
 #include <gtest/gtest.h>
 
@@ -227,6 +227,11 @@ TEST(CollectionGolden, SeededOperationsMatchGolden) {
     Collection hnsw("hnsw",
                     BaseOptions(IndexKind::kHnsw, DistanceMetric::kCosine));
     fresh += "# hnsw, cosine\n" + RunHistory(&hnsw);
+  }
+  {
+    Collection flat_ip(
+        "flat_ip", BaseOptions(IndexKind::kFlat, DistanceMetric::kInnerProduct));
+    fresh += "# flat, inner product\n" + RunHistory(&flat_ip);
   }
   {
     Collection::Options opts =
