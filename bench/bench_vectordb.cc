@@ -1,43 +1,36 @@
 // Vector-database benchmark harness (BENCH_vectordb.json): the recorded
-// performance baseline for the sharded, quantized RAG substrate
-// (DESIGN.md §15) plus the durability-plane throughput numbers the crash
-// harness certifies.
+// performance baseline for the RAG vector store (DESIGN.md §15) plus the
+// durability-plane throughput numbers the crash harness certifies.
 //
 // Phase 1 (durability): WAL append throughput per sync policy — kNone is
 // the in-memory ceiling, kGroupCommit amortizes one fsync over
 // group_commit_every appends, kEveryRecord is the acked-means-durable mode.
 //
-// Phase 2 (Pareto): a clustered corpus of LLMMS_BENCH_VECTORS embeddings
-// (default 1M) is loaded into ShardedCollections across a shard-count sweep,
-// exact and quantized (two-stage int8 scan + full-precision re-rank, with an
-// overfetch sweep). Every configuration reports recall@k against the
-// single-shard exact ground truth and sustained query throughput: the
-// recall-vs-QPS Pareto frontier. The headline is the fastest multi-shard
-// quantized point whose recall is within 0.5% of exact.
+// Phase 2 (exact scan): a clustered corpus of LLMMS_BENCH_VECTORS
+// embeddings (default 1M) is loaded into one flat cosine Collection, then
+// LLMMS_BENCH_REPEATS timed passes each run every query of the set once.
+// Each pass gives one QPS figure; the file reports every pass and their
+// median and interquartile range, so a later change can be compared with
+// the run-to-run spread.
 //
 // Usage: bench_vectordb [output.json]
-//   LLMMS_BENCH_VECTORS   corpus size for the Pareto phase (default 1000000)
+//   LLMMS_BENCH_VECTORS   corpus size for the scan phase (default 1000000)
 //   LLMMS_BENCH_DIM       embedding dimension (default 64)
-//   LLMMS_BENCH_QUERIES   query-set size (default 24)
+//   LLMMS_BENCH_QUERIES   queries per pass (default 200)
+//   LLMMS_BENCH_REPEATS   timed passes (default 7)
 //   LLMMS_BENCH_K         top-k per query (default 10)
-//   LLMMS_BENCH_POOL      query fan-out pool threads (default: hardware
-//                         concurrency; 1 disables the pool)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "llmms/common/fs.h"
 #include "llmms/common/json.h"
 #include "llmms/common/rng.h"
-#include "llmms/common/thread_pool.h"
 #include "llmms/vectordb/collection.h"
-#include "llmms/vectordb/sharded_collection.h"
 #include "llmms/vectordb/wal.h"
 
 #include "clustered_sampler.h"
@@ -47,7 +40,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 using vectordb::Collection;
-using vectordb::ShardedCollection;
 using vectordb::Vector;
 using vectordb::VectorRecord;
 using vectordb::WriteAheadLog;
@@ -100,89 +92,43 @@ Json BenchWalAppend(WriteAheadLog::SyncPolicy policy, const char* label,
   return row;
 }
 
-// --- Phase 2: the recall-vs-QPS Pareto -------------------------------------
+// --- Phase 2: the exact scan ----------------------------------------------
 
-struct ParetoRow {
-  size_t shards = 0;
-  bool quantized = false;
-  size_t overfetch = 0;
-  double recall = 0.0;
-  double qps = 0.0;
-  double mean_query_ms = 0.0;
-  double build_seconds = 0.0;
-};
-
-std::unique_ptr<ShardedCollection> BuildCollection(
-    const std::vector<Vector>& corpus, size_t dim, size_t shards,
-    bool quantized, ThreadPool* pool, double* build_seconds) {
-  ShardedCollection::Options options;
-  options.collection.dimension = dim;
-  options.collection.metric = vectordb::DistanceMetric::kCosine;
-  options.collection.index_kind = vectordb::IndexKind::kFlat;
-  options.collection.quantization.enabled = quantized;
-  options.collection.quantization.train_size = 4096;
-  options.num_shards = shards;
-  options.pool = pool;
-  auto collection = std::make_unique<ShardedCollection>("pareto", options);
-  const auto start = Clock::now();
-  constexpr size_t kBatch = 100000;
-  std::vector<VectorRecord> batch;
-  batch.reserve(kBatch);
+std::unique_ptr<Collection> BuildCollection(const std::vector<Vector>& corpus,
+                                            size_t dim) {
+  Collection::Options options;
+  options.dimension = dim;
+  options.metric = vectordb::DistanceMetric::kCosine;
+  options.index_kind = vectordb::IndexKind::kFlat;
+  auto collection = std::make_unique<Collection>("scan", options);
   for (size_t i = 0; i < corpus.size(); ++i) {
     VectorRecord record;
     record.id = "v-" + std::to_string(i);
     record.vector = corpus[i];
-    batch.push_back(std::move(record));
-    if (batch.size() == kBatch || i + 1 == corpus.size()) {
-      (void)collection->UpsertBatch(std::move(batch));
-      batch.clear();
-      batch.reserve(kBatch);
-    }
+    (void)collection->Upsert(std::move(record));
   }
-  *build_seconds = SecondsSince(start);
   return collection;
 }
 
-// Recall@k of `collection` against per-query ground-truth id sets, then
-// sustained throughput: passes over the query set until >= 0.5s elapsed.
-ParetoRow MeasureRow(const ShardedCollection& collection,
-                     const std::vector<Vector>& queries, size_t k,
-                     const std::vector<std::unordered_set<std::string>>&
-                         truth) {
-  ParetoRow row;
-  size_t found = 0;
-  size_t expected = 0;
-  for (size_t q = 0; q < queries.size(); ++q) {
-    auto results = *collection.Query(queries[q], k);
-    expected += truth[q].size();
-    for (const auto& hit : results) found += truth[q].count(hit.id);
-  }
-  row.recall = expected > 0
-                   ? static_cast<double>(found) / static_cast<double>(expected)
-                   : 0.0;
-  size_t served = 0;
-  const auto start = Clock::now();
-  double seconds = 0.0;
-  while (seconds < 0.5) {
-    for (const auto& q : queries) (void)*collection.Query(q, k);
-    served += queries.size();
-    seconds = SecondsSince(start);
-  }
-  row.qps = seconds > 0.0 ? static_cast<double>(served) / seconds : 0.0;
-  row.mean_query_ms =
-      served > 0 ? seconds * 1e3 / static_cast<double>(served) : 0.0;
-  return row;
+// The q-quantile of `values`, interpolating linearly between ranks.
+double Quantile(std::vector<double> values, double q) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const double at = q * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(at);
+  const size_t hi = std::min(lo + 1, values.size() - 1);
+  return values[lo] + (at - static_cast<double>(lo)) * (values[hi] - values[lo]);
 }
 
-Json ToJson(const ParetoRow& row) {
+// Median, quartiles and interquartile range of one figure across passes.
+Json Spread(const std::vector<double>& values) {
   Json out = Json::MakeObject();
-  out.Set("shards", row.shards);
-  out.Set("quantized", row.quantized);
-  if (row.quantized) out.Set("overfetch", row.overfetch);
-  out.Set("recall_at_k", row.recall);
-  out.Set("qps", row.qps);
-  out.Set("mean_query_ms", row.mean_query_ms);
-  out.Set("build_seconds", row.build_seconds);
+  const double p25 = Quantile(values, 0.25);
+  const double p75 = Quantile(values, 0.75);
+  out.Set("median", Quantile(values, 0.5));
+  out.Set("p25", p25);
+  out.Set("p75", p75);
+  out.Set("iqr", p75 - p25);
   return out;
 }
 
@@ -190,10 +136,9 @@ int Main(int argc, char** argv) {
   const std::string output = argc > 1 ? argv[1] : "BENCH_vectordb.json";
   const size_t n = EnvSize("LLMMS_BENCH_VECTORS", 1000000);
   const size_t dim = EnvSize("LLMMS_BENCH_DIM", 64);
-  const size_t num_queries = EnvSize("LLMMS_BENCH_QUERIES", 24);
+  const size_t num_queries = EnvSize("LLMMS_BENCH_QUERIES", 200);
+  const size_t repeats = EnvSize("LLMMS_BENCH_REPEATS", 7);
   const size_t k = EnvSize("LLMMS_BENCH_K", 10);
-  const size_t pool_threads = EnvSize(
-      "LLMMS_BENCH_POOL", std::max<size_t>(1, std::thread::hardware_concurrency()));
 
   std::fprintf(stderr, "durability phase\n");
   Json wal_rows = Json::MakeArray();
@@ -212,8 +157,9 @@ int Main(int argc, char** argv) {
   durability.Set("wal_append", std::move(wal_rows));
 
   std::fprintf(stderr,
-               "pareto phase: %zu vectors, dim %zu, %zu queries, k=%zu\n", n,
-               dim, num_queries, k);
+               "scan phase: %zu vectors, dim %zu, %zu queries x %zu passes, "
+               "k=%zu\n",
+               n, dim, num_queries, repeats, k);
   Rng rng(0xBEEF);
   ClusteredSampler sampler(&rng, dim, /*num_clusters=*/64);
   std::vector<Vector> corpus;
@@ -222,91 +168,58 @@ int Main(int argc, char** argv) {
   std::vector<Vector> queries;
   for (size_t i = 0; i < num_queries; ++i) queries.push_back(sampler.Sample());
 
-  std::unique_ptr<ThreadPool> pool;
-  if (pool_threads > 1) pool = std::make_unique<ThreadPool>(pool_threads);
+  const auto build_start = Clock::now();
+  auto collection = BuildCollection(corpus, dim);
+  const double build_seconds = SecondsSince(build_start);
+  corpus.clear();
+  corpus.shrink_to_fit();
+  std::fprintf(stderr, "  built in %.2f s\n", build_seconds);
 
-  const std::vector<size_t> shard_sweep = {1, 2, 4, 8};
-  const std::vector<size_t> overfetch_sweep = {2, 4, 8, 16, 32};
-
-  // Ground truth + baseline: single shard, quantization off — byte-for-byte
-  // the pre-sharding query path (vectordb_shard_test asserts this).
-  std::vector<std::unordered_set<std::string>> truth(num_queries);
-  std::vector<ParetoRow> rows;
-  double baseline_qps = 0.0;
-  for (const size_t shards : shard_sweep) {
-    for (const bool quantized : {false, true}) {
-      double build_seconds = 0.0;
-      auto collection = BuildCollection(corpus, dim, shards, quantized,
-                                        pool.get(), &build_seconds);
-      if (shards == 1 && !quantized) {
-        for (size_t q = 0; q < num_queries; ++q) {
-          const auto exact = *collection->Query(queries[q], k);
-          for (const auto& hit : exact) truth[q].insert(hit.id);
-        }
-      }
-      const auto sweep =
-          quantized ? overfetch_sweep : std::vector<size_t>{0};
-      for (const size_t overfetch : sweep) {
-        if (quantized) collection->set_quantization_overfetch(overfetch);
-        ParetoRow row = MeasureRow(*collection, queries, k, truth);
-        row.shards = shards;
-        row.quantized = quantized;
-        row.overfetch = overfetch;
-        row.build_seconds = build_seconds;
-        if (shards == 1 && !quantized) baseline_qps = row.qps;
-        std::fprintf(stderr,
-                     "  shards=%zu %s%-2zu  recall %.3f  qps %.1f  "
-                     "%.2f ms/query\n",
-                     shards, quantized ? "overfetch=" : "exact     ",
-                     overfetch, row.recall, row.qps, row.mean_query_ms);
-        rows.push_back(row);
-      }
-    }
+  // One untimed pass warms the caches and the allocator.
+  for (const auto& q : queries) (void)*collection->Query(q, k);
+  Json passes = Json::MakeArray();
+  std::vector<double> qps;
+  std::vector<double> query_ms;
+  for (size_t r = 0; r < repeats; ++r) {
+    const auto start = Clock::now();
+    for (const auto& q : queries) (void)*collection->Query(q, k);
+    const double seconds = SecondsSince(start);
+    qps.push_back(static_cast<double>(num_queries) / seconds);
+    query_ms.push_back(seconds * 1e3 / static_cast<double>(num_queries));
+    Json pass = Json::MakeObject();
+    pass.Set("qps", qps.back());
+    pass.Set("mean_query_ms", query_ms.back());
+    passes.Append(std::move(pass));
+    std::fprintf(stderr, "  pass %zu  qps %.1f  %.2f ms/query\n", r + 1,
+                 qps.back(), query_ms.back());
   }
-
-  // Headline: fastest multi-shard quantized point within 0.5% of exact
-  // recall, against the single-shard exact baseline.
-  const ParetoRow* best = nullptr;
-  for (const auto& row : rows) {
-    if (row.shards < 2 || !row.quantized) continue;
-    if (row.recall < 0.995) continue;
-    if (best == nullptr || row.qps > best->qps) best = &row;
-  }
-  Json headline = Json::MakeObject();
-  headline.Set("single_shard_exact_qps", baseline_qps);
-  if (best != nullptr) {
-    headline.Set("config", ToJson(*best));
-    headline.Set("qps_vs_single_shard_exact",
-                 baseline_qps > 0.0 ? best->qps / baseline_qps : 0.0);
-    std::fprintf(stderr,
-                 "headline: shards=%zu overfetch=%zu  recall %.3f  "
-                 "%.2fx single-shard exact qps\n",
-                 best->shards, best->overfetch, best->recall,
-                 baseline_qps > 0.0 ? best->qps / baseline_qps : 0.0);
-  }
+  Json scan = Json::MakeObject();
+  scan.Set("build_seconds", build_seconds);
+  scan.Set("passes", std::move(passes));
+  scan.Set("qps", Spread(qps));
+  scan.Set("mean_query_ms", Spread(query_ms));
+  std::fprintf(stderr, "exact scan: median %.1f qps (IQR %.1f)\n",
+               scan["qps"]["median"].AsDouble(0.0),
+               scan["qps"]["iqr"].AsDouble(0.0));
 
   Json config = Json::MakeObject();
   config.Set("vectors", n);
   config.Set("dim", dim);
-  config.Set("queries", num_queries);
+  config.Set("queries_per_pass", num_queries);
+  config.Set("passes", repeats);
   config.Set("k", k);
   config.Set("index", "flat");
   config.Set("metric", "cosine");
-  config.Set("pool_threads", pool_threads);
-  config.Set("quantization_train_size", 4096);
 
   Json out = Json::MakeObject();
   out.Set("bench", "vectordb");
   out.Set("description",
-          "WAL append throughput per sync policy, then the recall-vs-QPS "
-          "Pareto for sharded exact vs. quantized two-stage retrieval; "
-          "recall is against the single-shard exact ground truth");
+          "WAL append throughput per sync policy, then the exact flat "
+          "cosine scan of one Collection: QPS per timed pass over the "
+          "query set, with the median and interquartile range");
   out.Set("config", std::move(config));
   out.Set("durability", std::move(durability));
-  Json pareto = Json::MakeArray();
-  for (const auto& row : rows) pareto.Append(ToJson(row));
-  out.Set("pareto", std::move(pareto));
-  out.Set("headline", std::move(headline));
+  out.Set("exact_scan", std::move(scan));
 
   FILE* f = std::fopen(output.c_str(), "w");
   if (f == nullptr) {

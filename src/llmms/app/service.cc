@@ -603,8 +603,8 @@ Json ApiService::HandleHealth() {
   }
 
   // Vector-database gauges (DESIGN.md §15): one entry per collection with
-  // per-shard record counts, lifetime query counters (QPS numerators), and
-  // approximate index memory — plain collections report a single shard.
+  // its record count, lifetime query counter (QPS numerator) and
+  // approximate vector memory.
   if (engine_->db() != nullptr) {
     Json collections = Json::MakeArray();
     size_t total_records = 0;
@@ -612,20 +612,11 @@ Json ApiService::HandleHealth() {
     for (const auto& stats : engine_->db()->Stats()) {
       Json entry = Json::MakeObject();
       entry.Set("collection", stats.name);
-      entry.Set("sharded", stats.sharded);
-      entry.Set("num_shards", stats.shards.size());
-      Json shards = Json::MakeArray();
-      for (const auto& shard : stats.shards) {
-        Json s = Json::MakeObject();
-        s.Set("records", shard.records);
-        s.Set("queries", shard.queries);
-        s.Set("vector_bytes", shard.vector_bytes);
-        s.Set("quantized", shard.quantized);
-        total_records += shard.records;
-        total_queries += shard.queries;
-        shards.Append(std::move(s));
-      }
-      entry.Set("shards", std::move(shards));
+      entry.Set("records", stats.records);
+      entry.Set("queries", stats.queries);
+      entry.Set("vector_bytes", stats.vector_bytes);
+      total_records += stats.records;
+      total_queries += stats.queries;
       collections.Append(std::move(entry));
     }
     Json vdb = Json::MakeObject();

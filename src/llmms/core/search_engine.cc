@@ -34,9 +34,8 @@ StatusOr<rag::RagPipeline*> SearchEngine::PipelineFor(
   std::lock_guard<std::mutex> lock(mu_);
   auto it = pipelines_.find(session_id);
   if (it != pipelines_.end()) return it->second.get();
-  LLMMS_ASSIGN_OR_RETURN(
-      auto pipeline,
-      rag::RagPipeline::Create(db_, embedder_, session_id, rag_options_));
+  LLMMS_ASSIGN_OR_RETURN(auto pipeline,
+                         rag::RagPipeline::Create(db_, embedder_, session_id));
   rag::RagPipeline* raw = pipeline.get();
   pipelines_[session_id] = std::move(pipeline);
   return raw;

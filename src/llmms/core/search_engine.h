@@ -104,19 +104,6 @@ class SearchEngine {
     reward_feed_.Configure(config);
   }
 
-  // Options for session RAG pipelines created after this call (existing
-  // pipelines keep their configuration). Lets deployments opt sessions into
-  // sharded/quantized vector collections (DESIGN.md §15) without plumbing
-  // knobs through every Ask call.
-  void set_rag_options(const rag::RagPipeline::Options& options) {
-    std::lock_guard<std::mutex> lock(mu_);
-    rag_options_ = options;
-  }
-  rag::RagPipeline::Options rag_options() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return rag_options_;
-  }
-
  private:
   StatusOr<rag::RagPipeline*> PipelineFor(const std::string& session_id);
   session::MemoryGraph* MemoryFor(const std::string& session_id);
@@ -128,7 +115,6 @@ class SearchEngine {
   std::shared_ptr<session::SessionStore> sessions_;
 
   mutable std::mutex mu_;
-  rag::RagPipeline::Options rag_options_;
   std::unordered_map<std::string, std::unique_ptr<rag::RagPipeline>> pipelines_;
   std::unordered_map<std::string, std::unique_ptr<session::MemoryGraph>>
       memories_;

@@ -12,7 +12,7 @@ std::string ChunkRecordId(const std::string& document_id, size_t index) {
 }  // namespace
 
 DocumentStore::DocumentStore(
-    std::shared_ptr<vectordb::CollectionBase> collection,
+    std::shared_ptr<vectordb::Collection> collection,
     std::shared_ptr<const embedding::Embedder> embedder, Chunker chunker)
     : collection_(std::move(collection)),
       embedder_(std::move(embedder)),

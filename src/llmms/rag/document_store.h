@@ -24,15 +24,14 @@ struct RetrievedChunk {
 
 // Ingestion + retrieval over one vector-database collection: documents are
 // chunked, embedded, and upserted; queries are embedded and matched against
-// the chunks (§6.2, §7.2 steps 2-3). Works against any CollectionBase —
-// plain or sharded — so session stores scale without changing this layer.
+// the chunks (§6.2, §7.2 steps 2-3).
 //
 // Thread-safe: the HTTP server runs uploads into one session on several
 // workers. Adds and removes of documents are serialized; retrieval runs
 // beside them under the collection's own lock.
 class DocumentStore {
  public:
-  DocumentStore(std::shared_ptr<vectordb::CollectionBase> collection,
+  DocumentStore(std::shared_ptr<vectordb::Collection> collection,
                 std::shared_ptr<const embedding::Embedder> embedder,
                 Chunker chunker = Chunker());
 
@@ -55,7 +54,7 @@ class DocumentStore {
  private:
   Status RemoveDocumentLocked(const std::string& document_id);
 
-  std::shared_ptr<vectordb::CollectionBase> collection_;
+  std::shared_ptr<vectordb::Collection> collection_;
   std::shared_ptr<const embedding::Embedder> embedder_;
   Chunker chunker_;
   // Held across a whole add or remove, so two uploads of one id cannot both

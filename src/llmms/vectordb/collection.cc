@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <shared_mutex>
 
@@ -12,10 +13,7 @@
 namespace llmms::vectordb {
 
 Collection::Collection(std::string name, const Options& options)
-    : name_(std::move(name)), options_(options), index_(MakeIndex()) {
-  quant_overfetch_.store(std::max<size_t>(1, options_.quantization.overfetch),
-                         std::memory_order_relaxed);
-}
+    : name_(std::move(name)), options_(options), index_(MakeIndex()) {}
 
 std::unique_ptr<VectorIndex> Collection::MakeIndex() const {
   if (options_.index_kind == IndexKind::kFlat) {
@@ -120,54 +118,10 @@ Metadata Collection::StoredRecord::metadata() const {
   return metadata;
 }
 
-Status Collection::TrainQuantizerLocked() {
-  // Sample the live vectors in slot order so the code index's slot
-  // assignment is deterministic for a given insertion history.
-  std::vector<SlotId> live;
-  std::vector<Vector> sample;
-  live.reserve(id_to_slot_.size());
-  sample.reserve(id_to_slot_.size());
-  for (SlotId slot = 0; slot < records_.size(); ++slot) {
-    if (!records_[slot].live()) continue;
-    live.push_back(slot);
-    const std::span<const float> row = index_->GetVector(slot);
-    sample.emplace_back(row.begin(), row.end());
-  }
-
-  ScalarQuantizer quantizer;
-  LLMMS_RETURN_NOT_OK(quantizer.Train(sample));
-  auto qindex =
-      std::make_unique<QuantizedFlatIndex>(quantizer, options_.metric);
-  slot_to_qslot_.clear();
-  qslot_to_slot_.clear();
-  for (size_t i = 0; i < live.size(); ++i) {
-    LLMMS_ASSIGN_OR_RETURN(SlotId qslot, qindex->Add(sample[i]));
-    MapQuantizedLocked(live[i], qslot);
-  }
-  qindex_ = std::move(qindex);
-  return Status::OK();
-}
-
-void Collection::MapQuantizedLocked(SlotId slot, SlotId qslot) {
-  if (slot >= slot_to_qslot_.size()) slot_to_qslot_.resize(slot + 1, kNoSlot);
-  if (qslot >= qslot_to_slot_.size()) {
-    qslot_to_slot_.resize(qslot + 1, kNoSlot);
-  }
-  slot_to_qslot_[slot] = qslot;
-  qslot_to_slot_[qslot] = slot;
-}
-
 Status Collection::RemoveLocked(
     std::unordered_map<std::string_view, SlotId>::iterator it) {
   const SlotId slot = it->second;
   LLMMS_RETURN_NOT_OK(index_->Remove(slot));
-  if (qindex_ != nullptr && slot < slot_to_qslot_.size() &&
-      slot_to_qslot_[slot] != kNoSlot) {
-    const SlotId qslot = slot_to_qslot_[slot];
-    LLMMS_RETURN_NOT_OK(qindex_->Remove(qslot));
-    qslot_to_slot_[qslot] = kNoSlot;
-    slot_to_qslot_[slot] = kNoSlot;
-  }
   // The key views the record's bytes: erase it before freeing them.
   id_to_slot_.erase(it);
   records_[slot] = StoredRecord();
@@ -197,15 +151,6 @@ Status Collection::Upsert(VectorRecord record) {
   }
   records_.push_back(std::move(stored));
   id_to_slot_.emplace(records_.back().id(), slot);
-  if (options_.quantization.enabled) {
-    if (qindex_ != nullptr) {
-      LLMMS_ASSIGN_OR_RETURN(SlotId qslot, qindex_->Add(record.vector));
-      MapQuantizedLocked(slot, qslot);
-    } else if (id_to_slot_.size() >=
-               std::max<size_t>(1, options_.quantization.train_size)) {
-      LLMMS_RETURN_NOT_OK(TrainQuantizerLocked());
-    }
-  }
   return Status::OK();
 }
 
@@ -248,40 +193,6 @@ bool Collection::Contains(const std::string& id) const {
   return id_to_slot_.find(id) != id_to_slot_.end();
 }
 
-StatusOr<std::vector<IndexHit>> Collection::CandidatesLocked(
-    const Vector& query, size_t fetch) const {
-  if (qindex_ == nullptr || qindex_->size() == 0) {
-    return index_->Search(query, fetch);
-  }
-  // Two-stage path: the int8 scan proposes fetch*overfetch candidates, the
-  // exact distance against the stored full-precision vector re-ranks them.
-  const size_t overfetch = quant_overfetch_.load(std::memory_order_relaxed);
-  LLMMS_ASSIGN_OR_RETURN(auto qhits, qindex_->Search(query, fetch * overfetch));
-  // Only cosine reads norms; a row's comes from the exact index, which
-  // fixed it at Add.
-  const DistanceMetric metric = options_.metric;
-  const bool cosine = metric == DistanceMetric::kCosine;
-  const double query_norm = cosine ? Norm(query) : 0.0;
-  std::vector<IndexHit> hits;
-  hits.reserve(qhits.size());
-  for (const IndexHit& qh : qhits) {
-    const SlotId slot = qslot_to_slot_[qh.slot];
-    if (slot == kNoSlot) continue;
-    const std::span<const float> row = index_->GetVector(slot);
-    if (row.empty()) continue;
-    hits.push_back(IndexHit{
-        slot, cosine ? Distance(metric, query, query_norm, row,
-                                index_->GetNorm(slot))
-                     : Distance(metric, query, row)});
-  }
-  std::sort(hits.begin(), hits.end(), [](const IndexHit& a, const IndexHit& b) {
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.slot < b.slot;
-  });
-  if (hits.size() > fetch) hits.resize(fetch);
-  return hits;
-}
-
 StatusOr<std::vector<QueryResult>> Collection::Query(
     const Vector& query, size_t k, const MetadataFilter& filter) const {
   std::shared_lock<WriterPreferringSharedMutex> lock(mu_);
@@ -300,7 +211,7 @@ StatusOr<std::vector<QueryResult>> Collection::Query(
   size_t fetch = filter.empty() ? k + 1 : std::max<size_t>(k * 4, 16);
   std::vector<Kept> kept;
   for (;;) {
-    LLMMS_ASSIGN_OR_RETURN(auto hits, CandidatesLocked(query, fetch));
+    LLMMS_ASSIGN_OR_RETURN(auto hits, index_->Search(query, fetch));
     kept.clear();
     for (const IndexHit& hit : hits) {
       const StoredRecord& record = records_[hit.slot];
@@ -346,21 +257,9 @@ size_t Collection::size() const {
   return id_to_slot_.size();
 }
 
-bool Collection::quantized() const {
-  std::shared_lock<WriterPreferringSharedMutex> lock(mu_);
-  return qindex_ != nullptr;
-}
-
 size_t Collection::approx_vector_bytes() const {
   std::shared_lock<WriterPreferringSharedMutex> lock(mu_);
-  size_t bytes = id_to_slot_.size() * options_.dimension * sizeof(float);
-  if (qindex_ != nullptr) bytes += qindex_->code_bytes();
-  return bytes;
-}
-
-void Collection::set_quantization_overfetch(size_t overfetch) {
-  quant_overfetch_.store(std::max<size_t>(1, overfetch),
-                         std::memory_order_relaxed);
+  return id_to_slot_.size() * options_.dimension * sizeof(float);
 }
 
 }  // namespace llmms::vectordb

@@ -1,6 +1,7 @@
 #ifndef LLMMS_VECTORDB_DATABASE_H_
 #define LLMMS_VECTORDB_DATABASE_H_
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -10,15 +11,12 @@
 #include "llmms/common/result.h"
 #include "llmms/common/status.h"
 #include "llmms/vectordb/collection.h"
-#include "llmms/vectordb/sharded_collection.h"
 
 namespace llmms::vectordb {
 
 // Top-level vector database: a registry of named collections, mirroring the
 // ChromaDB client API (create_collection / get_collection / delete_collection
-// / list_collections). Plain and sharded collections share one namespace: a
-// name identifies exactly one of the two, and the usual registry calls
-// (Drop/List/count) see both.
+// / list_collections).
 class VectorDatabase {
  public:
   VectorDatabase() = default;
@@ -39,38 +37,23 @@ class VectorDatabase {
   StatusOr<std::shared_ptr<Collection>> GetOrCreateCollection(
       const std::string& name, const Collection::Options& options);
 
-  // Sharded variants: hash-partitioned collections for large corpora
-  // (see ShardedCollection). Same namespace as plain collections.
-  StatusOr<std::shared_ptr<ShardedCollection>> CreateShardedCollection(
-      const std::string& name, const ShardedCollection::Options& options);
-  StatusOr<std::shared_ptr<ShardedCollection>> GetShardedCollection(
-      const std::string& name) const;
-  StatusOr<std::shared_ptr<ShardedCollection>> GetOrCreateShardedCollection(
-      const std::string& name, const ShardedCollection::Options& options);
-
   Status DropCollection(const std::string& name);
 
   std::vector<std::string> ListCollections() const;
-  size_t collection_count() const;
 
-  // Per-collection observability for /api/health: one entry per registered
-  // collection, with one ShardStats per shard (plain collections report a
-  // single shard).
+  // Per-collection gauges for /api/health, one entry per registered
+  // collection, sorted by name.
   struct CollectionStats {
     std::string name;
-    bool sharded = false;
-    std::vector<ShardedCollection::ShardStats> shards;
+    size_t records = 0;
+    uint64_t queries = 0;
+    size_t vector_bytes = 0;
   };
   std::vector<CollectionStats> Stats() const;
 
  private:
-  bool NameTakenLocked(const std::string& name) const {
-    return collections_.count(name) > 0 || sharded_.count(name) > 0;
-  }
-
   mutable std::mutex mu_;
   std::unordered_map<std::string, std::shared_ptr<Collection>> collections_;
-  std::unordered_map<std::string, std::shared_ptr<ShardedCollection>> sharded_;
 };
 
 }  // namespace llmms::vectordb

@@ -8,10 +8,10 @@
 
 namespace llmms::vectordb {
 
-// The vector database's one distance kernel. Every index and the quantized
-// rerank compute distances through the same two out-of-line functions, Norm
-// and the norm-taking Distance, so a distance never depends on the path
-// that computed it.
+// The vector database's one distance kernel. Both indexes compute
+// distances through the same two out-of-line functions, Norm and the
+// norm-taking Distance, so a distance never depends on the index that
+// computed it.
 
 // a·b over n floats: 16 independent fp32 lanes plus a scalar tail, summed
 // into a double at the end. A plain loop that -O3 vectorizes as it stands.

@@ -29,7 +29,6 @@ class FlatIndex final : public VectorIndex {
   std::span<const float> GetVector(SlotId slot) const override {
     return rows_.Get(slot);
   }
-  double GetNorm(SlotId slot) const override { return rows_.GetNorm(slot); }
 
  private:
   DistanceMetric metric_;

@@ -63,7 +63,6 @@ class HnswIndex final : public VectorIndex {
   std::span<const float> GetVector(SlotId slot) const override {
     return rows_.Get(slot);
   }
-  double GetNorm(SlotId slot) const override { return rows_.GetNorm(slot); }
 
   const Options& options() const { return options_; }
   int max_level() const { return max_level_; }

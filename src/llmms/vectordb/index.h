@@ -61,9 +61,8 @@ class TopHits {
 };
 
 // Nearest-neighbor index over raw vectors. Implementations: FlatIndex
-// (exact, brute force), HnswIndex (approximate graph index, the structure
-// Chroma/FAISS use), and QuantizedFlatIndex (int8 scan for the two-stage
-// path).
+// (exact, brute force) and HnswIndex (approximate graph index, the
+// structure Chroma/FAISS use).
 //
 // Concurrency contract: const methods (Search, GetVector, size) may run
 // concurrently with each other but not with Add/Remove. Collection enforces
@@ -96,22 +95,13 @@ class VectorIndex {
   virtual size_t dimension() const = 0;
   virtual DistanceMetric metric() const = 0;
 
-  // The stored vector of a live slot (for persistence and re-ranking);
-  // empty for a removed or unknown slot. Callers copy what they keep: the
-  // span is valid only while the caller's hold on the index lasts (for
-  // Collection, its lock), and for these implementations:
-  // - FlatIndex and HnswIndex view their RowStore row, which never moves,
-  //   so the span outlives later Adds and Removes, up to the index's
-  //   destruction.
-  // - QuantizedFlatIndex decodes into thread-local scratch, so the span is
-  //   overwritten by the calling thread's next GetVector on any quantized
-  //   index.
+  // The stored vector of a live slot (for Collection::Get and
+  // persistence); empty for a removed or unknown slot. Callers copy what
+  // they keep: the span is valid only while the caller's hold on the index
+  // lasts (for Collection, its lock). FlatIndex and HnswIndex view their
+  // RowStore row, which never moves, so the span outlives later Adds and
+  // Removes, up to the index's destruction.
   virtual std::span<const float> GetVector(SlotId slot) const = 0;
-
-  // Norm(GetVector(slot)), bit for bit; 0 for a removed or unknown slot.
-  // FlatIndex and HnswIndex return the norm fixed at Add, so a cosine
-  // re-rank reads it instead of recomputing it per candidate.
-  virtual double GetNorm(SlotId slot) const { return Norm(GetVector(slot)); }
 };
 
 }  // namespace llmms::vectordb

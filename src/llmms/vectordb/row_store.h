@@ -110,12 +110,6 @@ class RowStore {
     if (slot >= slot_count() || removed_[slot]) return {};
     return row(slot);
   }
-  // A live slot's norm; 0 for a removed or unassigned slot. What
-  // VectorIndex::GetNorm returns.
-  double GetNorm(SlotId slot) const {
-    if (slot >= slot_count() || removed_[slot]) return 0.0;
-    return norm(slot);
-  }
 
  private:
   FixedBlocks<float> rows_;

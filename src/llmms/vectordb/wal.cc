@@ -229,7 +229,7 @@ Status WriteAheadLog::AppendDelete(const std::string& id) {
 }
 
 Status WriteAheadLog::WriteCompacted(FileSystem* fs, const std::string& path,
-                                     const CollectionBase& collection,
+                                     const Collection& collection,
                                      const Options& options) {
   Status removed = fs->Remove(path);
   if (!removed.ok() && !removed.IsNotFound()) return removed;

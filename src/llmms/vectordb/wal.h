@@ -107,7 +107,7 @@ class WriteAheadLog {
   // deleted records). The caller makes the file live afterwards with
   // Rename + SyncDir (DurableCollection's compaction).
   static Status WriteCompacted(FileSystem* fs, const std::string& path,
-                               const CollectionBase& collection,
+                               const Collection& collection,
                                const Options& options);
 
  private:

@@ -101,6 +101,36 @@ TEST_F(ApiServiceTest, UploadThenQueryUsesRag) {
   EXPECT_GE(response["retrieved_chunks"].AsInt(), 1);
 }
 
+// The vectordb block of /api/health reports each session collection's
+// gauges directly (DESIGN.md §15): its stored records, the queries it
+// served and the bytes its vectors hold.
+TEST_F(ApiServiceTest, HealthReportsSessionCollectionGauges) {
+  const auto& item = world_.dataset[0];
+  Json upload = Json::MakeObject();
+  upload.Set("session", "s1");
+  upload.Set("document_id", "notes");
+  upload.Set("text", item.golden);
+  auto up_response = service_->Handle("/api/upload", upload);
+  ASSERT_TRUE(up_response["ok"].AsBool());
+  const int64_t chunks = up_response["chunks"].AsInt();
+  ASSERT_GE(chunks, 1);
+  ASSERT_TRUE(
+      service_->Handle("/api/query", QueryRequest(item.question))["ok"]
+          .AsBool());
+
+  auto health = service_->Handle("/api/health", Json::MakeObject());
+  ASSERT_TRUE(health["ok"].AsBool());
+  ASSERT_TRUE(health.Contains("vectordb"));
+  const auto& vdb = health["vectordb"];
+  ASSERT_EQ(vdb["collections"].Size(), 1u);
+  const auto& entry = vdb["collections"].At(0);
+  EXPECT_EQ(entry["collection"].AsString(), "session-s1");
+  EXPECT_EQ(entry["records"].AsInt(), chunks);
+  EXPECT_GE(entry["queries"].AsInt(), 1);
+  EXPECT_GT(entry["vector_bytes"].AsInt(), 0);
+  EXPECT_EQ(vdb["total_records"].AsInt(), chunks);
+}
+
 TEST_F(ApiServiceTest, UploadValidatesArguments) {
   Json upload = Json::MakeObject();
   upload.Set("session", "s1");

@@ -3,9 +3,9 @@
 // replacements of existing ids with new metadata, deletes and re-inserts,
 // then Get (metadata, document, vector digest), the sorted ids and filtered
 // and unfiltered top-k queries (ids, score bits, metadata, documents). The
-// same history runs over a flat L2, an HNSW cosine, a flat inner-product,
-// a quantized and a 4-shard collection, so a change to how records are
-// stored must leave every line as it is.
+// same history runs over a flat L2, an HNSW cosine and a flat
+// inner-product collection, so a change to how records are stored must
+// leave every line as it is.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "golden_file.h"
 #include "llmms/common/rng.h"
 #include "llmms/vectordb/collection.h"
-#include "llmms/vectordb/sharded_collection.h"
 
 namespace llmms::vectordb {
 namespace {
@@ -108,7 +107,7 @@ std::string RecordId(int64_t n) {
   return buf;
 }
 
-void AppendQueries(const CollectionBase& collection, const char* phase,
+void AppendQueries(const Collection& collection, const char* phase,
                    uint64_t seed, std::string* out) {
   Rng rng(seed);
   const std::vector<MetadataFilter> filters = {
@@ -141,7 +140,7 @@ void AppendQueries(const CollectionBase& collection, const char* phase,
   }
 }
 
-void AppendState(const CollectionBase& collection, const char* phase,
+void AppendState(const Collection& collection, const char* phase,
                  int64_t universe, std::string* out) {
   auto ids = collection.Ids();
   std::sort(ids.begin(), ids.end());
@@ -165,7 +164,7 @@ void AppendState(const CollectionBase& collection, const char* phase,
   }
 }
 
-std::string RunHistory(CollectionBase* collection) {
+std::string RunHistory(Collection* collection) {
   std::string out;
   History history;
   // Phase 1: fresh ids.
@@ -232,24 +231,6 @@ TEST(CollectionGolden, SeededOperationsMatchGolden) {
     Collection flat_ip(
         "flat_ip", BaseOptions(IndexKind::kFlat, DistanceMetric::kInnerProduct));
     fresh += "# flat, inner product\n" + RunHistory(&flat_ip);
-  }
-  {
-    Collection::Options opts =
-        BaseOptions(IndexKind::kFlat, DistanceMetric::kInnerProduct);
-    opts.quantization.enabled = true;
-    opts.quantization.train_size = 40;
-    opts.quantization.overfetch = 3;
-    Collection quantized("quantized", opts);
-    fresh += "# quantized flat, inner product, train_size 40\n" +
-             RunHistory(&quantized);
-    EXPECT_TRUE(quantized.quantized());
-  }
-  {
-    ShardedCollection::Options opts;
-    opts.collection = BaseOptions(IndexKind::kHnsw, DistanceMetric::kCosine);
-    opts.num_shards = 4;
-    ShardedCollection sharded("sharded", opts);
-    fresh += "# 4-shard hnsw, cosine\n" + RunHistory(&sharded);
   }
   testutil::ExpectMatchesGolden("collection_ops.golden", fresh);
 }

@@ -15,11 +15,10 @@
 #include "llmms/app/service.h"
 #include "llmms/common/rng.h"
 #include "llmms/common/shared_mutex.h"
-#include "llmms/common/thread_pool.h"
 #include "llmms/embedding/embedding_cache.h"
 #include "llmms/llm/batch_scheduler.h"
 #include "llmms/rag/pipeline.h"
-#include "llmms/vectordb/sharded_collection.h"
+#include "llmms/vectordb/collection.h"
 #include "testutil.h"
 
 namespace llmms {
@@ -550,22 +549,15 @@ TEST(ConcurrencyTest, SchedulerAdmitExecuteFinishHammer) {
   }
 }
 
-// Sharded vector search under one writer and many readers (DESIGN.md §15):
-// each shard's shared/exclusive lock must give readers torn-free snapshots
-// while the writer upserts, replaces, and deletes across all shards — and
-// a record published before a reader's acquire must be visible to it
-// (monotonic visibility). Quantization is on with a small train threshold
-// so the quantizer trains mid-flight, racing the readers' query path.
-TEST(ConcurrencyTest, ShardedCollectionReadersWithSingleWriter) {
-  vectordb::ShardedCollection::Options opts;
-  opts.collection.dimension = 8;
-  opts.collection.index_kind = vectordb::IndexKind::kFlat;
-  opts.collection.quantization.enabled = true;
-  opts.collection.quantization.train_size = 64;
-  opts.num_shards = 4;
-  ThreadPool pool(2);
-  opts.pool = &pool;
-  vectordb::ShardedCollection collection("stress", opts);
+// Vector search under one writer and many readers (DESIGN.md §15): the
+// collection's shared/exclusive lock must give readers torn-free snapshots
+// while the writer upserts, replaces, and deletes — and a record published
+// before a reader's acquire must be visible to it (monotonic visibility).
+TEST(ConcurrencyTest, CollectionReadersWithSingleWriter) {
+  vectordb::Collection::Options opts;
+  opts.dimension = 8;
+  opts.index_kind = vectordb::IndexKind::kFlat;
+  vectordb::Collection collection("stress", opts);
 
   constexpr int kWrites = 600;
   constexpr int kDeleteLag = 64;
@@ -627,7 +619,7 @@ TEST(ConcurrencyTest, ShardedCollectionReadersWithSingleWriter) {
           ++failures;
         } else {
           for (size_t i = 1; i < hits->size(); ++i) {
-            // The merged order stays a total order even mid-mutation.
+            // Hits stay in score order even mid-mutation.
             if ((*hits)[i - 1].score < (*hits)[i].score) ++failures;
           }
         }

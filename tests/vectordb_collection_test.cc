@@ -141,8 +141,8 @@ bool SameBits(const Vector& a, const Vector& b) {
 }
 
 // A record keeps one copy of its vector, in the index; Get must hand back
-// exactly what was upserted, and never the int8 decode of the quantized
-// code index, also after the records are replayed from their journal.
+// exactly what was upserted, also after the records are replayed from
+// their journal.
 TEST(CollectionTest, GetReturnsTheStoredVectorBitForBit) {
   for (IndexKind kind : {IndexKind::kFlat, IndexKind::kHnsw}) {
     SCOPED_TRACE(kind == IndexKind::kFlat ? "flat" : "hnsw");
@@ -154,8 +154,6 @@ TEST(CollectionTest, GetReturnsTheStoredVectorBitForBit) {
     };
     Collection::Options opts = SmallOptions(kind);
     opts.dimension = 8;
-    opts.quantization.enabled = true;
-    opts.quantization.train_size = 6;
     const std::string path = ::testing::TempDir() + "/vdb_vectors.wal";
     std::remove(path.c_str());
     auto durable = DurableCollection::Open("vectors", opts, path);
@@ -181,18 +179,17 @@ TEST(CollectionTest, GetReturnsTheStoredVectorBitForBit) {
       ASSERT_TRUE(
           d.Upsert(MakeRecord(std::to_string(i), expected[i])).ok());
     }
-    ASSERT_TRUE(c.quantized());
     expected[3] = random_vector();
     ASSERT_TRUE(d.Upsert(MakeRecord("3", expected[3])).ok());
     for (size_t i = 0; i < expected.size(); ++i) {
       rec = c.Get(std::to_string(i));
       ASSERT_TRUE(rec.ok());
       EXPECT_TRUE(SameBits(rec->vector, expected[i]))
-          << "quantized, id " << i;
+          << "id " << i;
     }
 
-    // The quantized re-rank scores each hit exactly as a cosine over the
-    // stored vectors would, norms included.
+    // A query scores each hit exactly as a cosine over the stored vectors
+    // would, norms included.
     const Vector query = random_vector();
     auto hits = c.Query(query, expected.size());
     ASSERT_TRUE(hits.ok());
@@ -204,7 +201,7 @@ TEST(CollectionTest, GetReturnsTheStoredVectorBitForBit) {
                 SimilarityFromDistance(
                     DistanceMetric::kCosine,
                     Distance(DistanceMetric::kCosine, query, rec->vector)))
-          << "quantized re-rank, id " << hit.id;
+          << "query, id " << hit.id;
     }
 
     durable->reset();
@@ -213,7 +210,6 @@ TEST(CollectionTest, GetReturnsTheStoredVectorBitForBit) {
     std::remove(path.c_str());
     ASSERT_TRUE(reopened.ok());
     EXPECT_EQ(stats.replayed_upserts, expected.size() + 2);
-    ASSERT_TRUE((*reopened)->collection()->quantized());
     for (size_t i = 0; i < expected.size(); ++i) {
       rec = (*reopened)->Get(std::to_string(i));
       ASSERT_TRUE(rec.ok());
@@ -234,7 +230,7 @@ TEST(VectorDatabaseTest, CreateGetDropCollections) {
                   .IsInvalidArgument());
   ASSERT_TRUE(db.GetCollection("one").ok());
   EXPECT_TRUE(db.GetCollection("two").status().IsNotFound());
-  EXPECT_EQ(db.collection_count(), 1u);
+  EXPECT_EQ(db.ListCollections().size(), 1u);
   ASSERT_TRUE(db.DropCollection("one").ok());
   EXPECT_TRUE(db.DropCollection("one").IsNotFound());
 }
@@ -243,7 +239,7 @@ TEST(VectorDatabaseTest, GetOrCreateChecksCompatibility) {
   VectorDatabase db;
   ASSERT_TRUE(db.GetOrCreateCollection("c", SmallOptions()).ok());
   ASSERT_TRUE(db.GetOrCreateCollection("c", SmallOptions()).ok());
-  EXPECT_EQ(db.collection_count(), 1u);
+  EXPECT_EQ(db.ListCollections().size(), 1u);
   auto other = SmallOptions();
   other.dimension = 8;
   EXPECT_TRUE(db.GetOrCreateCollection("c", other)

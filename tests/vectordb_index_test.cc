@@ -12,7 +12,6 @@
 #include "llmms/vectordb/distance.h"
 #include "llmms/vectordb/flat_index.h"
 #include "llmms/vectordb/hnsw_index.h"
-#include "llmms/vectordb/quantizer.h"
 
 namespace llmms::vectordb {
 namespace {
@@ -243,15 +242,9 @@ TEST(FlatIndexTest, TopKMatchesPartialSortReference) {
 TEST(VectorIndexTest, AddAssignsDenseSlots) {
   constexpr size_t kDim = 4;
   Rng rng(0xD5);
-  std::vector<Vector> sample;
-  for (int i = 0; i < 32; ++i) sample.push_back(RandomUnitVector(&rng, kDim));
-  ScalarQuantizer quantizer;
-  ASSERT_TRUE(quantizer.Train(sample).ok());
   std::vector<std::unique_ptr<VectorIndex>> indexes;
   indexes.push_back(std::make_unique<FlatIndex>(kDim, DistanceMetric::kCosine));
   indexes.push_back(std::make_unique<HnswIndex>(kDim, DistanceMetric::kCosine));
-  indexes.push_back(
-      std::make_unique<QuantizedFlatIndex>(quantizer, DistanceMetric::kCosine));
   for (size_t n = 0; n < indexes.size(); ++n) {
     SCOPED_TRACE(n);
     VectorIndex& index = *indexes[n];

@@ -1,127 +1,13 @@
-#include <cmath>
 #include <cstdio>
 #include <gtest/gtest.h>
+#include <string>
 
-#include "llmms/common/rng.h"
-#include "llmms/vectordb/flat_index.h"
-#include "llmms/vectordb/quantizer.h"
+#include "llmms/vectordb/collection.h"
 #include "llmms/vectordb/wal.h"
 
 namespace llmms::vectordb {
 namespace {
 
-std::vector<Vector> RandomSample(Rng* rng, size_t n, size_t dim) {
-  std::vector<Vector> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    Vector v(dim);
-    for (auto& x : v) x = static_cast<float>(rng->Normal());
-    out.push_back(std::move(v));
-  }
-  return out;
-}
-
-TEST(ScalarQuantizerTest, TrainValidatesInput) {
-  ScalarQuantizer quantizer;
-  EXPECT_TRUE(quantizer.Train({}).IsInvalidArgument());
-  EXPECT_TRUE(quantizer.Train({Vector{}}).IsInvalidArgument());
-  EXPECT_TRUE(
-      quantizer.Train({Vector{1.0f, 2.0f}, Vector{1.0f}}).IsInvalidArgument());
-  EXPECT_FALSE(quantizer.trained());
-  EXPECT_TRUE(quantizer.Encode({1.0f}).status().IsFailedPrecondition());
-  EXPECT_TRUE(quantizer.Decode({1}).status().IsFailedPrecondition());
-}
-
-TEST(ScalarQuantizerTest, RoundTripErrorWithinHalfBucket) {
-  Rng rng(7);
-  const auto sample = RandomSample(&rng, 200, 16);
-  ScalarQuantizer quantizer;
-  ASSERT_TRUE(quantizer.Train(sample).ok());
-  for (const auto& v : sample) {
-    auto codes = quantizer.Encode(v);
-    ASSERT_TRUE(codes.ok());
-    auto decoded = quantizer.Decode(*codes);
-    ASSERT_TRUE(decoded.ok());
-    for (size_t d = 0; d < v.size(); ++d) {
-      EXPECT_LE(std::abs((*decoded)[d] - v[d]),
-                quantizer.MaxErrorFor(d) + 1e-6f);
-    }
-  }
-}
-
-TEST(ScalarQuantizerTest, OutOfRangeValuesClamp) {
-  ScalarQuantizer quantizer;
-  ASSERT_TRUE(quantizer.Train({Vector{0.0f}, Vector{1.0f}}).ok());
-  auto low = quantizer.Encode({-100.0f});
-  auto high = quantizer.Encode({100.0f});
-  ASSERT_TRUE(low.ok());
-  ASSERT_TRUE(high.ok());
-  EXPECT_EQ((*low)[0], 0);
-  EXPECT_EQ((*high)[0], 255);
-}
-
-TEST(ScalarQuantizerTest, DegenerateDimensionHandled) {
-  ScalarQuantizer quantizer;
-  ASSERT_TRUE(quantizer.Train({Vector{5.0f}, Vector{5.0f}}).ok());
-  auto codes = quantizer.Encode({5.0f});
-  ASSERT_TRUE(codes.ok());
-  auto decoded = quantizer.Decode(*codes);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_NEAR((*decoded)[0], 5.0f, 1.0f);
-}
-
-TEST(QuantizedFlatIndexTest, NearlyMatchesExactIndex) {
-  Rng rng(11);
-  const size_t dim = 32;
-  const auto corpus = RandomSample(&rng, 400, dim);
-  ScalarQuantizer quantizer;
-  ASSERT_TRUE(quantizer.Train(corpus).ok());
-
-  FlatIndex exact(dim, DistanceMetric::kCosine);
-  QuantizedFlatIndex quantized(quantizer, DistanceMetric::kCosine);
-  for (const auto& v : corpus) {
-    ASSERT_TRUE(exact.Add(v).ok());
-    ASSERT_TRUE(quantized.Add(v).ok());
-  }
-  EXPECT_EQ(quantized.code_bytes(), 400u * dim);  // 1 byte per dim (4x less)
-
-  size_t agreement = 0;
-  size_t total = 0;
-  for (int q = 0; q < 25; ++q) {
-    Vector query(dim);
-    for (auto& x : query) x = static_cast<float>(rng.Normal());
-    auto truth = exact.Search(query, 10);
-    auto approx = quantized.Search(query, 10);
-    ASSERT_TRUE(truth.ok());
-    ASSERT_TRUE(approx.ok());
-    std::set<SlotId> truth_slots;
-    for (const auto& hit : *truth) truth_slots.insert(hit.slot);
-    for (const auto& hit : *approx) agreement += truth_slots.count(hit.slot);
-    total += truth->size();
-  }
-  EXPECT_GE(static_cast<double>(agreement) / static_cast<double>(total), 0.85);
-}
-
-TEST(QuantizedFlatIndexTest, RemoveAndGetVector) {
-  ScalarQuantizer quantizer;
-  ASSERT_TRUE(quantizer.Train({Vector{0.0f, 0.0f}, Vector{1.0f, 1.0f}}).ok());
-  QuantizedFlatIndex index(quantizer, DistanceMetric::kL2);
-  ASSERT_TRUE(index.Add({0.2f, 0.8f}).ok());
-  ASSERT_TRUE(index.Add({0.9f, 0.1f}).ok());
-  EXPECT_EQ(index.size(), 2u);
-  const std::span<const float> v = index.GetVector(0);
-  ASSERT_EQ(v.size(), 2u);
-  EXPECT_NEAR(v[0], 0.2f, 0.01f);
-  ASSERT_TRUE(index.Remove(0).ok());
-  EXPECT_TRUE(index.GetVector(0).empty());
-  EXPECT_TRUE(index.Remove(9).IsNotFound());
-  auto hits = index.Search({0.2f, 0.8f}, 5);
-  ASSERT_TRUE(hits.ok());
-  ASSERT_EQ(hits->size(), 1u);
-  EXPECT_EQ((*hits)[0].slot, 1u);
-}
-
-// ------------------------------------------------------------------- WAL
 Collection::Options WalCollectionOptions() {
   Collection::Options opts;
   opts.dimension = 3;
