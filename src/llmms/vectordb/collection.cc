@@ -154,13 +154,6 @@ Status Collection::Upsert(VectorRecord record) {
   return Status::OK();
 }
 
-Status Collection::UpsertBatch(std::vector<VectorRecord> records) {
-  for (auto& r : records) {
-    LLMMS_RETURN_NOT_OK(Upsert(std::move(r)));
-  }
-  return Status::OK();
-}
-
 Status Collection::Delete(const std::string& id) {
   std::unique_lock<WriterPreferringSharedMutex> lock(mu_);
   auto it = id_to_slot_.find(id);

@@ -49,7 +49,6 @@ class Collection {
 
   // Inserts or replaces the record with record.id.
   Status Upsert(VectorRecord record);
-  Status UpsertBatch(std::vector<VectorRecord> records);
 
   // Removes a record; NotFound if absent.
   Status Delete(const std::string& id);
