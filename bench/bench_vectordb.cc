@@ -8,16 +8,15 @@
 //
 // Phase 2 (exact scan): a clustered corpus of LLMMS_BENCH_VECTORS
 // embeddings (default 1M) is loaded into one flat cosine Collection, then
-// LLMMS_BENCH_REPEATS timed passes each run every query of the set once.
-// Each pass gives one QPS figure; the file reports every pass and their
-// median and interquartile range, so a later change can be compared with
-// the run-to-run spread.
+// kPasses timed passes each run every query of the set once. Each pass
+// gives one QPS figure; the file reports every pass and their median and
+// interquartile range, so a later change can be compared with the
+// run-to-run spread.
 //
 // Usage: bench_vectordb [output.json]
 //   LLMMS_BENCH_VECTORS   corpus size for the scan phase (default 1000000)
 //   LLMMS_BENCH_DIM       embedding dimension (default 64)
 //   LLMMS_BENCH_QUERIES   queries per pass (default 200)
-//   LLMMS_BENCH_REPEATS   timed passes (default 7)
 //   LLMMS_BENCH_K         top-k per query (default 10)
 #include <algorithm>
 #include <chrono>
@@ -94,6 +93,10 @@ Json BenchWalAppend(WriteAheadLog::SyncPolicy policy, const char* label,
 
 // --- Phase 2: the exact scan ----------------------------------------------
 
+// Timed passes over the query set: enough for quartiles that one slow pass
+// does not move.
+constexpr size_t kPasses = 7;
+
 std::unique_ptr<Collection> BuildCollection(const std::vector<Vector>& corpus,
                                             size_t dim) {
   Collection::Options options;
@@ -137,7 +140,6 @@ int Main(int argc, char** argv) {
   const size_t n = EnvSize("LLMMS_BENCH_VECTORS", 1000000);
   const size_t dim = EnvSize("LLMMS_BENCH_DIM", 64);
   const size_t num_queries = EnvSize("LLMMS_BENCH_QUERIES", 200);
-  const size_t repeats = EnvSize("LLMMS_BENCH_REPEATS", 7);
   const size_t k = EnvSize("LLMMS_BENCH_K", 10);
 
   std::fprintf(stderr, "durability phase\n");
@@ -159,7 +161,7 @@ int Main(int argc, char** argv) {
   std::fprintf(stderr,
                "scan phase: %zu vectors, dim %zu, %zu queries x %zu passes, "
                "k=%zu\n",
-               n, dim, num_queries, repeats, k);
+               n, dim, num_queries, kPasses, k);
   Rng rng(0xBEEF);
   ClusteredSampler sampler(&rng, dim, /*num_clusters=*/64);
   std::vector<Vector> corpus;
@@ -180,7 +182,7 @@ int Main(int argc, char** argv) {
   Json passes = Json::MakeArray();
   std::vector<double> qps;
   std::vector<double> query_ms;
-  for (size_t r = 0; r < repeats; ++r) {
+  for (size_t r = 0; r < kPasses; ++r) {
     const auto start = Clock::now();
     for (const auto& q : queries) (void)*collection->Query(q, k);
     const double seconds = SecondsSince(start);
@@ -206,7 +208,7 @@ int Main(int argc, char** argv) {
   config.Set("vectors", n);
   config.Set("dim", dim);
   config.Set("queries_per_pass", num_queries);
-  config.Set("passes", repeats);
+  config.Set("passes", kPasses);
   config.Set("k", k);
   config.Set("index", "flat");
   config.Set("metric", "cosine");
