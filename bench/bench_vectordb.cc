@@ -1,20 +1,14 @@
 // Vector-database benchmark harness (BENCH_vectordb.json): the recorded
-// performance baseline for the RAG vector store (DESIGN.md §15) plus the
-// durability-plane throughput numbers the crash harness certifies.
+// performance baseline for the RAG vector store (DESIGN.md §15).
 //
-// Phase 1 (durability): WAL append throughput per sync policy — kNone is
-// the in-memory ceiling, kGroupCommit amortizes one fsync over
-// group_commit_every appends, kEveryRecord is the acked-means-durable mode.
-//
-// Phase 2 (exact scan): a clustered corpus of LLMMS_BENCH_VECTORS
-// embeddings (default 1M) is loaded into one flat cosine Collection, then
-// kPasses timed passes each run every query of the set once. Each pass
-// gives one QPS figure; the file reports every pass and their median and
-// interquartile range, so a later change can be compared with the
-// run-to-run spread.
+// A clustered corpus of LLMMS_BENCH_VECTORS embeddings (default 1M) is
+// loaded into one flat cosine Collection, then kPasses timed passes each
+// run every query of the set once. Each pass gives one QPS figure; the
+// file reports every pass and their median and interquartile range, so a
+// later change can be compared with the run-to-run spread.
 //
 // Usage: bench_vectordb [output.json]
-//   LLMMS_BENCH_VECTORS   corpus size for the scan phase (default 1000000)
+//   LLMMS_BENCH_VECTORS   corpus size (default 1000000)
 //   LLMMS_BENCH_DIM       embedding dimension (default 64)
 //   LLMMS_BENCH_QUERIES   queries per pass (default 200)
 //   LLMMS_BENCH_K         top-k per query (default 10)
@@ -26,11 +20,9 @@
 #include <string>
 #include <vector>
 
-#include "llmms/common/fs.h"
 #include "llmms/common/json.h"
 #include "llmms/common/rng.h"
 #include "llmms/vectordb/collection.h"
-#include "llmms/vectordb/wal.h"
 
 #include "clustered_sampler.h"
 
@@ -41,7 +33,6 @@ using Clock = std::chrono::steady_clock;
 using vectordb::Collection;
 using vectordb::Vector;
 using vectordb::VectorRecord;
-using vectordb::WriteAheadLog;
 
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -55,43 +46,6 @@ size_t EnvSize(const char* name, size_t fallback) {
   }
   return fallback;
 }
-
-// --- Phase 1: durability ---------------------------------------------------
-
-Json BenchWalAppend(WriteAheadLog::SyncPolicy policy, const char* label,
-                    size_t appends, size_t dim) {
-  RealFileSystem fs;
-  const std::string path = "/tmp/llmms_bench.wal";
-  (void)fs.Remove(path);
-  WriteAheadLog::Options options;
-  options.sync_policy = policy;
-  auto log = WriteAheadLog::Open(&fs, path, options);
-  Json row = Json::MakeObject();
-  row.Set("sync_policy", label);
-  row.Set("appends", appends);
-  if (!log.ok()) {
-    row.Set("error", log.status().ToString());
-    return row;
-  }
-  Rng rng(17);
-  VectorRecord record;
-  record.vector.resize(dim);
-  for (auto& x : record.vector) x = static_cast<float>(rng.Normal());
-  record.metadata["k"] = "v";
-  const auto start = Clock::now();
-  for (size_t i = 0; i < appends; ++i) {
-    record.id = "rec-" + std::to_string(i);
-    if (!(*log)->AppendUpsert(record).ok()) break;
-  }
-  const double seconds = SecondsSince(start);
-  row.Set("seconds", seconds);
-  row.Set("appends_per_sec",
-          seconds > 0.0 ? static_cast<double>(appends) / seconds : 0.0);
-  (void)fs.Remove(path);
-  return row;
-}
-
-// --- Phase 2: the exact scan ----------------------------------------------
 
 // Timed passes over the query set: enough for quartiles that one slow pass
 // does not move.
@@ -142,24 +96,8 @@ int Main(int argc, char** argv) {
   const size_t num_queries = EnvSize("LLMMS_BENCH_QUERIES", 200);
   const size_t k = EnvSize("LLMMS_BENCH_K", 10);
 
-  std::fprintf(stderr, "durability phase\n");
-  Json wal_rows = Json::MakeArray();
-  wal_rows.Append(BenchWalAppend(WriteAheadLog::SyncPolicy::kNone, "none",
-                                 200000, 128));
-  wal_rows.Append(BenchWalAppend(WriteAheadLog::SyncPolicy::kGroupCommit,
-                                 "group_commit", 30000, 128));
-  wal_rows.Append(BenchWalAppend(WriteAheadLog::SyncPolicy::kEveryRecord,
-                                 "every_record", 5000, 128));
-  for (size_t i = 0; i < wal_rows.Size(); ++i) {
-    std::fprintf(stderr, "  wal %-12s %.0f appends/s\n",
-                 wal_rows.At(i)["sync_policy"].AsString().c_str(),
-                 wal_rows.At(i)["appends_per_sec"].AsDouble(0.0));
-  }
-  Json durability = Json::MakeObject();
-  durability.Set("wal_append", std::move(wal_rows));
-
   std::fprintf(stderr,
-               "scan phase: %zu vectors, dim %zu, %zu queries x %zu passes, "
+               "exact scan: %zu vectors, dim %zu, %zu queries x %zu passes, "
                "k=%zu\n",
                n, dim, num_queries, kPasses, k);
   Rng rng(0xBEEF);
@@ -216,11 +154,10 @@ int Main(int argc, char** argv) {
   Json out = Json::MakeObject();
   out.Set("bench", "vectordb");
   out.Set("description",
-          "WAL append throughput per sync policy, then the exact flat "
-          "cosine scan of one Collection: QPS per timed pass over the "
-          "query set, with the median and interquartile range");
+          "The exact flat cosine scan of one Collection: QPS per timed "
+          "pass over the query set, with the median and interquartile "
+          "range");
   out.Set("config", std::move(config));
-  out.Set("durability", std::move(durability));
   out.Set("exact_scan", std::move(scan));
 
   FILE* f = std::fopen(output.c_str(), "w");

@@ -557,21 +557,15 @@ Json ApiService::HandleHealth() {
     response.Set("scheduler", std::move(batching));
   }
 
-  // Storage-plane telemetry (DESIGN.md §14): lifetime recovery/corruption
-  // counters from the durable components plus the default filesystem's op
-  // counts. `chaos` is true when LLMMS_IO_CHAOS put a fault-injecting
-  // filesystem underneath — so operators can tell injected trouble from a
-  // genuinely failing disk.
+  // Storage-plane telemetry (DESIGN.md §14): the state store's lifetime
+  // save/cold-start counters plus the default filesystem's op counts.
+  // `chaos` is true when LLMMS_IO_CHAOS put a fault-injecting filesystem
+  // underneath — so operators can tell injected trouble from a genuinely
+  // failing disk.
   {
     const auto& sc = GlobalStorageCounters();
     Json storage = Json::MakeObject();
     Json recovery = Json::MakeObject();
-    recovery.Set("wal_replays", sc.wal_replays.load());
-    recovery.Set("wal_records_replayed", sc.wal_records_replayed.load());
-    recovery.Set("torn_tails_recovered", sc.torn_tails_recovered.load());
-    recovery.Set("sequence_breaks", sc.sequence_breaks.load());
-    recovery.Set("compactions", sc.compactions.load());
-    recovery.Set("compaction_failures", sc.compaction_failures.load());
     recovery.Set("state_saves", sc.state_saves.load());
     recovery.Set("state_save_failures", sc.state_save_failures.load());
     recovery.Set("state_cold_starts", sc.state_cold_starts.load());

@@ -1,6 +1,5 @@
 #include "llmms/common/fs.h"
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -36,7 +35,6 @@ struct RealFileSystem::Counters {
   std::atomic<uint64_t> renames{0};
   std::atomic<uint64_t> removes{0};
   std::atomic<uint64_t> truncates{0};
-  std::atomic<uint64_t> lists{0};
 };
 
 RealFileSystem::RealFileSystem() : counters_(std::make_shared<Counters>()) {}
@@ -90,15 +88,6 @@ class RealWritableFile : public WritableFile {
   std::shared_ptr<RealFileSystem::Counters> counters_;
 };
 
-StatusOr<std::unique_ptr<WritableFile>> RealFileSystem::OpenAppend(
-    const std::string& path) {
-  counters_->opens.fetch_add(1, std::memory_order_relaxed);
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) return ErrnoStatus("cannot open for append", path);
-  return std::unique_ptr<WritableFile>(
-      new RealWritableFile(fd, path, counters_));
-}
-
 StatusOr<std::unique_ptr<WritableFile>> RealFileSystem::OpenTrunc(
     const std::string& path) {
   counters_->opens.fetch_add(1, std::memory_order_relaxed);
@@ -127,12 +116,6 @@ StatusOr<std::string> RealFileSystem::ReadFile(const std::string& path) {
   }
   ::close(fd);
   return contents;
-}
-
-StatusOr<uint64_t> RealFileSystem::FileSize(const std::string& path) {
-  struct stat st;
-  if (::stat(path.c_str(), &st) != 0) return ErrnoStatus("cannot stat", path);
-  return static_cast<uint64_t>(st.st_size);
 }
 
 Status RealFileSystem::Rename(const std::string& from, const std::string& to) {
@@ -171,21 +154,6 @@ Status RealFileSystem::SyncDir(const std::string& path) {
   return status;
 }
 
-StatusOr<std::vector<std::string>> RealFileSystem::List(
-    const std::string& dir) {
-  counters_->lists.fetch_add(1, std::memory_order_relaxed);
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return ErrnoStatus("cannot open directory", dir);
-  std::vector<std::string> names;
-  while (struct dirent* entry = ::readdir(d)) {
-    const std::string name = entry->d_name;
-    if (name != "." && name != "..") names.push_back(name);
-  }
-  ::closedir(d);
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
 bool RealFileSystem::Exists(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0;
@@ -203,7 +171,6 @@ FsOpCounts RealFileSystem::op_counts() const {
   out.renames = counters_->renames.load(std::memory_order_relaxed);
   out.removes = counters_->removes.load(std::memory_order_relaxed);
   out.truncates = counters_->truncates.load(std::memory_order_relaxed);
-  out.lists = counters_->lists.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -291,28 +258,6 @@ void FaultyFileSystem::CrashNowLocked() {
   for (const auto& path : pending_creates_) {
     (void)base_->Remove(path);
   }
-}
-
-StatusOr<std::unique_ptr<WritableFile>> FaultyFileSystem::OpenAppend(
-    const std::string& path) {
-  std::lock_guard<std::mutex> lock(mu_);
-  LLMMS_RETURN_NOT_OK(BeginOp());
-  const bool existed = base_->Exists(path);
-  LLMMS_ASSIGN_OR_RETURN(auto file, base_->OpenAppend(path));
-  if (armed_) {
-    uint64_t size = 0;
-    if (existed) {
-      auto size_or = base_->FileSize(path);
-      if (size_or.ok()) size = *size_or;
-    } else {
-      pending_creates_.push_back(path);
-    }
-    // Content present at open is assumed durable (the previous session
-    // either synced it or already crashed).
-    tracks_[path] = FileTrack{size, size};
-  }
-  return std::unique_ptr<WritableFile>(
-      new FaultyWritableFile(this, path, std::move(file)));
 }
 
 StatusOr<std::unique_ptr<WritableFile>> FaultyFileSystem::OpenTrunc(
@@ -411,10 +356,6 @@ StatusOr<std::string> FaultyFileSystem::ReadFile(const std::string& path) {
   return contents;
 }
 
-StatusOr<uint64_t> FaultyFileSystem::FileSize(const std::string& path) {
-  return base_->FileSize(path);
-}
-
 Status FaultyFileSystem::Rename(const std::string& from,
                                 const std::string& to) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -495,13 +436,6 @@ Status FaultyFileSystem::SyncDir(const std::string& path) {
         pending_creates_.end());
   }
   return Status::OK();
-}
-
-StatusOr<std::vector<std::string>> FaultyFileSystem::List(
-    const std::string& dir) {
-  std::lock_guard<std::mutex> lock(mu_);
-  LLMMS_RETURN_NOT_OK(BeginOp());
-  return base_->List(dir);
 }
 
 bool FaultyFileSystem::Exists(const std::string& path) {

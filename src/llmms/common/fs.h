@@ -16,9 +16,9 @@
 
 namespace llmms {
 
-// The storage plane's single I/O seam (DESIGN.md §14). Every durability
-// path — the vectordb WAL and llm::StateStore — does its
-// file I/O through FileSystem so that
+// The storage plane's single I/O seam (DESIGN.md §14). The stack's one
+// durable file, llm::StateStore's state file, does its I/O through
+// FileSystem so that
 //   - durability barriers are explicit: Sync (fsync the file) and SyncDir
 //     (fsync the parent directory, which is what makes a rename durable)
 //     are first-class operations, and AtomicWriteFile implements the full
@@ -49,7 +49,6 @@ struct FsOpCounts {
   uint64_t renames = 0;
   uint64_t removes = 0;
   uint64_t truncates = 0;
-  uint64_t lists = 0;
   uint64_t injected_faults = 0;
   uint64_t read_corruptions = 0;
   bool crashed = false;
@@ -70,16 +69,12 @@ class FileSystem {
  public:
   virtual ~FileSystem() = default;
 
-  // Opens `path` for appending (created if absent).
-  virtual StatusOr<std::unique_ptr<WritableFile>> OpenAppend(
-      const std::string& path) = 0;
   // Opens `path` truncated to empty (created if absent). Overwriting a live
   // file in place is NOT crash-safe — use AtomicWriteFile for replacement.
   virtual StatusOr<std::unique_ptr<WritableFile>> OpenTrunc(
       const std::string& path) = 0;
   // Whole-file read. NotFound if the file does not exist, IOError otherwise.
   virtual StatusOr<std::string> ReadFile(const std::string& path) = 0;
-  virtual StatusOr<uint64_t> FileSize(const std::string& path) = 0;
   virtual Status Rename(const std::string& from, const std::string& to) = 0;
   // NotFound if absent (callers cleaning up stale temp files ignore that).
   virtual Status Remove(const std::string& path) = 0;
@@ -87,8 +82,6 @@ class FileSystem {
   // fsync on the directory itself: the barrier that makes entries (created
   // files, renames) inside it durable.
   virtual Status SyncDir(const std::string& path) = 0;
-  // Entry names (not full paths) in `dir`, sorted, excluding "." and "..".
-  virtual StatusOr<std::vector<std::string>> List(const std::string& dir) = 0;
   virtual bool Exists(const std::string& path) = 0;
 
   virtual FsOpCounts op_counts() const = 0;
@@ -111,17 +104,13 @@ class RealFileSystem : public FileSystem {
   RealFileSystem();
   ~RealFileSystem() override;
 
-  StatusOr<std::unique_ptr<WritableFile>> OpenAppend(
-      const std::string& path) override;
   StatusOr<std::unique_ptr<WritableFile>> OpenTrunc(
       const std::string& path) override;
   StatusOr<std::string> ReadFile(const std::string& path) override;
-  StatusOr<uint64_t> FileSize(const std::string& path) override;
   Status Rename(const std::string& from, const std::string& to) override;
   Status Remove(const std::string& path) override;
   Status Truncate(const std::string& path, uint64_t size) override;
   Status SyncDir(const std::string& path) override;
-  StatusOr<std::vector<std::string>> List(const std::string& dir) override;
   bool Exists(const std::string& path) override;
   FsOpCounts op_counts() const override;
 
@@ -141,14 +130,14 @@ struct FsFaultConfig {
   double short_write_prob = 0.0;  // a random prefix lands, then IOError
   double enospc_prob = 0.0;       // Append fails with "(ENOSPC)"
   // Sync failpoints. A failed fsync leaves durability unknown — callers
-  // must treat the file as suspect (the WAL marks itself broken).
+  // must treat the file as suspect (AtomicWriteFile then never renames it).
   double sync_error_prob = 0.0;
   // Rename failpoint: the rename is not performed and IOError is returned
   // ("lost rename"). Crash mode additionally undoes renames whose parent
   // directory was never SyncDir'd.
   double rename_error_prob = 0.0;
   // Read-time silent bit corruption: one random bit of the returned
-  // contents is flipped with this probability (checksums must catch it).
+  // contents is flipped with this probability (the reader must cope).
   double read_corrupt_prob = 0.0;
 };
 
@@ -180,24 +169,20 @@ class FaultyFileSystem : public FileSystem {
   FaultyFileSystem(FileSystem* base, const FsFaultConfig& config);
   ~FaultyFileSystem() override;
 
-  StatusOr<std::unique_ptr<WritableFile>> OpenAppend(
-      const std::string& path) override;
   StatusOr<std::unique_ptr<WritableFile>> OpenTrunc(
       const std::string& path) override;
   StatusOr<std::string> ReadFile(const std::string& path) override;
-  StatusOr<uint64_t> FileSize(const std::string& path) override;
   Status Rename(const std::string& from, const std::string& to) override;
   Status Remove(const std::string& path) override;
   Status Truncate(const std::string& path, uint64_t size) override;
   Status SyncDir(const std::string& path) override;
-  StatusOr<std::vector<std::string>> List(const std::string& dir) override;
   bool Exists(const std::string& path) override;
   FsOpCounts op_counts() const override;
   bool injects_faults() const override { return true; }
 
   // Arms the crash point: the world halts at op index `halt_after_ops`
   // (0-based, counted across open/append/read/sync/dir-sync/rename/remove/
-  // truncate/list). Also switches on the durability tracking that the
+  // truncate). Also switches on the durability tracking that the
   // crash applies. Arm before the workload runs.
   void ArmCrashPoint(int64_t halt_after_ops);
 
@@ -243,16 +228,10 @@ class FaultyFileSystem : public FileSystem {
   std::vector<std::string> pending_creates_;
 };
 
-// Process-wide recovery/corruption counters, incremented by the durable
-// components and surfaced in the /api/health "storage" block. Monotonic;
-// readers should diff or treat as lifetime totals.
+// Process-wide state-store counters, incremented by llm::StateStore and
+// surfaced in the /api/health "storage" block. Monotonic; readers should
+// diff or treat as lifetime totals.
 struct StorageCounters {
-  std::atomic<uint64_t> wal_replays{0};
-  std::atomic<uint64_t> wal_records_replayed{0};
-  std::atomic<uint64_t> torn_tails_recovered{0};
-  std::atomic<uint64_t> sequence_breaks{0};
-  std::atomic<uint64_t> compactions{0};
-  std::atomic<uint64_t> compaction_failures{0};
   std::atomic<uint64_t> state_saves{0};
   std::atomic<uint64_t> state_save_failures{0};
   std::atomic<uint64_t> state_cold_starts{0};

@@ -20,19 +20,6 @@ Status ModelRegistry::Register(std::shared_ptr<LanguageModel> model) {
   return Status::OK();
 }
 
-Status ModelRegistry::Pull(std::shared_ptr<LanguageModel> model) {
-  if (model == nullptr) {
-    return Status::InvalidArgument("model must not be null");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::string& name = model->name();
-  if (name.empty()) {
-    return Status::InvalidArgument("model name must not be empty");
-  }
-  models_[name] = std::move(model);
-  return Status::OK();
-}
-
 Status ModelRegistry::Remove(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   if (models_.erase(name) == 0) {

@@ -27,9 +27,6 @@ class ModelRegistry {
   // Adds a model under model->name(); AlreadyExists if taken.
   Status Register(std::shared_ptr<LanguageModel> model);
 
-  // Replaces or adds a model (Ollama `pull` semantics).
-  Status Pull(std::shared_ptr<LanguageModel> model);
-
   Status Remove(const std::string& name);
 
   StatusOr<std::shared_ptr<LanguageModel>> Get(const std::string& name) const;

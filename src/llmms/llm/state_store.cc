@@ -136,41 +136,34 @@ Status StateStore::Load() {
     return cold_start("must be a JSON object");
   }
 
+  if (!doc.Contains("breakers") && !doc.Contains("sketches")) {
+    return cold_start("has neither a 'breakers' nor a 'sketches' section");
+  }
+
+  // Every top-level key beyond the two built-ins is an attached section
+  // (e.g. "rewards"); kept verbatim for LoadedSection() and carried through
+  // future saves.
   std::map<std::string, CircuitBreaker::Snapshot> breakers;
   std::map<std::string, std::vector<QuantileWindow::Snapshot>> sketches;
   std::map<std::string, Json> sections;
-  if (doc.Contains("breakers") || doc.Contains("sketches") ||
-      doc.Contains("rewards")) {
-    // Every top-level key beyond the two built-ins is an attached section
-    // (e.g. "rewards"); kept verbatim for LoadedSection() and carried
-    // through future saves.
-    for (const auto& [name, value] : doc.AsObject()) {
-      if (name == "breakers" || name == "sketches") continue;
-      sections[name] = value;
+  for (const auto& [name, value] : doc.AsObject()) {
+    if (name == "breakers" || name == "sketches") continue;
+    sections[name] = value;
+  }
+  if (doc.Contains("breakers")) {
+    if (!doc["breakers"].is_object()) {
+      return cold_start("has a non-object 'breakers' section");
     }
-    if (doc.Contains("breakers")) {
-      if (!doc["breakers"].is_object()) {
-        return cold_start("has a non-object 'breakers' section");
-      }
-      for (const auto& [model, snapshot] : doc["breakers"].AsObject()) {
-        breakers[model] = BreakerFromJson(snapshot);
-      }
-    }
-    if (doc.Contains("sketches")) {
-      if (!doc["sketches"].is_object()) {
-        return cold_start("has a non-object 'sketches' section");
-      }
-      for (const auto& [model, sketch] : doc["sketches"].AsObject()) {
-        sketches[model] = SketchesFromJson(sketch);
-      }
-    }
-  } else {
-    // Legacy BreakerStore layout: model -> breaker snapshot at top level.
-    for (const auto& [model, snapshot] : doc.AsObject()) {
-      if (!snapshot.is_object()) {
-        return cold_start("is neither the current nor the legacy layout");
-      }
+    for (const auto& [model, snapshot] : doc["breakers"].AsObject()) {
       breakers[model] = BreakerFromJson(snapshot);
+    }
+  }
+  if (doc.Contains("sketches")) {
+    if (!doc["sketches"].is_object()) {
+      return cold_start("has a non-object 'sketches' section");
+    }
+    for (const auto& [model, sketch] : doc["sketches"].AsObject()) {
+      sketches[model] = SketchesFromJson(sketch);
     }
   }
 

@@ -30,8 +30,7 @@ class HedgedModel;
 //   { "breakers": { "<model>": {<CircuitBreaker::Snapshot>} },
 //     "sketches": { "<model>": [ {<QuantileWindow::Snapshot>}, ... ] },
 //     "<section>": <any JSON> }
-// The pre-StateStore flat format (model -> breaker snapshot at top level)
-// is still read, so PR 1 state files survive the upgrade. Beyond the two
+// A file with neither built-in section cold-starts. Beyond the two
 // built-in sections, higher layers attach named sections with a provider
 // callback (AttachSection) — core::AttachRewardFeed persists the reward
 // feed's decayed means under "rewards" this way (DESIGN.md §16) without

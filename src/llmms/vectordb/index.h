@@ -95,10 +95,10 @@ class VectorIndex {
   virtual size_t dimension() const = 0;
   virtual DistanceMetric metric() const = 0;
 
-  // The stored vector of a live slot (for Collection::Get and
-  // persistence); empty for a removed or unknown slot. Callers copy what
-  // they keep: the span is valid only while the caller's hold on the index
-  // lasts (for Collection, its lock). FlatIndex and HnswIndex view their
+  // The stored vector of a live slot (for Collection::Get); empty for a
+  // removed or unknown slot. Callers copy what they keep: the span is
+  // valid only while the caller's hold on the index lasts (for
+  // Collection, its lock). FlatIndex and HnswIndex view their
   // RowStore row, which never moves, so the span outlives later Adds and
   // Removes, up to the index's destruction.
   virtual std::span<const float> GetVector(SlotId slot) const = 0;

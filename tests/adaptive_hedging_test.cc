@@ -940,22 +940,24 @@ TEST_F(StateStoreCorruptionTest, StrayTmpFromCrashedWriteIsHarmless) {
   EXPECT_TRUE(reread.HasBreaker("m1"));
 }
 
-TEST_F(StateStoreCorruptionTest, LegacyFlatBreakerFileStillLoads) {
-  // The PR 1 BreakerStore layout: model -> breaker snapshot at top level.
+TEST_F(StateStoreCorruptionTest, FlatBreakerFileColdStarts) {
+  // Model -> breaker snapshot at top level, with neither a "breakers" nor a
+  // "sketches" section: not a layout SaveNow writes, so nothing restores.
   llm::CircuitBreaker breaker(1, 1);
   breaker.RecordFailure();
-  Json legacy = Json::MakeObject();
-  legacy.Set("m1", llm::StateStore::BreakerToJson(breaker.snapshot()));
-  WriteFile(path_, legacy.Dump(2));
+  Json flat = Json::MakeObject();
+  flat.Set("m1", llm::StateStore::BreakerToJson(breaker.snapshot()));
+  WriteFile(path_, flat.Dump(2));
 
   llm::StateStore store(path_);
   ASSERT_TRUE(store.Load().ok());
-  EXPECT_TRUE(store.load_warning().empty());
-  EXPECT_TRUE(store.HasBreaker("m1"));
+  EXPECT_FALSE(store.load_warning().empty());
+  EXPECT_FALSE(store.HasBreaker("m1"));
   EXPECT_FALSE(store.HasSketches("m1"));
+  EXPECT_TRUE(store.LoadedSection("m1").is_null());
   llm::CircuitBreaker restored(1, 1);
   store.AttachBreaker("m1", &restored);
-  EXPECT_EQ(restored.state(), llm::CircuitBreaker::State::kOpen);
+  EXPECT_EQ(restored.state(), llm::CircuitBreaker::State::kClosed);
   restored.SetTransitionListener(nullptr);
 }
 

@@ -187,15 +187,16 @@ TEST_F(ApiServiceTest, HealthAndHardwareEndpoints) {
   EXPECT_EQ(health["status"].AsString(), "healthy");
   EXPECT_EQ(health["loaded_models"].AsInt(), 3);
 
-  // The storage block (DESIGN.md §14): recovery counters + I/O op counts.
+  // The storage block (DESIGN.md §14): the state store's counters + I/O op
+  // counts.
   ASSERT_TRUE(health.Contains("storage"));
   const auto& storage = health["storage"];
   EXPECT_FALSE(storage["chaos"].AsBool());  // no LLMMS_IO_CHAOS in tests
   ASSERT_TRUE(storage.Contains("recovery"));
-  EXPECT_TRUE(storage["recovery"].Contains("wal_replays"));
-  EXPECT_TRUE(storage["recovery"].Contains("torn_tails_recovered"));
-  EXPECT_TRUE(storage["recovery"].Contains("sequence_breaks"));
+  EXPECT_TRUE(storage["recovery"].Contains("state_saves"));
+  EXPECT_TRUE(storage["recovery"].Contains("state_save_failures"));
   EXPECT_TRUE(storage["recovery"].Contains("state_cold_starts"));
+  EXPECT_EQ(storage["recovery"].Size(), 3u);
   ASSERT_TRUE(storage.Contains("io"));
   EXPECT_TRUE(storage["io"].Contains("appends"));
   EXPECT_TRUE(storage["io"].Contains("syncs"));

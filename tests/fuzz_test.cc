@@ -3,13 +3,23 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "llmms/app/http.h"
 #include "llmms/app/nl_config.h"
 #include "llmms/app/sse.h"
 #include "llmms/common/fs.h"
 #include "llmms/common/json.h"
 #include "llmms/common/rng.h"
-#include "llmms/vectordb/wal.h"
+#include "llmms/core/reward_feed.h"
+#include "llmms/embedding/hash_embedder.h"
+#include "llmms/llm/hedged_model.h"
+#include "llmms/llm/knowledge.h"
+#include "llmms/llm/model_profile.h"
+#include "llmms/llm/state_store.h"
+#include "llmms/llm/synthetic_model.h"
 
 namespace llmms {
 namespace {
@@ -224,144 +234,162 @@ TEST(FuzzTest, NlConfigNeverCrashesAndPoolStaysValid) {
   }
 }
 
-// WAL record-parser seeds: recovery must treat anything on disk — truncated
-// length prefixes, corrupt checksums, absurd declared lengths — as a torn
-// tail or typed error, never as a crash or an over-read.
-TEST(FuzzTest, WalReplaySurvivesTruncatedLengthPrefix) {
-  RealFileSystem fs;
-  const std::string path = ::testing::TempDir() + "/fuzz_wal_trunc.log";
-  vectordb::WriteAheadLog::Options wal_opts;
-  {
-    (void)fs.Remove(path);
-    auto log = vectordb::WriteAheadLog::Open(&fs, path, wal_opts);
-    ASSERT_TRUE(log.ok());
-    vectordb::VectorRecord record;
-    record.id = "seed";
-    record.vector = {0.1f, 0.2f, 0.3f};
-    ASSERT_TRUE((*log)->AppendUpsert(record).ok());
-    ASSERT_TRUE((*log)->Sync().ok());
-  }
-  auto contents = fs.ReadFile(path);
-  ASSERT_TRUE(contents.ok());
-  vectordb::Collection::Options copts;
-  copts.dimension = 3;
-  copts.index_kind = vectordb::IndexKind::kFlat;
-  // Every truncation inside the 16-byte frame header (including mid-length-
-  // prefix) is a torn tail.
-  for (size_t keep = 0; keep < 16 && keep < contents->size(); ++keep) {
-    ASSERT_TRUE(fs.Truncate(path, keep).ok());
-    vectordb::Collection collection("t", copts);
-    auto stats = vectordb::WriteAheadLog::Replay(&fs, path, &collection);
-    ASSERT_TRUE(stats.ok()) << "keep=" << keep;
-    EXPECT_EQ(stats->upserts, 0u) << "keep=" << keep;
-    EXPECT_EQ(stats->torn_tail, keep != 0) << "keep=" << keep;
-  }
-  (void)fs.Remove(path);
-}
+// StateStore::Load is the one parser that reads bytes from disk. The
+// seeds are mutations of a file SaveNow wrote with a tripped breaker, a
+// hedged group's latency sketches and a reward feed in it. Every load must
+// return OK, and the restore code then runs on whatever it accepted. The
+// file carries no checksum, so a mutation that still parses may restore
+// different values without a warning; a load that warns restores nothing.
+class StateFileRig {
+ public:
+  struct Restored {
+    bool warned = false;
+    llm::CircuitBreaker::Snapshot breaker;
+    std::vector<QuantileWindow::Snapshot> sketches;
+    core::RewardFeed::Snapshot rewards;
+  };
 
-TEST(FuzzTest, WalReplaySurvivesCorruptChecksumsAndRandomMutations) {
-  Rng rng(0xF02B);
-  RealFileSystem fs;
-  const std::string path = ::testing::TempDir() + "/fuzz_wal_mut.log";
-  vectordb::WriteAheadLog::Options wal_opts;
-  std::string pristine;
-  {
-    (void)fs.Remove(path);
-    auto log = vectordb::WriteAheadLog::Open(&fs, path, wal_opts);
-    ASSERT_TRUE(log.ok());
-    for (int i = 0; i < 4; ++i) {
-      vectordb::VectorRecord record;
-      record.id = "r" + std::to_string(i);
-      record.vector = {0.1f * static_cast<float>(i), 0.5f, 0.9f};
-      record.document = "payload " + std::string(20, 'x');
-      ASSERT_TRUE((*log)->AppendUpsert(record).ok());
-    }
-    ASSERT_TRUE((*log)->Sync().ok());
-    auto contents = fs.ReadFile(path);
-    ASSERT_TRUE(contents.ok());
-    pristine = *contents;
+  StateFileRig()
+      : path_(::testing::TempDir() + "/fuzz_state.json"),
+        knowledge_(std::make_shared<llm::KnowledgeBase>(
+            std::make_shared<embedding::HashEmbedder>())) {
+    (void)fs_.Remove(path_);
+    (void)fs_.Remove(path_ + ".tmp");
   }
-  vectordb::Collection::Options copts;
-  copts.dimension = 3;
-  copts.index_kind = vectordb::IndexKind::kFlat;
-  for (int i = 0; i < 300; ++i) {
+  ~StateFileRig() { (void)fs_.Remove(path_); }
+
+  // A hedged group named "m1" over two synthetic replicas, each with its
+  // own latency window.
+  std::shared_ptr<llm::HedgedModel> MakeHedged() const {
+    llm::ModelProfile primary = llm::DefaultProfiles()[0];
+    llm::ModelProfile backup = primary;
+    primary.name = "m1";
+    backup.name = "m1:backup";
+    return std::make_shared<llm::HedgedModel>(
+        std::make_shared<llm::SyntheticModel>(primary, knowledge_),
+        std::vector<std::shared_ptr<llm::LanguageModel>>{
+            std::make_shared<llm::SyntheticModel>(backup, knowledge_)});
+  }
+
+  std::string WriteValidFile() {
+    llm::StateStore store(path_, &fs_);
+    EXPECT_TRUE(store.Load().ok());
+    llm::CircuitBreaker breaker(1, 1);
+    store.AttachBreaker("m1", &breaker);
+    auto hedged = MakeHedged();
+    for (int i = 1; i <= 6; ++i) {
+      hedged->RecordLatency(0, 0.125 * i);
+      hedged->RecordLatency(1, 0.5 * i);
+    }
+    store.AttachSketches("m1", hedged);
+    core::RewardFeed feed;
+    core::AttachRewardFeed(&store, &feed);
+    feed.Publish("m1", 0.75);
+    feed.Publish("m2", 0.25);
+    feed.Publish("m1", 0.5);
+    breaker.RecordFailure();  // trips: the transition saves the file
+    breaker.SetTransitionListener(nullptr);
+    EXPECT_TRUE(store.SaveNow().ok());
+    auto contents = fs_.ReadFile(path_);
+    EXPECT_TRUE(contents.ok());
+    return contents.ok() ? *contents : std::string();
+  }
+
+  // Writes `contents` as the state file, loads it and attaches a breaker, a
+  // hedged group and a reward feed, then reads back what they restored.
+  Restored LoadAndAttach(const std::string& contents, const std::string& what) {
+    SCOPED_TRACE(what);
+    Restored out;
+    {
+      auto file = fs_.OpenTrunc(path_);
+      EXPECT_TRUE(file.ok());
+      if (!file.ok()) return out;
+      EXPECT_TRUE((*file)->Append(contents).ok());
+      EXPECT_TRUE((*file)->Close().ok());
+    }
+    llm::StateStore store(path_, &fs_);
+    EXPECT_TRUE(store.Load().ok());
+    llm::CircuitBreaker breaker(1, 1);
+    auto hedged = MakeHedged();
+    core::RewardFeed feed;
+    store.AttachBreaker("m1", &breaker);
+    store.AttachSketches("m1", hedged);
+    core::AttachRewardFeed(&store, &feed);
+    breaker.SetTransitionListener(nullptr);
+    out.warned = !store.load_warning().empty();
+    out.breaker = breaker.snapshot();
+    out.sketches = hedged->SketchSnapshot();
+    out.rewards = feed.SnapshotState();
+    if (out.warned) {
+      EXPECT_FALSE(store.HasBreaker("m1"));
+      EXPECT_FALSE(store.HasSketches("m1"));
+      EXPECT_TRUE(store.LoadedSection("rewards").is_null());
+      EXPECT_EQ(out.breaker.state, llm::CircuitBreaker::State::kClosed);
+      EXPECT_EQ(out.breaker.total_failures, 0u);
+      EXPECT_TRUE(out.breaker.history.empty());
+      for (const auto& sketch : out.sketches) {
+        EXPECT_TRUE(sketch.samples.empty());
+        EXPECT_EQ(sketch.count, 0u);
+      }
+      EXPECT_EQ(out.rewards.tick, 0u);
+      EXPECT_TRUE(out.rewards.models.empty());
+    }
+    return out;
+  }
+
+ private:
+  RealFileSystem fs_;
+  const std::string path_;
+  const std::shared_ptr<llm::KnowledgeBase> knowledge_;
+};
+
+TEST(FuzzTest, StateStoreLoadSurvivesMutationsOfASavedFile) {
+  StateFileRig rig;
+  const std::string pristine = rig.WriteValidFile();
+  ASSERT_GT(pristine.size(), 100u);
+  const auto restored = rig.LoadAndAttach(pristine, "pristine");
+  ASSERT_FALSE(restored.warned);
+  EXPECT_EQ(restored.breaker.state, llm::CircuitBreaker::State::kOpen);
+  ASSERT_EQ(restored.sketches.size(), 2u);
+  EXPECT_EQ(restored.sketches[0].samples.size(), 6u);
+  EXPECT_EQ(restored.rewards.tick, 3u);
+
+  // Truncation at every byte. Only the whole file, or the whole file less
+  // its trailing newline, is still a complete JSON document.
+  size_t truncations_warned = 0;
+  for (size_t keep = 0; keep < pristine.size(); ++keep) {
+    truncations_warned +=
+        rig.LoadAndAttach(pristine.substr(0, keep),
+                          "keep=" + std::to_string(keep))
+            .warned;
+  }
+  // An empty file is a clean first run; every other cut but the last warns.
+  EXPECT_EQ(truncations_warned, pristine.size() - 2);
+
+  // Seeded bit flips: one to four per mutant.
+  Rng rng(0xF02D);
+  for (int i = 0; i < 600; ++i) {
     std::string mutated = pristine;
-    // Flip one random byte (often inside a checksum or length field).
-    const size_t pos = static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(mutated.size()) - 1));
-    mutated[pos] ^= static_cast<char>(1 << rng.UniformInt(0, 7));
-    {
-      auto out = fs.OpenTrunc(path);
-      ASSERT_TRUE(out.ok());
-      ASSERT_TRUE((*out)->Append(mutated).ok());
+    const int flips = static_cast<int>(rng.UniformInt(1, 4));
+    for (int f = 0; f < flips; ++f) {
+      const size_t pos = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(mutated.size()) - 1));
+      mutated[pos] = static_cast<char>(mutated[pos] ^
+                                       (1 << rng.UniformInt(0, 7)));
     }
-    vectordb::Collection collection("m", copts);
-    auto stats = vectordb::WriteAheadLog::Replay(&fs, path, &collection);
-    // A flipped checksum/length is a torn tail (replay stops, Status OK); a
-    // flip inside a payload that survives its checksum is vanishingly rare
-    // but must still surface as a typed error, never a crash.
-    if (stats.ok()) {
-      EXPECT_LE(stats->upserts, 4u);
-      EXPECT_EQ(collection.size(), stats->upserts);
-    } else {
-      EXPECT_TRUE(stats.status().IsIOError());
-    }
+    rig.LoadAndAttach(mutated, "flip mutant " + std::to_string(i));
   }
-  (void)fs.Remove(path);
 }
 
-TEST(FuzzTest, WalReplaySurvivesGiantDeclaredLength) {
-  RealFileSystem fs;
-  const std::string path = ::testing::TempDir() + "/fuzz_wal_giant.log";
-  // Hand-build frames whose length prefix declares far more payload than the
-  // file holds — including values chosen to wrap 32-bit and size_t math.
-  const uint32_t kHostileLengths[] = {0xFFFFFFFFu, 0xFFFFFFF0u, 0x80000000u,
-                                      0x7FFFFFFFu, 1u << 20};
-  vectordb::Collection::Options copts;
-  copts.dimension = 3;
-  copts.index_kind = vectordb::IndexKind::kFlat;
-  for (const uint32_t len : kHostileLengths) {
-    std::string frame;
-    frame.append(reinterpret_cast<const char*>(&len), 4);  // declared length
-    frame.append(12, '\x5a');  // checksum + sequence, then no payload at all
-    {
-      auto out = fs.OpenTrunc(path);
-      ASSERT_TRUE(out.ok());
-      ASSERT_TRUE((*out)->Append(frame).ok());
-    }
-    vectordb::Collection collection("g", copts);
-    auto stats = vectordb::WriteAheadLog::Replay(&fs, path, &collection);
-    ASSERT_TRUE(stats.ok()) << "len=" << len;
-    EXPECT_TRUE(stats->torn_tail) << "len=" << len;
-    EXPECT_EQ(stats->upserts, 0u) << "len=" << len;
-    EXPECT_EQ(collection.size(), 0u) << "len=" << len;
-  }
-  (void)fs.Remove(path);
-}
-
-TEST(FuzzTest, WalReplaySurvivesRandomByteSoup) {
-  Rng rng(0xF02C);
-  RealFileSystem fs;
-  const std::string path = ::testing::TempDir() + "/fuzz_wal_soup.log";
-  vectordb::Collection::Options copts;
-  copts.dimension = 3;
-  copts.index_kind = vectordb::IndexKind::kFlat;
+TEST(FuzzTest, StateStoreLoadSurvivesRandomByteSoup) {
+  StateFileRig rig;
+  Rng rng(0xF02E);
   for (int i = 0; i < 200; ++i) {
-    const std::string soup = RandomBytes(&rng, 400);
-    {
-      auto out = fs.OpenTrunc(path);
-      ASSERT_TRUE(out.ok());
-      ASSERT_TRUE((*out)->Append(soup).ok());
-    }
-    vectordb::Collection collection("s", copts);
-    auto stats = vectordb::WriteAheadLog::Replay(&fs, path, &collection);
-    if (stats.ok()) {
-      EXPECT_EQ(collection.size(), stats->upserts);
-    } else {
-      EXPECT_TRUE(stats.status().IsIOError());
-    }
+    rig.LoadAndAttach(RandomBytes(&rng, 400),
+                      "byte soup " + std::to_string(i));
+    rig.LoadAndAttach(RandomAsciiSoup(&rng, 400),
+                      "ascii soup " + std::to_string(i));
   }
-  (void)fs.Remove(path);
 }
 
 }  // namespace

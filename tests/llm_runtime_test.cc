@@ -211,12 +211,11 @@ TEST(ModelRegistryTest, RegisterGetRemove) {
   EXPECT_EQ(world.registry->size(), 2u);
 }
 
-TEST(ModelRegistryTest, DuplicateRegistrationRejectedPullReplaces) {
+TEST(ModelRegistryTest, DuplicateAndNullRegistrationsRejected) {
   auto world = testutil::MakeWorld();
   auto model = world.registry->Get("llama3:8b");
   ASSERT_TRUE(model.ok());
   EXPECT_TRUE(world.registry->Register(*model).IsAlreadyExists());
-  EXPECT_TRUE(world.registry->Pull(*model).ok());
   EXPECT_TRUE(world.registry->Register(nullptr).IsInvalidArgument());
 }
 

@@ -1,5 +1,4 @@
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <gtest/gtest.h>
 
@@ -7,7 +6,6 @@
 #include "llmms/vectordb/collection.h"
 #include "llmms/vectordb/database.h"
 #include "llmms/vectordb/distance.h"
-#include "llmms/vectordb/durable_collection.h"
 
 namespace llmms::vectordb {
 namespace {
@@ -141,8 +139,7 @@ bool SameBits(const Vector& a, const Vector& b) {
 }
 
 // A record keeps one copy of its vector, in the index; Get must hand back
-// exactly what was upserted, also after the records are replayed from
-// their journal.
+// exactly what was upserted.
 TEST(CollectionTest, GetReturnsTheStoredVectorBitForBit) {
   for (IndexKind kind : {IndexKind::kFlat, IndexKind::kHnsw}) {
     SCOPED_TRACE(kind == IndexKind::kFlat ? "flat" : "hnsw");
@@ -154,22 +151,17 @@ TEST(CollectionTest, GetReturnsTheStoredVectorBitForBit) {
     };
     Collection::Options opts = SmallOptions(kind);
     opts.dimension = 8;
-    const std::string path = ::testing::TempDir() + "/vdb_vectors.wal";
-    std::remove(path.c_str());
-    auto durable = DurableCollection::Open("vectors", opts, path);
-    ASSERT_TRUE(durable.ok());
-    DurableCollection& d = **durable;
-    const Collection& c = *d.collection();
+    Collection c("vectors", opts);
     std::vector<Vector> expected;
 
     expected.push_back(random_vector());
-    ASSERT_TRUE(d.Upsert(MakeRecord("0", expected[0])).ok());
+    ASSERT_TRUE(c.Upsert(MakeRecord("0", expected[0])).ok());
     auto rec = c.Get("0");
     ASSERT_TRUE(rec.ok());
     EXPECT_TRUE(SameBits(rec->vector, expected[0])) << "after insert";
 
     expected[0] = random_vector();
-    ASSERT_TRUE(d.Upsert(MakeRecord("0", expected[0])).ok());
+    ASSERT_TRUE(c.Upsert(MakeRecord("0", expected[0])).ok());
     rec = c.Get("0");
     ASSERT_TRUE(rec.ok());
     EXPECT_TRUE(SameBits(rec->vector, expected[0])) << "after replace";
@@ -177,10 +169,10 @@ TEST(CollectionTest, GetReturnsTheStoredVectorBitForBit) {
     for (size_t i = 1; i < 10; ++i) {
       expected.push_back(random_vector());
       ASSERT_TRUE(
-          d.Upsert(MakeRecord(std::to_string(i), expected[i])).ok());
+          c.Upsert(MakeRecord(std::to_string(i), expected[i])).ok());
     }
     expected[3] = random_vector();
-    ASSERT_TRUE(d.Upsert(MakeRecord("3", expected[3])).ok());
+    ASSERT_TRUE(c.Upsert(MakeRecord("3", expected[3])).ok());
     for (size_t i = 0; i < expected.size(); ++i) {
       rec = c.Get(std::to_string(i));
       ASSERT_TRUE(rec.ok());
@@ -202,19 +194,6 @@ TEST(CollectionTest, GetReturnsTheStoredVectorBitForBit) {
                     DistanceMetric::kCosine,
                     Distance(DistanceMetric::kCosine, query, rec->vector)))
           << "query, id " << hit.id;
-    }
-
-    durable->reset();
-    DurableCollection::OpenStats stats;
-    auto reopened = DurableCollection::Open("vectors", opts, path, &stats);
-    std::remove(path.c_str());
-    ASSERT_TRUE(reopened.ok());
-    EXPECT_EQ(stats.replayed_upserts, expected.size() + 2);
-    for (size_t i = 0; i < expected.size(); ++i) {
-      rec = (*reopened)->Get(std::to_string(i));
-      ASSERT_TRUE(rec.ok());
-      EXPECT_TRUE(SameBits(rec->vector, expected[i]))
-          << "reloaded, id " << i;
     }
   }
 }
