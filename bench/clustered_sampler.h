@@ -13,8 +13,8 @@ namespace llmms::bench {
 // Text embeddings cluster by topic; model that with a Gaussian mixture
 // around unit centers (uniform random high-dimensional vectors are a
 // distance-concentration worst case no real embedding workload resembles).
-// bench_vectordb, hnsw_recall and hnsw_recall_test all draw from it, so one
-// seed gives all three the same corpus.
+// bench_vectordb, hnsw_recall and hnsw_recall_test all draw from it, so a
+// seed and a dimension name one corpus.
 class ClusteredSampler {
  public:
   ClusteredSampler(Rng* rng, size_t dim, size_t num_clusters)

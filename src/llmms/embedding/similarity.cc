@@ -4,15 +4,6 @@
 
 namespace llmms::embedding {
 
-double DotProduct(const Vector& a, const Vector& b) {
-  double sum = 0.0;
-  const size_t n = a.size();
-  for (size_t i = 0; i < n; ++i) {
-    sum += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-  }
-  return sum;
-}
-
 double CosineSimilarity(const Vector& a, const Vector& b) {
   double dot = 0.0;
   double na = 0.0;
@@ -27,30 +18,6 @@ double CosineSimilarity(const Vector& a, const Vector& b) {
   }
   if (na <= 0.0 || nb <= 0.0) return 0.0;
   return dot / (std::sqrt(na) * std::sqrt(nb));
-}
-
-double L2DistanceSquared(const Vector& a, const Vector& b) {
-  double sum = 0.0;
-  const size_t n = a.size();
-  for (size_t i = 0; i < n; ++i) {
-    const double d = static_cast<double>(a[i]) - static_cast<double>(b[i]);
-    sum += d * d;
-  }
-  return sum;
-}
-
-double MeanSimilarityToOthers(const std::vector<Vector>& all,
-                              size_t self_index) {
-  if (self_index >= all.size()) return 0.0;
-  double sum = 0.0;
-  size_t count = 0;
-  for (size_t i = 0; i < all.size(); ++i) {
-    if (i == self_index) continue;
-    sum += CosineSimilarity(all[self_index], all[i]);
-    ++count;
-  }
-  if (count == 0) return 0.0;
-  return sum / static_cast<double>(count);
 }
 
 }  // namespace llmms::embedding

@@ -7,20 +7,8 @@
 
 namespace llmms::embedding {
 
-// Dot product of equal-length vectors. Preconditions: a.size() == b.size().
-double DotProduct(const Vector& a, const Vector& b);
-
 // Cosine similarity in [-1, 1]; 0 when either vector is zero.
 double CosineSimilarity(const Vector& a, const Vector& b);
-
-// Squared Euclidean distance.
-double L2DistanceSquared(const Vector& a, const Vector& b);
-
-// Mean cosine similarity of all[self_index] against every other vector in
-// `all` (the paper's inter-model agreement / consensus score). Returns 0
-// when there are no other vectors or self_index is out of range.
-double MeanSimilarityToOthers(const std::vector<Vector>& all,
-                              size_t self_index);
 
 }  // namespace llmms::embedding
 

@@ -1,6 +1,7 @@
 #ifndef LLMMS_VECTORDB_FLAT_INDEX_H_
 #define LLMMS_VECTORDB_FLAT_INDEX_H_
 
+#include <utility>
 #include <vector>
 
 #include "llmms/vectordb/index.h"
@@ -11,7 +12,9 @@ namespace llmms::vectordb {
 // Exact brute-force index: O(n·d) per query. The reference implementation
 // against which HnswIndex recall is measured, and the index behind the
 // knowledge base's lookups and IndexKind::kFlat collections. The RAG
-// pipeline's per-session collections use HnswIndex.
+// pipeline's per-session collections (IndexKind::kHnsw) also scan with it
+// until they hold Collection::kExactScanRows slots, then hand its rows to
+// an HnswIndex.
 class FlatIndex final : public VectorIndex {
  public:
   FlatIndex(size_t dimension, DistanceMetric metric)
@@ -29,6 +32,9 @@ class FlatIndex final : public VectorIndex {
   std::span<const float> GetVector(SlotId slot) const override {
     return rows_.Get(slot);
   }
+
+  // Gives up the rows, removed slots included; the index is not used again.
+  RowStore TakeRows() && { return std::move(rows_); }
 
  private:
   DistanceMetric metric_;

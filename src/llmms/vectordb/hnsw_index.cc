@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
+#include <utility>
 
 #include "llmms/vectordb/distance.h"
 
@@ -39,17 +40,21 @@ HnswIndex::Options ClampM(HnswIndex::Options options) {
 
 }  // namespace
 
-HnswIndex::HnswIndex(size_t dimension, DistanceMetric metric,
+HnswIndex::HnswIndex(RowStore rows, DistanceMetric metric,
                      const Options& options)
     : metric_(metric),
       options_(ClampM(options)),
       level_lambda_(1.0 / std::log(static_cast<double>(
                               options_.M > 1 ? options_.M : 2))),
-      rows_(dimension),
+      rows_(std::move(rows)),
       level0_words_(kNodeHeaderWords + LinkList::kHeaderWords +
                     MaxNeighbors(0) + 1),
       level0_distances_(MaxNeighbors(0) + 1),
-      rng_(options.seed) {}
+      rng_(options.seed) {
+  for (size_t slot = 0; slot < rows_.slot_count(); ++slot) {
+    Link(static_cast<SlotId>(slot));
+  }
+}
 
 std::vector<std::vector<SlotId>> HnswIndex::links(SlotId slot) const {
   std::vector<std::vector<SlotId>> out;
@@ -275,6 +280,11 @@ void HnswIndex::PruneLinks(LinkList list, size_t cap) const {
 
 StatusOr<SlotId> HnswIndex::Add(const Vector& vector) {
   LLMMS_ASSIGN_OR_RETURN(const SlotId slot, rows_.Add(vector));
+  Link(slot);
+  return slot;
+}
+
+void HnswIndex::Link(SlotId slot) {
   const int level = DrawLevel();
   uint32_t* node = level0_words_.Append();
   level0_distances_.Append();
@@ -291,10 +301,10 @@ StatusOr<SlotId> HnswIndex::Add(const Vector& vector) {
   if (slot == 0) {
     entry_point_ = slot;
     max_level_ = level;
-    return slot;
+    return;
   }
 
-  // The stored row and norm, bit-equal to `vector` and its Norm.
+  // The stored row and its norm, both fixed when the row was added.
   const std::span<const float> row = rows_.row(slot);
   const double norm = rows_.norm(slot);
   // Greedy descent through levels above the new node's level.
@@ -322,7 +332,6 @@ StatusOr<SlotId> HnswIndex::Add(const Vector& vector) {
     max_level_ = level;
     entry_point_ = slot;
   }
-  return slot;
 }
 
 Status HnswIndex::Remove(SlotId slot) { return rows_.Remove(slot); }

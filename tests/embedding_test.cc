@@ -95,31 +95,6 @@ TEST(SimilarityTest, CosineBoundsAndIdentity) {
   EXPECT_EQ(CosineSimilarity(v, zero), 0.0);
 }
 
-TEST(SimilarityTest, DotProductMatchesCosineForUnitVectors) {
-  HashEmbedder embedder;
-  const auto a = embedder.Embed("alpha beta gamma");
-  const auto b = embedder.Embed("beta gamma delta");
-  EXPECT_NEAR(DotProduct(a, b), CosineSimilarity(a, b), 1e-5);
-}
-
-TEST(SimilarityTest, L2DistanceZeroForIdentical) {
-  Vector a{1.0f, 2.0f, 3.0f};
-  Vector b{1.0f, 2.0f, 4.0f};
-  EXPECT_DOUBLE_EQ(L2DistanceSquared(a, a), 0.0);
-  EXPECT_DOUBLE_EQ(L2DistanceSquared(a, b), 1.0);
-}
-
-TEST(SimilarityTest, MeanSimilarityToOthers) {
-  Vector x{1.0f, 0.0f};
-  Vector y{1.0f, 0.0f};
-  Vector z{0.0f, 1.0f};
-  std::vector<Vector> all{x, y, z};
-  EXPECT_NEAR(MeanSimilarityToOthers(all, 0), 0.5, 1e-9);
-  EXPECT_NEAR(MeanSimilarityToOthers(all, 2), 0.0, 1e-9);
-  EXPECT_EQ(MeanSimilarityToOthers({x}, 0), 0.0);
-  EXPECT_EQ(MeanSimilarityToOthers(all, 99), 0.0);
-}
-
 TEST(L2NormalizeTest, NormalizesNonZero) {
   Vector v{3.0f, 4.0f};
   L2Normalize(&v);

@@ -1,5 +1,5 @@
-// HNSW recall floors on bench/hnsw_recall.cc's clustered 128-d corpus at
-// n=2000. Pins the graph's quality so a change to the distance kernel or
+// HNSW recall floors on a clustered 128-d corpus from the benches' sampler
+// at n=2000. Pins the graph's quality so a change to the distance kernel or
 // to neighbor selection cannot trade recall for speed unnoticed, and pins
 // the exact graph and search output in tests/golden/hnsw_graph.golden so a
 // change meant to be output-neutral (a faster visited set, cached link
@@ -31,7 +31,7 @@ constexpr size_t kQueries = 50;
 constexpr size_t kK = 10;
 
 TEST(HnswRecallFloorTest, ClusteredCorpusAtTwoThousand) {
-  // The seed and cluster count of bench/hnsw_recall.cc.
+  // The seed and cluster count bench/hnsw_recall.cc draws with.
   Rng rng(0xBEEF);
   bench::ClusteredSampler sampler(&rng, kDim, /*num_clusters=*/64);
   FlatIndex flat(kDim, DistanceMetric::kCosine);
