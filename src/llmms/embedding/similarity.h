@@ -1,8 +1,6 @@
 #ifndef LLMMS_EMBEDDING_SIMILARITY_H_
 #define LLMMS_EMBEDDING_SIMILARITY_H_
 
-#include <vector>
-
 #include "llmms/embedding/embedder.h"
 
 namespace llmms::embedding {

@@ -15,11 +15,10 @@
 namespace llmms::rag {
 
 // End-to-end retrieval-augmented generation pipeline: one per user session.
-// Owns a session-scoped collection in the vector database, a cosine kHnsw
-// Collection (exact until Collection::kExactScanRows slots, then HNSW; the
-// paper stores session embeddings "temporarily in memory during the
-// session", §1.4), ingests uploads, and turns (query, history) into an
-// augmented prompt.
+// Owns a session-scoped collection in the vector database, a plain cosine
+// kFlat Collection served by an exact scan (the paper stores session
+// embeddings "temporarily in memory during the session", §1.4), ingests
+// uploads, and turns (query, history) into an augmented prompt.
 class RagPipeline {
  public:
   struct Options {

@@ -13,19 +13,19 @@
 namespace llmms::vectordb {
 
 Collection::Collection(std::string name, const Options& options)
-    : name_(std::move(name)),
-      options_(options),
-      index_(std::make_unique<FlatIndex>(options_.dimension,
-                                         options_.metric)) {}
+    : name_(std::move(name)), options_(options), index_(MakeIndex()) {}
 
-void Collection::PromoteLocked() {
+std::unique_ptr<VectorIndex> Collection::MakeIndex() const {
+  if (options_.index_kind == IndexKind::kFlat) {
+    return std::make_unique<FlatIndex>(options_.dimension, options_.metric);
+  }
   HnswIndex::Options hnsw;
   hnsw.M = options_.hnsw_m;
   hnsw.ef_construction = options_.hnsw_ef_construction;
   hnsw.ef_search = options_.hnsw_ef_search;
   hnsw.seed = options_.seed;
-  RowStore rows = std::move(static_cast<FlatIndex&>(*index_)).TakeRows();
-  index_ = std::make_unique<HnswIndex>(std::move(rows), options_.metric, hnsw);
+  return std::make_unique<HnswIndex>(options_.dimension, options_.metric,
+                                     hnsw);
 }
 
 StatusOr<Collection::StoredRecord> Collection::StoredRecord::Pack(
@@ -151,11 +151,6 @@ Status Collection::Upsert(VectorRecord record) {
   }
   records_.push_back(std::move(stored));
   id_to_slot_.emplace(records_.back().id(), slot);
-  // Slots are added one at a time, so a collection meets this once.
-  if (options_.index_kind == IndexKind::kHnsw &&
-      records_.size() == kExactScanRows) {
-    PromoteLocked();
-  }
   return Status::OK();
 }
 

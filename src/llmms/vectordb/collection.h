@@ -17,9 +17,6 @@
 
 namespace llmms::vectordb {
 
-// kFlat: an exact scan for the collection's life. kHnsw: an exact scan
-// until the collection holds Collection::kExactScanRows slots, then an HNSW
-// graph.
 enum class IndexKind { kFlat, kHnsw };
 
 // A named, thread-safe set of (id, vector, metadata, document) records with
@@ -28,32 +25,17 @@ enum class IndexKind { kFlat, kHnsw };
 // equality metadata filters by over-fetching from the index and
 // post-filtering.
 //
-// Every collection starts on a FlatIndex. A kHnsw collection builds an
-// HnswIndex from the flat rows when the Upsert that fills slot
-// kExactScanRows - 1 lands, and keeps it from then on, whatever is deleted.
-// The graph keeps every slot number, so records, ids and the (distance,
-// slot) tie order carry over, and it equals the graph an HnswIndex fed the
-// same Upserts and Deletes from the start would hold.
-//
 // Concurrency: reads (Query/Get/Contains/Ids/size) take a shared lock and
 // run in parallel; mutations (Upsert/Delete) take the lock exclusively.
 // The lock prefers writers, so readers that query back to back cannot
-// starve an upload; no method takes it while already holding it. The
-// promoting Upsert holds it for the whole graph build (DESIGN.md §15).
+// starve an upload; no method takes it while already holding it.
 class Collection {
  public:
-  // Slots (live and deleted) at which a kHnsw collection trades its exact
-  // scan for an HNSW graph: the smallest size at which bench/hnsw_recall
-  // measures the graph's query time, interquartile range and all, below
-  // the scan's at the session settings (DESIGN.md §15).
-  static constexpr size_t kExactScanRows = 5000;
-
   struct Options {
     size_t dimension = 384;
     DistanceMetric metric = DistanceMetric::kCosine;
     IndexKind index_kind = IndexKind::kHnsw;
-    // HNSW tuning (ignored for flat collections, and for kHnsw ones until
-    // they reach kExactScanRows slots).
+    // HNSW tuning (ignored for flat collections).
     size_t hnsw_m = 16;
     size_t hnsw_ef_construction = 200;
     size_t hnsw_ef_search = 64;
@@ -129,9 +111,7 @@ class Collection {
     std::unique_ptr<char[]> bytes_;
   };
 
-  // Replaces the FlatIndex with an HnswIndex over its rows; caller holds
-  // the exclusive lock.
-  void PromoteLocked();
+  std::unique_ptr<VectorIndex> MakeIndex() const;
   // Tombstones the record `it` names in the index and frees it; caller
   // holds the exclusive lock.
   Status RemoveLocked(
@@ -141,7 +121,6 @@ class Collection {
   Options options_;
 
   mutable WriterPreferringSharedMutex mu_;
-  // A FlatIndex, or an HnswIndex once a kHnsw collection is promoted.
   std::unique_ptr<VectorIndex> index_;
   // Live ids; each key views the id inside its record's packed bytes, so
   // an entry is erased before its record is freed. std::hash of a view

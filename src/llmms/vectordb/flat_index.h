@@ -1,7 +1,6 @@
 #ifndef LLMMS_VECTORDB_FLAT_INDEX_H_
 #define LLMMS_VECTORDB_FLAT_INDEX_H_
 
-#include <utility>
 #include <vector>
 
 #include "llmms/vectordb/index.h"
@@ -11,10 +10,8 @@ namespace llmms::vectordb {
 
 // Exact brute-force index: O(n·d) per query. The reference implementation
 // against which HnswIndex recall is measured, and the index behind the
-// knowledge base's lookups and IndexKind::kFlat collections. The RAG
-// pipeline's per-session collections (IndexKind::kHnsw) also scan with it
-// until they hold Collection::kExactScanRows slots, then hand its rows to
-// an HnswIndex.
+// knowledge base's lookups and IndexKind::kFlat collections, the RAG
+// pipeline's per-session collections among them.
 class FlatIndex final : public VectorIndex {
  public:
   FlatIndex(size_t dimension, DistanceMetric metric)
@@ -32,9 +29,6 @@ class FlatIndex final : public VectorIndex {
   std::span<const float> GetVector(SlotId slot) const override {
     return rows_.Get(slot);
   }
-
-  // Gives up the rows, removed slots included; the index is not used again.
-  RowStore TakeRows() && { return std::move(rows_); }
 
  private:
   DistanceMetric metric_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
-#include <utility>
 
 #include "llmms/vectordb/distance.h"
 
@@ -40,21 +39,17 @@ HnswIndex::Options ClampM(HnswIndex::Options options) {
 
 }  // namespace
 
-HnswIndex::HnswIndex(RowStore rows, DistanceMetric metric,
+HnswIndex::HnswIndex(size_t dimension, DistanceMetric metric,
                      const Options& options)
     : metric_(metric),
       options_(ClampM(options)),
       level_lambda_(1.0 / std::log(static_cast<double>(
                               options_.M > 1 ? options_.M : 2))),
-      rows_(std::move(rows)),
+      rows_(dimension),
       level0_words_(kNodeHeaderWords + LinkList::kHeaderWords +
                     MaxNeighbors(0) + 1),
       level0_distances_(MaxNeighbors(0) + 1),
-      rng_(options.seed) {
-  for (size_t slot = 0; slot < rows_.slot_count(); ++slot) {
-    Link(static_cast<SlotId>(slot));
-  }
-}
+      rng_(options.seed) {}
 
 std::vector<std::vector<SlotId>> HnswIndex::links(SlotId slot) const {
   std::vector<std::vector<SlotId>> out;
@@ -280,11 +275,6 @@ void HnswIndex::PruneLinks(LinkList list, size_t cap) const {
 
 StatusOr<SlotId> HnswIndex::Add(const Vector& vector) {
   LLMMS_ASSIGN_OR_RETURN(const SlotId slot, rows_.Add(vector));
-  Link(slot);
-  return slot;
-}
-
-void HnswIndex::Link(SlotId slot) {
   const int level = DrawLevel();
   uint32_t* node = level0_words_.Append();
   level0_distances_.Append();
@@ -301,10 +291,10 @@ void HnswIndex::Link(SlotId slot) {
   if (slot == 0) {
     entry_point_ = slot;
     max_level_ = level;
-    return;
+    return slot;
   }
 
-  // The stored row and its norm, both fixed when the row was added.
+  // The stored row and norm, bit-equal to `vector` and its Norm.
   const std::span<const float> row = rows_.row(slot);
   const double norm = rows_.norm(slot);
   // Greedy descent through levels above the new node's level.
@@ -332,6 +322,7 @@ void HnswIndex::Link(SlotId slot) {
     max_level_ = level;
     entry_point_ = slot;
   }
+  return slot;
 }
 
 Status HnswIndex::Remove(SlotId slot) { return rows_.Remove(slot); }

@@ -45,14 +45,7 @@ class HnswIndex final : public VectorIndex {
 
   HnswIndex(size_t dimension, DistanceMetric metric)
       : HnswIndex(dimension, metric, Options{}) {}
-  HnswIndex(size_t dimension, DistanceMetric metric, const Options& options)
-      : HnswIndex(RowStore(dimension), metric, options) {}
-  // Takes `rows` as its own, without copying them, and links every slot in
-  // slot order, removed ones included. Linking never reads a tombstone, so
-  // the graph, and every search over it, is the one an index fed each row
-  // through Add in slot order and then each removed slot through Remove
-  // would hold. How a Collection trades its FlatIndex for a graph.
-  HnswIndex(RowStore rows, DistanceMetric metric, const Options& options);
+  HnswIndex(size_t dimension, DistanceMetric metric, const Options& options);
 
   StatusOr<SlotId> Add(const Vector& vector) override;
   Status Remove(SlotId slot) override;
@@ -153,9 +146,6 @@ class HnswIndex final : public VectorIndex {
               SlotId b) const;
   double Dist(SlotId a, SlotId b) const;
   int DrawLevel();
-  // Draws `slot`'s level and links its row into the graph; every slot
-  // before it is linked already.
-  void Link(SlotId slot);
 
   uint32_t UpperIndex(SlotId slot) const { return level0_words_[slot][0]; }
   // The node's highest level.

@@ -3,10 +3,9 @@
 // replacements of existing ids with new metadata, deletes and re-inserts,
 // then Get (metadata, document, vector digest), the sorted ids and filtered
 // and unfiltered top-k queries (ids, score bits, metadata, documents). The
-// same history runs over a flat L2, a kHnsw cosine and a flat
+// same history runs over a flat L2, an HNSW cosine and a flat
 // inner-product collection, so a change to how records are stored must
-// leave every line as it is. The history stays below
-// Collection::kExactScanRows slots, so the kHnsw collection scans exactly.
+// leave every line as it is.
 
 #include <gtest/gtest.h>
 

@@ -19,7 +19,6 @@
 #include "llmms/llm/batch_scheduler.h"
 #include "llmms/rag/pipeline.h"
 #include "llmms/vectordb/collection.h"
-#include "llmms/vectordb/distance.h"
 #include "testutil.h"
 
 namespace llmms {
@@ -634,120 +633,6 @@ TEST(ConcurrencyTest, CollectionReadersWithSingleWriter) {
   EXPECT_EQ(collection.size(), static_cast<size_t>(kDeleteLag) + 1);
   EXPECT_TRUE(collection.Contains("seq-" + std::to_string(kWrites)));
   EXPECT_FALSE(collection.Contains("seq-1"));
-}
-
-// Four readers run filtered queries and gets while one writer upserts a
-// kHnsw collection across kExactScanRows, so they read the exact scan,
-// wait out the graph build and then read the graph. Each read must see
-// whole records: a hit matches its filter, and its vector, metadata and
-// score are those of the one version its id ever had.
-TEST(ConcurrencyTest, ReadersAcrossTheExactScanThreshold) {
-  using vectordb::Collection;
-  constexpr size_t kDim = 8;
-  constexpr int kWrites = static_cast<int>(Collection::kExactScanRows) + 400;
-  constexpr int kDeleteLag = 64;
-  Collection::Options opts;
-  opts.dimension = kDim;
-  opts.index_kind = vectordb::IndexKind::kHnsw;
-  Collection collection("threshold", opts);
-
-  // Record i's vector is seeded by i; every fourth record is deleted
-  // kDeleteLag upserts after it lands.
-  auto vector_of = [](int i) {
-    Rng rng(static_cast<uint64_t>(i));
-    vectordb::Vector v(kDim);
-    for (auto& x : v) x = static_cast<float>(rng.Normal());
-    return v;
-  };
-  auto parity = [](int i) { return i % 2 == 0 ? "even" : "odd"; };
-  auto number_of = [](const std::string& id) {
-    return std::stoi(id.substr(2));
-  };
-
-  std::atomic<int> ready{0};
-  std::atomic<int> published{0};
-  std::atomic<int> failures{0};
-  std::atomic<bool> done{false};
-  std::thread writer([&]() {
-    while (ready.load() < 4) std::this_thread::yield();
-    for (int i = 1; i <= kWrites; ++i) {
-      vectordb::VectorRecord record;
-      record.id = "r-" + std::to_string(i);
-      record.vector = vector_of(i);
-      record.metadata["parity"] = parity(i);
-      record.document = record.id;
-      if (!collection.Upsert(std::move(record)).ok()) ++failures;
-      published.store(i, std::memory_order_release);
-      const int victim = i - kDeleteLag;
-      if (victim > 0 && victim % 4 == 0 &&
-          !collection.Delete("r-" + std::to_string(victim)).ok()) {
-        ++failures;
-      }
-    }
-    done.store(true, std::memory_order_release);
-  });
-
-  std::vector<std::thread> readers;
-  std::atomic<int> reads_after_promotion{0};
-  for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&, t]() {
-      Rng rng(static_cast<uint64_t>(t) + 200);
-      ++ready;
-      bool last = false;
-      while (!last) {
-        // Once the writer is done, one more round reads the final graph.
-        last = done.load(std::memory_order_acquire);
-        const int p = published.load(std::memory_order_acquire);
-        if (p > 0) {
-          auto record = collection.Get("r-" + std::to_string(p));
-          if (record.ok()) {
-            const vectordb::Metadata metadata{{"parity", parity(p)}};
-            if (record->vector != vector_of(p) ||
-                record->metadata != metadata) {
-              ++failures;
-            }
-          } else if (p % 4 != 0 ||
-                     published.load(std::memory_order_acquire) - p <
-                         kDeleteLag) {
-            ++failures;  // published and not yet due for deletion
-          }
-        }
-        const char* want = rng.UniformInt(0, 1) == 0 ? "even" : "odd";
-        vectordb::Vector query(kDim);
-        for (auto& x : query) x = static_cast<float>(rng.Normal());
-        auto hits = collection.Query(query, 5, {{"parity", want}});
-        if (!hits.ok()) {
-          ++failures;
-          continue;
-        }
-        for (size_t h = 0; h < hits->size(); ++h) {
-          const vectordb::QueryResult& hit = (*hits)[h];
-          const int i = number_of(hit.id);
-          const double score = vectordb::SimilarityFromDistance(
-              vectordb::DistanceMetric::kCosine,
-              vectordb::Distance(vectordb::DistanceMetric::kCosine, query,
-                                 vector_of(i)));
-          if (parity(i) != std::string(want) ||
-              hit.metadata != vectordb::Metadata{{"parity", want}} ||
-              hit.document != hit.id ||
-              hit.score != score ||
-              (h > 0 && (*hits)[h - 1].score < hit.score)) {
-            ++failures;
-          }
-        }
-        if (p >= static_cast<int>(Collection::kExactScanRows)) {
-          ++reads_after_promotion;
-        }
-      }
-    });
-  }
-  writer.join();
-  for (auto& reader : readers) reader.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_GE(reads_after_promotion.load(), 4);
-  // Records 4, 8, ... up to kWrites - kDeleteLag are deleted.
-  EXPECT_EQ(collection.size(),
-            static_cast<size_t>(kWrites - (kWrites - kDeleteLag) / 4));
 }
 
 }  // namespace

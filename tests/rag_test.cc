@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
+#include <tuple>
 
+#include "llmms/common/rng.h"
 #include "llmms/common/string_util.h"
 #include "llmms/embedding/embedding_cache.h"
 #include "llmms/embedding/hash_embedder.h"
@@ -10,6 +14,7 @@
 #include "llmms/rag/pipeline.h"
 #include "llmms/rag/prompt_builder.h"
 #include "llmms/vectordb/database.h"
+#include "llmms/vectordb/distance.h"
 
 namespace llmms::rag {
 namespace {
@@ -317,6 +322,70 @@ TEST(RagPipelineTest, ExpireDropsCollection) {
   ASSERT_TRUE(pipeline.ok());
   ASSERT_TRUE((*pipeline)->Expire().ok());
   EXPECT_TRUE(db->GetCollection("session-s4").status().IsNotFound());
+}
+
+// A session's collection is scanned exactly: at the size a served session
+// reaches (~800 chunks), every retrieval is the exact top-k of the
+// session's chunks, in the collection's (score desc, id asc) order and to
+// the score bit. An HNSW graph with a kHnsw collection's default settings
+// misses some of these hits.
+TEST(RagPipelineTest, SessionRetrievalIsTheExactTopK) {
+  auto db = std::make_shared<vectordb::VectorDatabase>();
+  auto embedder = std::make_shared<embedding::HashEmbedder>();
+  RagPipeline::Options opts;
+  opts.top_k = 10;
+  opts.min_score = -1.0;  // keep every hit
+  auto pipeline = RagPipeline::Create(db, embedder, "exact", opts);
+  ASSERT_TRUE(pipeline.ok());
+
+  Rng rng(0x5E55);
+  auto words = [&rng](int n) {
+    std::string text;
+    for (int w = 0; w < n; ++w) {
+      text.append(" w").append(std::to_string(rng.UniformInt(0, 2999)));
+    }
+    return text;
+  };
+  for (int d = 0; (*pipeline)->chunk_count() < 800; ++d) {
+    std::string doc;
+    for (int s = 0; s < 8; ++s) doc += words(12) + ".";
+    ASSERT_TRUE((*pipeline)->Upload("doc" + std::to_string(d), doc).ok());
+  }
+  auto collection = db->GetCollection("session-exact");
+  ASSERT_TRUE(collection.ok());
+  std::vector<vectordb::VectorRecord> records;
+  for (const std::string& id : (*collection)->Ids()) {
+    auto record = (*collection)->Get(id);
+    ASSERT_TRUE(record.ok());
+    records.push_back(std::move(*record));
+  }
+
+  for (int q = 0; q < 200; ++q) {
+    const std::string question = words(8);
+    const vectordb::Vector query = embedder->EmbedOnce(question);
+    std::vector<std::tuple<double, std::string, const vectordb::Metadata*>>
+        scan;
+    for (const vectordb::VectorRecord& r : records) {
+      scan.emplace_back(
+          vectordb::Distance(vectordb::DistanceMetric::kCosine, query,
+                             r.vector),
+          r.id, &r.metadata);
+    }
+    std::sort(scan.begin(), scan.end());
+    auto hits = (*pipeline)->Retrieve(question);
+    ASSERT_TRUE(hits.ok());
+    ASSERT_EQ(hits->size(), opts.top_k);
+    for (size_t h = 0; h < hits->size(); ++h) {
+      const auto& [distance, id, metadata] = scan[h];
+      SCOPED_TRACE(id);
+      EXPECT_EQ((*hits)[h].document_id, metadata->at("document_id"));
+      EXPECT_EQ(std::to_string((*hits)[h].chunk_index),
+                metadata->at("chunk_index"));
+      EXPECT_EQ(std::bit_cast<uint64_t>((*hits)[h].score),
+                std::bit_cast<uint64_t>(vectordb::SimilarityFromDistance(
+                    vectordb::DistanceMetric::kCosine, distance)));
+    }
+  }
 }
 
 TEST(RagPipelineTest, RejectsEmptySessionId) {

@@ -1,17 +1,11 @@
-#include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <gtest/gtest.h>
-#include <unordered_map>
-#include <utility>
 
 #include "llmms/common/rng.h"
-#include "llmms/embedding/hash_embedder.h"
 #include "llmms/vectordb/collection.h"
 #include "llmms/vectordb/database.h"
 #include "llmms/vectordb/distance.h"
-#include "llmms/vectordb/hnsw_index.h"
 
 namespace llmms::vectordb {
 namespace {
@@ -202,186 +196,6 @@ TEST(CollectionTest, GetReturnsTheStoredVectorBitForBit) {
           << "query, id " << hit.id;
     }
   }
-}
-
-// A session-sized kHnsw collection upserted across kExactScanRows with
-// HashEmbedder chunks, beside a kFlat collection and a bare HnswIndex fed
-// the same history: every Add, and a Remove for each replaced or deleted
-// id, with the slot each id holds.
-class ExactScanThresholdTest : public ::testing::Test {
- protected:
-  static constexpr size_t kK = 10;
-  // (id, score bits) per hit, in result order.
-  using Hits = std::vector<std::pair<std::string, uint64_t>>;
-
-  // Dimension 384 and cosine, as a RAG session's; HNSW settings other
-  // than the defaults, so a promotion that dropped them builds another
-  // graph, and cheap enough to build twice under a sanitizer.
-  static Collection::Options SessionOptions(IndexKind kind) {
-    Collection::Options options;
-    options.index_kind = kind;
-    options.hnsw_m = 8;
-    options.hnsw_ef_construction = 48;
-    options.hnsw_ef_search = 24;
-    options.seed = 0x7E57;
-    return options;
-  }
-  static HnswIndex::Options GraphOptions() {
-    const Collection::Options session = SessionOptions(IndexKind::kHnsw);
-    HnswIndex::Options options;
-    options.M = session.hnsw_m;
-    options.ef_construction = session.hnsw_ef_construction;
-    options.ef_search = session.hnsw_ef_search;
-    options.seed = session.seed;
-    return options;
-  }
-
-  ExactScanThresholdTest()
-      : session_("session", SessionOptions(IndexKind::kHnsw)),
-        flat_("flat", SessionOptions(IndexKind::kFlat)),
-        reference_(embedder_.dimension(), DistanceMetric::kCosine,
-                   GraphOptions()) {}
-
-  // A chunk of 12 words from a 3,000-word vocabulary.
-  Vector Chunk() {
-    std::string text;
-    for (int w = 0; w < 12; ++w) {
-      text.append(" w").append(std::to_string(rng_.UniformInt(0, 2999)));
-    }
-    return embedder_.Embed(text);
-  }
-
-  void Upsert(const std::string& id) {
-    const Vector vector = Chunk();
-    for (Collection* c : {&session_, &flat_}) {
-      ASSERT_TRUE(c->Upsert(MakeRecord(id, vector)).ok());
-    }
-    if (auto it = live_.find(id); it != live_.end()) {
-      ASSERT_TRUE(reference_.Remove(it->second).ok());
-      slot_ids_[it->second].clear();
-    }
-    auto slot = reference_.Add(vector);
-    ASSERT_TRUE(slot.ok());
-    ASSERT_EQ(*slot, slot_ids_.size());
-    slot_ids_.push_back(id);
-    live_[id] = *slot;
-  }
-
-  void Delete(const std::string& id) {
-    const auto it = live_.find(id);
-    ASSERT_NE(it, live_.end());
-    for (Collection* c : {&session_, &flat_}) ASSERT_TRUE(c->Delete(id).ok());
-    ASSERT_TRUE(reference_.Remove(it->second).ok());
-    slot_ids_[it->second].clear();
-    live_.erase(it);
-  }
-
-  // Grows the history to `slots` slots: mostly new ids, one in 37 upserts
-  // replacing an earlier id and one in 41 followed by a delete.
-  void GrowTo(size_t slots) {
-    while (slot_ids_.size() < slots) {
-      const size_t n = slot_ids_.size();
-      std::string id = "c";
-      id += std::to_string(next_id_++);
-      if (n % 37 == 36) id = slot_ids_[rng_.UniformInt(0, n - 1)];
-      if (id.empty()) continue;  // a replaced or deleted slot; draw again
-      Upsert(id);
-      if (n % 41 == 40) DeleteAny();
-    }
-  }
-
-  void DeleteAny() {
-    std::string id;
-    while (id.empty() || !live_.count(id)) {
-      id = slot_ids_[rng_.UniformInt(0, slot_ids_.size() - 1)];
-    }
-    Delete(id);
-  }
-
-  static Hits Bits(const StatusOr<std::vector<QueryResult>>& results) {
-    EXPECT_TRUE(results.ok());
-    Hits hits;
-    for (const QueryResult& r : *results) {
-      hits.emplace_back(r.id, std::bit_cast<uint64_t>(r.score));
-    }
-    return hits;
-  }
-
-  // The reference index's top-k, selected as Collection::Query selects an
-  // unfiltered one: fetch k + 1 hits, order them by (distance, id), and
-  // fetch twice as many until a strictly farther hit bounds the k-th.
-  Hits ReferenceQuery(const Vector& query) const {
-    std::vector<std::pair<double, std::string>> kept;
-    for (size_t fetch = kK + 1;; fetch *= 2) {
-      const std::vector<IndexHit> hits = *reference_.Search(query, fetch);
-      kept.clear();
-      for (const IndexHit& hit : hits) {
-        kept.emplace_back(hit.distance, slot_ids_[hit.slot]);
-      }
-      std::sort(kept.begin(), kept.end());
-      if (hits.size() < fetch || fetch >= live_.size()) break;
-      if (kept.size() >= kK && hits.back().distance > kept[kK - 1].first) {
-        break;
-      }
-    }
-    kept.resize(std::min(kept.size(), kK));
-    Hits out;
-    for (const auto& [distance, id] : kept) {
-      out.emplace_back(id, std::bit_cast<uint64_t>(SimilarityFromDistance(
-                               DistanceMetric::kCosine, distance)));
-    }
-    return out;
-  }
-
-  // Checks 200 queries against the reference graph; returns how many
-  // differ from the exact scan.
-  size_t ExpectTheReferenceGraph() {
-    size_t differs = 0;
-    for (const Vector& query : queries_) {
-      const Hits hits = Bits(session_.Query(query, kK));
-      EXPECT_EQ(hits, ReferenceQuery(query));
-      differs += hits != Bits(flat_.Query(query, kK));
-    }
-    return differs;
-  }
-
-  embedding::HashEmbedder embedder_;
-  Rng rng_{0x5E55};
-  Collection session_;
-  Collection flat_;
-  HnswIndex reference_;
-  std::vector<std::string> slot_ids_;  // empty once replaced or deleted
-  std::unordered_map<std::string, SlotId> live_;
-  size_t next_id_ = 0;
-  std::vector<Vector> queries_;
-};
-
-TEST_F(ExactScanThresholdTest, ScansExactlyThenHoldsTheReferenceGraph) {
-  for (int q = 0; q < 200; ++q) queries_.push_back(Chunk());
-
-  // One slot short of the threshold: the exact scan, bit for bit.
-  GrowTo(Collection::kExactScanRows - 1);
-  for (const Vector& query : queries_) {
-    EXPECT_EQ(Bits(session_.Query(query, kK)), Bits(flat_.Query(query, kK)));
-  }
-
-  // Across it: the graph the reference index holds, ids and slots kept,
-  // which some queries tell apart from the exact scan.
-  GrowTo(Collection::kExactScanRows + 300);
-  ASSERT_GE(live_.size(), Collection::kExactScanRows);
-  EXPECT_EQ(session_.size(), live_.size());
-  EXPECT_GT(ExpectTheReferenceGraph(), 0u);
-  for (const auto& [id, slot] : live_) {
-    const auto record = session_.Get(id);
-    ASSERT_TRUE(record.ok());
-    const std::span<const float> row = reference_.GetVector(slot);
-    ASSERT_TRUE(std::equal(row.begin(), row.end(), record->vector.begin(),
-                           record->vector.end()));
-  }
-
-  // Deleting back below the threshold keeps the graph.
-  while (live_.size() >= Collection::kExactScanRows - 50) DeleteAny();
-  EXPECT_GT(ExpectTheReferenceGraph(), 0u);
 }
 
 TEST(VectorDatabaseTest, CreateGetDropCollections) {

@@ -12,7 +12,6 @@
 #include "llmms/vectordb/distance.h"
 #include "llmms/vectordb/flat_index.h"
 #include "llmms/vectordb/hnsw_index.h"
-#include "llmms/vectordb/row_store.h"
 
 namespace llmms::vectordb {
 namespace {
@@ -438,47 +437,6 @@ TEST(HnswIndexTest, DeterministicForSameSeed) {
   ASSERT_EQ(ha->size(), hb->size());
   for (size_t i = 0; i < ha->size(); ++i) {
     EXPECT_EQ((*ha)[i].slot, (*hb)[i].slot);
-  }
-}
-
-// Building a graph over a finished RowStore links the same graph as feeding
-// each row through Add, with Removes between the Adds: the same links on
-// every level of every slot, and the same hits.
-TEST(HnswIndexTest, GraphOverARowStoreMatchesTheAddHistory) {
-  Rng rng(12);
-  HnswIndex::Options options;
-  options.M = 6;
-  options.ef_construction = 32;
-  options.seed = 99;
-  HnswIndex added(8, DistanceMetric::kCosine, options);
-  RowStore rows(8);
-  for (int i = 0; i < 300; ++i) {
-    const Vector v = RandomUnitVector(&rng, 8);
-    ASSERT_TRUE(added.Add(v).ok());
-    ASSERT_TRUE(rows.Add(v).ok());
-    if (i % 5 == 4) {
-      const auto slot = static_cast<SlotId>(rng.UniformInt(0, i));
-      ASSERT_TRUE(added.Remove(slot).ok());
-      ASSERT_TRUE(rows.Remove(slot).ok());
-    }
-  }
-  const HnswIndex built(std::move(rows), DistanceMetric::kCosine, options);
-  ASSERT_EQ(built.slot_count(), added.slot_count());
-  EXPECT_EQ(built.size(), added.size());
-  EXPECT_EQ(built.max_level(), added.max_level());
-  for (SlotId slot = 0; slot < added.slot_count(); ++slot) {
-    EXPECT_EQ(built.links(slot), added.links(slot)) << "slot " << slot;
-  }
-  for (int q = 0; q < 20; ++q) {
-    const Vector query = RandomUnitVector(&rng, 8);
-    const auto a = added.Search(query, 10);
-    const auto b = built.Search(query, 10);
-    ASSERT_TRUE(a.ok() && b.ok());
-    ASSERT_EQ(a->size(), b->size());
-    for (size_t i = 0; i < a->size(); ++i) {
-      EXPECT_EQ((*a)[i].slot, (*b)[i].slot);
-      EXPECT_EQ((*a)[i].distance, (*b)[i].distance);
-    }
   }
 }
 
