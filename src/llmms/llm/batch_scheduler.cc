@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <set>
 #include <tuple>
 
 #include "llmms/common/string_util.h"
@@ -70,14 +69,13 @@ void BatchScheduler::TraceLocked(LineFn&& line) {
   trace_.push_back(line());
 }
 
-BatchScheduler::StreamId BatchScheduler::AdmitLocked(
-    const AdmitOptions& options, ChunkFn source) {
+BatchScheduler::StreamId BatchScheduler::Admit(const AdmitOptions& options) {
+  std::lock_guard<std::mutex> lock(mu_);
   Stream stream;
   stream.id = next_id_++;
   stream.model = options.model;
   stream.hedge = options.hedge;
   stream.context = options.context;
-  stream.source = std::move(source);
   stream.tokens_per_second = options.tokens_per_second;
   stream.admit_seq = ++admit_seq_;
   const double slack = options.context != nullptr
@@ -102,17 +100,6 @@ BatchScheduler::StreamId BatchScheduler::AdmitLocked(
   const StreamId id = stream.id;
   streams_.emplace(id, std::move(stream));
   return id;
-}
-
-BatchScheduler::StreamId BatchScheduler::Admit(const AdmitOptions& options) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return AdmitLocked(options, nullptr);
-}
-
-BatchScheduler::StreamId BatchScheduler::AdmitSource(
-    const AdmitOptions& options, ChunkFn source) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return AdmitLocked(options, std::move(source));
 }
 
 void BatchScheduler::RetireLocked(Stream* stream) {
@@ -149,17 +136,10 @@ void BatchScheduler::Finish(StreamId id) {
   if (stream != nullptr) RetireLocked(stream);
 }
 
-BatchScheduler::Stream* BatchScheduler::PickLocked(ModelState* state,
-                                                   const std::string& model,
-                                                   bool sourced) {
-  (void)state;
+BatchScheduler::Stream* BatchScheduler::PickLocked(const std::string& model) {
   Stream* best = nullptr;
   for (auto& [id, stream] : streams_) {
-    if (stream.model != model || stream.finished || stream.granted ||
-        stream.running) {
-      continue;
-    }
-    if (sourced ? stream.source == nullptr : !stream.waiting) continue;
+    if (stream.model != model || stream.finished || !stream.waiting) continue;
     if (best == nullptr) {
       best = &stream;
       continue;
@@ -174,15 +154,8 @@ BatchScheduler::Stream* BatchScheduler::PickLocked(ModelState* state,
   return best;
 }
 
-void BatchScheduler::GrantSlotLocked(ModelState* state, Stream* stream) {
-  size_t slot = state->replicas;  // sentinel: no free slot
-  for (size_t i = 0; i < state->replicas; ++i) {
-    if (!state->slot_busy[i]) {
-      slot = i;
-      break;
-    }
-  }
-  if (slot == state->replicas) return;  // caller checks before granting
+void BatchScheduler::GrantSlotLocked(ModelState* state, size_t slot,
+                                     Stream* stream) {
   const StreamId previous = state->slot_holder[slot];
   if (previous != 0 && previous != stream->id) {
     Stream* evicted = FindLocked(previous);
@@ -207,7 +180,7 @@ void BatchScheduler::GrantSlotLocked(ModelState* state, Stream* stream) {
   stream->granted = true;
   stream->running = true;
   ++dispatches_;
-  // Threaded-mode round epochs: a stream granted twice within one epoch
+  // Round epochs: a stream granted twice within one epoch
   // means every other runnable stream had its turn — a new round begins.
   if (std::find(epoch_grants_.begin(), epoch_grants_.end(), stream->id) !=
       epoch_grants_.end()) {
@@ -247,17 +220,12 @@ void BatchScheduler::YieldSlotLocked(ModelState* state, Stream* stream,
 void BatchScheduler::ScheduleLocked(const std::string& model) {
   ModelState* state = ModelOf(model);
   for (;;) {
-    bool has_free = false;
-    for (size_t i = 0; i < state->replicas; ++i) {
-      if (!state->slot_busy[i]) {
-        has_free = true;
-        break;
-      }
-    }
-    if (!has_free) return;
-    Stream* next = PickLocked(state, model, /*sourced=*/false);
+    const auto free_slot =
+        std::find(state->slot_busy.begin(), state->slot_busy.end(), false);
+    if (free_slot == state->slot_busy.end()) return;
+    Stream* next = PickLocked(model);
     if (next == nullptr) return;
-    GrantSlotLocked(state, next);
+    GrantSlotLocked(state, free_slot - state->slot_busy.begin(), next);
   }
 }
 
@@ -343,118 +311,6 @@ StatusOr<Chunk> BatchScheduler::ExecuteChunk(StreamId id, size_t max_tokens,
   ScheduleLocked(model_name);
   cv_.notify_all();
   return chunk_or;
-}
-
-BatchScheduler::RoundResult BatchScheduler::RunRound(size_t max_tokens) {
-  std::unique_lock<std::mutex> lock(mu_);
-  RoundResult result;
-  result.round = ++rounds_;
-  // Deterministic rounds are explicit: reset the threaded-mode epoch so
-  // GrantSlotLocked's repeat-grant heuristic never double-counts a round.
-  epoch_grants_.clear();
-
-  // Unwind sourced streams whose request died before this round: typed
-  // DeadlineExceeded / Cancelled, never dispatched again.
-  std::vector<StreamId> expired;
-  for (auto& [id, stream] : streams_) {
-    if (stream.source == nullptr || stream.finished ||
-        stream.context == nullptr) {
-      continue;
-    }
-    if (!stream.context->Check().ok()) expired.push_back(id);
-  }
-  std::sort(expired.begin(), expired.end());
-  for (StreamId id : expired) {
-    Stream* stream = FindLocked(id);
-    Status dead = stream->context->Check();
-    ++expired_total_;
-    TraceLocked([&] {
-      return StrFormat("expire s=%llu code=%s",
-                       static_cast<unsigned long long>(id),
-                       StatusCodeToString(dead.code()));
-    });
-    RetireLocked(stream);
-    result.unwound.emplace_back(id, dead);
-  }
-
-  // Dispatch, per model in name order, the highest-priority runnable
-  // streams onto free slots.
-  std::vector<Stream*> granted;
-  std::set<std::string> names;
-  for (const auto& [id, stream] : streams_) {
-    if (stream.source != nullptr && !stream.finished) {
-      names.insert(stream.model);
-    }
-  }
-  for (const auto& name : names) {
-    ModelState* state = ModelOf(name);
-    for (;;) {
-      bool has_free = false;
-      for (size_t i = 0; i < state->replicas; ++i) {
-        if (!state->slot_busy[i]) {
-          has_free = true;
-          break;
-        }
-      }
-      if (!has_free) break;
-      Stream* next = PickLocked(state, name, /*sourced=*/true);
-      if (next == nullptr) break;
-      GrantSlotLocked(state, next);
-      granted.push_back(next);
-    }
-  }
-
-  // Run the dispatched chunks in grant order. Sources run outside the lock
-  // so they may inspect the scheduler; slots stay marked busy meanwhile.
-  for (Stream* stream : granted) {
-    const StreamId id = stream->id;
-    ChunkFn source = stream->source;
-    lock.unlock();
-    auto chunk_or = source(max_tokens);
-    lock.lock();
-    ModelState* state = ModelOf(stream->model);
-    if (!chunk_or.ok()) {
-      YieldSlotLocked(state, stream, 0, 0.0);
-      TraceLocked([&] {
-        return StrFormat("expire s=%llu code=%s",
-                         static_cast<unsigned long long>(id),
-                         StatusCodeToString(chunk_or.status().code()));
-      });
-      RetireLocked(stream);
-      streams_.erase(id);
-      result.unwound.emplace_back(id, chunk_or.status());
-      continue;
-    }
-    Chunk chunk = std::move(chunk_or).value();
-    double cost = chunk.extra_seconds;
-    if (stream->tokens_per_second > 0.0) {
-      cost += static_cast<double>(chunk.num_tokens) /
-              stream->tokens_per_second;
-    }
-    Dispatched dispatched;
-    dispatched.stream = id;
-    dispatched.model = stream->model;
-    dispatched.slot = stream->slot;
-    dispatched.cost_seconds = cost;
-    YieldSlotLocked(state, stream, chunk.num_tokens, cost);
-    if (chunk.done || stream->finished) {
-      RetireLocked(stream);
-      streams_.erase(id);
-    }
-    dispatched.chunk = std::move(chunk);
-    result.max_cost_seconds = std::max(result.max_cost_seconds, cost);
-    result.total_cost_seconds += cost;
-    result.executed.push_back(std::move(dispatched));
-  }
-  return result;
-}
-
-bool BatchScheduler::HasRunnable() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [id, stream] : streams_) {
-    if (stream.source != nullptr && !stream.finished) return true;
-  }
-  return false;
 }
 
 double BatchScheduler::JainLocked() const {

@@ -56,9 +56,9 @@ struct SchedulerConfig {
 class BatchScheduler {
  public:
   using StreamId = uint64_t;
-  // Produces the stream's next chunk of up to max_tokens. In deterministic
-  // mode (AdmitSource/RunRound) the returned chunk's extra_seconds plus
-  // num_tokens / tokens_per_second is the chunk's simulated replica cost.
+  // Produces the stream's next chunk of up to max_tokens. The returned
+  // chunk's extra_seconds plus num_tokens / tokens_per_second is the
+  // chunk's simulated replica cost, charged to the slot that ran it.
   using ChunkFn = std::function<StatusOr<Chunk>(size_t max_tokens)>;
 
   struct AdmitOptions {
@@ -86,14 +86,9 @@ class BatchScheduler {
   // (deterministic; used by the runtime and directly testable).
   double WeightFor(size_t token_budget, double deadline_slack_seconds) const;
 
-  // Registers a stream. Threaded mode: the owner later calls ExecuteChunk
-  // per chunk and Finish when the stream completes or is abandoned.
+  // Registers a stream. The owner later calls ExecuteChunk per chunk and
+  // Finish when the stream completes or is abandoned.
   StreamId Admit(const AdmitOptions& options);
-
-  // Deterministic mode: registers a stream together with its chunk source;
-  // RunRound dispatches it synchronously. A source returning a done chunk
-  // (or an error) retires the stream.
-  StreamId AdmitSource(const AdmitOptions& options, ChunkFn source);
 
   // Retires a stream (idempotent). Its service-token total is retained for
   // the fairness index; a running stream finishes its in-flight chunk
@@ -108,32 +103,6 @@ class BatchScheduler {
   // output held by the caller is untouched).
   StatusOr<Chunk> ExecuteChunk(StreamId id, size_t max_tokens,
                                const ChunkFn& fn);
-
-  // One deterministic chunk round: unwinds expired sourced streams, then
-  // dispatches, per model, up to `replicas` runnable sourced streams in
-  // priority order and runs their sources sequentially in dispatch order.
-  struct Dispatched {
-    StreamId stream = 0;
-    std::string model;
-    size_t slot = 0;
-    Chunk chunk;
-    double cost_seconds = 0.0;
-  };
-  struct RoundResult {
-    size_t round = 0;  // 1-based sequence number of this RunRound call
-    std::vector<Dispatched> executed;
-    // Streams unwound this round with their typed terminal status
-    // (deadline expiry / cancellation) or the source's error.
-    std::vector<std::pair<StreamId, Status>> unwound;
-    // Slots run in parallel: the round's simulated duration is the max
-    // dispatched cost; idle replicas charge nothing.
-    double max_cost_seconds = 0.0;
-    double total_cost_seconds = 0.0;
-  };
-  RoundResult RunRound(size_t max_tokens);
-
-  // True while any sourced stream is admitted and not yet retired.
-  bool HasRunnable() const;
 
   struct StreamInfo {
     StreamId id = 0;
@@ -160,7 +129,7 @@ class BatchScheduler {
     size_t hedge_admitted_total = 0;
     size_t expired_total = 0;   // streams unwound by deadline/cancel
     size_t dispatches = 0;      // chunk grants
-    size_t rounds = 0;          // deterministic rounds + threaded epochs
+    size_t rounds = 0;          // epochs: a stream granted a second time
     size_t preempted_total = 0; // slot handed to another runnable stream
     size_t runnable = 0;        // gauge: admitted, not finished
     size_t waiting = 0;         // gauge: blocked in ExecuteChunk
@@ -176,8 +145,8 @@ class BatchScheduler {
 
   // The decision log (admit/grant/yield/preempt/expire/finish lines),
   // oldest first, at most trace_capacity lines; empty when the log is off
-  // (the default). Deterministic under RunRound, used by the golden-trace
-  // suite.
+  // (the default). The golden-trace suite pins it through a lockstep
+  // driver that makes the threaded path's decisions repeatable.
   std::vector<std::string> Trace() const;
 
  private:
@@ -187,15 +156,14 @@ class BatchScheduler {
     double weight = 1.0;
     bool hedge = false;
     std::shared_ptr<RequestContext> context;
-    ChunkFn source;  // deterministic mode only
     double tokens_per_second = 0.0;
     uint64_t admit_seq = 0;
     double virtual_time = 0.0;
     size_t service_tokens = 0;
     size_t chunks = 0;
     size_t preemptions = 0;
-    bool waiting = false;  // threaded: parked in ExecuteChunk
-    bool granted = false;  // threaded: slot assigned, not yet running
+    bool waiting = false;  // parked in ExecuteChunk
+    bool granted = false;  // slot assigned, fn not yet running
     bool running = false;  // slot held, chunk in flight
     bool finished = false;
     size_t slot = 0;  // meaningful while granted/running
@@ -217,17 +185,16 @@ class BatchScheduler {
 
   ModelState* ModelOf(const std::string& model);
   Stream* FindLocked(StreamId id);
-  // Best waiting (threaded) or runnable sourced (deterministic) stream of
-  // `model`: hedges first, then lowest virtual time, then admission order.
-  Stream* PickLocked(ModelState* state, const std::string& model,
-                     bool sourced);
-  // Assigns `stream` a free slot of its model, recording a preemption when
-  // the slot's previous holder is still runnable.
-  void GrantSlotLocked(ModelState* state, Stream* stream);
+  // Best stream of `model` parked in ExecuteChunk: hedges first, then
+  // lowest virtual time, then admission order.
+  Stream* PickLocked(const std::string& model);
+  // Assigns `stream` the free `slot` of its model, recording a preemption
+  // when the slot's previous holder is still runnable.
+  void GrantSlotLocked(ModelState* state, size_t slot, Stream* stream);
   // Releases the slot after a chunk and charges its occupancy.
   void YieldSlotLocked(ModelState* state, Stream* stream, size_t tokens,
                        double cost_seconds);
-  // Grants free slots to waiting threaded streams in priority order.
+  // Grants free slots to parked streams in priority order.
   void ScheduleLocked(const std::string& model);
   void RetireLocked(Stream* stream);
   // Appends line() to the decision log, dropping the oldest line at
@@ -236,7 +203,6 @@ class BatchScheduler {
   template <typename LineFn>
   void TraceLocked(LineFn&& line);
   double JainLocked() const;
-  StreamId AdmitLocked(const AdmitOptions& options, ChunkFn source);
 
   const SchedulerConfig config_;
 
@@ -257,8 +223,8 @@ class BatchScheduler {
   size_t hedge_admitted_total_ = 0;
   size_t expired_total_ = 0;
   size_t total_service_tokens_ = 0;
-  // Threaded-mode round epochs: a new "round" starts when a stream is
-  // granted a second slot within the current epoch.
+  // Round epochs: a new "round" starts when a stream is granted a second
+  // slot within the current epoch.
   std::vector<StreamId> epoch_grants_;
 };
 
