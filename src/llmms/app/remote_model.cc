@@ -306,38 +306,6 @@ StatusOr<std::shared_ptr<RemoteModel>> RemoteModel::Connect(
       static_cast<size_t>(info["context_window"].AsInt()), transport));
 }
 
-StatusOr<std::shared_ptr<llm::HedgedModel>> RemoteModel::ConnectHedged(
-    const PeerAddress& primary, const std::vector<PeerAddress>& backups,
-    const std::string& remote_name, const std::string& local_name,
-    const llm::HedgeConfig& hedge) {
-  return ConnectHedged(primary, backups, remote_name, local_name, hedge,
-                       TransportOptions());
-}
-
-StatusOr<std::shared_ptr<llm::HedgedModel>> RemoteModel::ConnectHedged(
-    const PeerAddress& primary, const std::vector<PeerAddress>& backups,
-    const std::string& remote_name, const std::string& local_name,
-    const llm::HedgeConfig& hedge, const TransportOptions& transport) {
-  if (backups.empty()) {
-    return Status::InvalidArgument(
-        "hedged federation needs at least one backup peer");
-  }
-  LLMMS_ASSIGN_OR_RETURN(auto primary_model,
-                         Connect(primary.host, primary.port, remote_name,
-                                 local_name, transport));
-  std::vector<std::shared_ptr<llm::LanguageModel>> backup_models;
-  backup_models.reserve(backups.size());
-  for (const PeerAddress& peer : backups) {
-    // Backups keep the derived "<model>@<host>:<port>" name so /api/health
-    // latency rows identify which peer each percentile belongs to.
-    LLMMS_ASSIGN_OR_RETURN(auto backup, Connect(peer.host, peer.port,
-                                                remote_name, "", transport));
-    backup_models.push_back(std::move(backup));
-  }
-  return std::make_shared<llm::HedgedModel>(std::move(primary_model),
-                                            std::move(backup_models), hedge);
-}
-
 StatusOr<std::unique_ptr<llm::GenerationStream>> RemoteModel::StartGeneration(
     const llm::GenerationRequest& request) const {
   if (request.prompt.empty()) {

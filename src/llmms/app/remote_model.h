@@ -3,9 +3,7 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "llmms/llm/hedged_model.h"
 #include "llmms/llm/model.h"
 
 namespace llmms::app {
@@ -54,30 +52,6 @@ class RemoteModel final : public llm::LanguageModel {
   static StatusOr<std::shared_ptr<RemoteModel>> Connect(
       const std::string& host, int port, const std::string& remote_name,
       const std::string& local_name = "");
-
-  // One federation peer serving the model.
-  struct PeerAddress {
-    std::string host;
-    int port = 0;
-  };
-
-  // Hedged federation (DESIGN.md §10): connects to `primary` plus every
-  // peer in `backups` — all serving `remote_name` — and wraps the adapters
-  // in a llm::HedgedModel, so a peer with spiky wire latency is raced
-  // against its replicas and a peer that dies mid-stream fails over
-  // transparently. A streaming primary can be hedged by a pre-streaming
-  // backup (token accounting is identical on both reply kinds, so adoption
-  // is seamless). Every peer must be
-  // reachable at connect time; `local_name` names the hedged group (empty =
-  // derived from the primary).
-  static StatusOr<std::shared_ptr<llm::HedgedModel>> ConnectHedged(
-      const PeerAddress& primary, const std::vector<PeerAddress>& backups,
-      const std::string& remote_name, const std::string& local_name,
-      const llm::HedgeConfig& hedge, const TransportOptions& transport);
-  static StatusOr<std::shared_ptr<llm::HedgedModel>> ConnectHedged(
-      const PeerAddress& primary, const std::vector<PeerAddress>& backups,
-      const std::string& remote_name, const std::string& local_name = "",
-      const llm::HedgeConfig& hedge = llm::HedgeConfig());
 
   const std::string& name() const override { return local_name_; }
   uint64_t memory_mb() const override {

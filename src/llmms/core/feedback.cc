@@ -70,28 +70,6 @@ std::string FeedbackStore::ToJson() const {
   return root.Dump();
 }
 
-StatusOr<std::unique_ptr<FeedbackStore>> FeedbackStore::FromJson(
-    const std::string& text) {
-  LLMMS_ASSIGN_OR_RETURN(Json root, Json::Parse(text));
-  if (root["version"].AsInt() != 1) {
-    return Status::InvalidArgument("unsupported feedback store version");
-  }
-  auto store = std::make_unique<FeedbackStore>();
-  for (const auto& entry : root["entries"].AsArray()) {
-    const std::string model = entry["model"].AsString();
-    const std::string domain = entry["domain"].AsString();
-    if (model.empty() || domain.empty()) {
-      return Status::InvalidArgument("feedback entry missing model/domain");
-    }
-    Stats stats;
-    stats.reward_sum = entry["reward_sum"].AsDouble();
-    stats.count = static_cast<size_t>(entry["count"].AsInt());
-    stats.wins = static_cast<size_t>(entry["wins"].AsInt());
-    store->stats_[{model, domain}] = stats;
-  }
-  return store;
-}
-
 double EloRatings::ExpectedScore(double a, double b) const {
   return 1.0 / (1.0 + std::pow(10.0, (b - a) / 400.0));
 }

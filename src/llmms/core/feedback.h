@@ -2,13 +2,9 @@
 #define LLMMS_CORE_FEEDBACK_H_
 
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "llmms/common/result.h"
-#include "llmms/common/status.h"
 
 namespace llmms::core {
 
@@ -16,7 +12,8 @@ namespace llmms::core {
 // a running record of how well each model has performed per task domain.
 // Orchestration outcomes feed it; the cognitive router reads it to send new
 // queries to the models that historically handled that kind of task best.
-// Thread-safe; persists to JSON.
+// Thread-safe and in memory only: it lives as long as its SearchEngine,
+// and ToJson is a read-only dump for display.
 class FeedbackStore {
  public:
   struct Stats {
@@ -51,10 +48,8 @@ class FeedbackStore {
       const std::string& domain,
       const std::vector<std::string>& known_models) const;
 
-  // JSON round trip so the index survives restarts.
+  // Every (model, domain) record as JSON, for display.
   std::string ToJson() const;
-  static StatusOr<std::unique_ptr<FeedbackStore>> FromJson(
-      const std::string& text);
 
  private:
   mutable std::mutex mu_;

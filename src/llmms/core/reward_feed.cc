@@ -20,14 +20,6 @@ constexpr double kMinRetainedWeight = 1e-12;
 
 }  // namespace
 
-void RewardFeed::Configure(const RewardFeedConfig& config) {
-  std::lock_guard<std::mutex> lock(mu_);
-  config_ = config;
-  Sanitize();
-  tick_ = 0;
-  stats_.clear();
-}
-
 RewardFeedConfig RewardFeed::config() const {
   std::lock_guard<std::mutex> lock(mu_);
   return config_;

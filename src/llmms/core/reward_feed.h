@@ -143,10 +143,6 @@ class RewardFeed {
     Sanitize();
   }
 
-  // Replaces the estimator configuration and clears every observation (a
-  // lifetime sum cannot be turned into a window retroactively). Call before
-  // serving; not meant to race published rewards.
-  void Configure(const RewardFeedConfig& config);
   RewardFeedConfig config() const;
 
   // At most one subscriber per model; the last registration wins.

@@ -96,14 +96,6 @@ class SearchEngine {
   // without adaptation never subscribe, so for them the feed is inert.
   RewardFeed* reward_feed() { return &reward_feed_; }
 
-  // Switches the feed's estimator (sliding window / exponential decay /
-  // lifetime, DESIGN.md §16) and clears its observations. Call before
-  // serving; subscribers stay attached. Surfaced by /api/health's adaptive
-  // block as `window_size` / `reward_half_life`.
-  void ConfigureRewardFeed(const RewardFeedConfig& config) {
-    reward_feed_.Configure(config);
-  }
-
  private:
   StatusOr<rag::RagPipeline*> PipelineFor(const std::string& session_id);
   session::MemoryGraph* MemoryFor(const std::string& session_id);

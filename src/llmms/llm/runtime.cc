@@ -235,14 +235,6 @@ std::vector<ModelRuntime::PlacementInfo> ModelRuntime::PlacementSnapshot()
   return out;
 }
 
-Status ModelRuntime::UnloadModel(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (loaded_.erase(name) == 0) {
-    return Status::NotFound("model '" + name + "' is not loaded");
-  }
-  return Status::OK();
-}
-
 bool ModelRuntime::IsLoaded(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   return loaded_.count(name) > 0;

@@ -146,9 +146,9 @@ class ModelRuntime {
   // steady-state residency plus the largest backup replica, since a hedge
   // race keeps two replicas resident simultaneously (DESIGN.md §11) — a
   // device that only fits the group between races is skipped. Loading an
-  // already-loaded model is a no-op.
+  // already-loaded model is a no-op. A model stays loaded, and its device
+  // reservation held, until the runtime is destroyed.
   Status LoadModel(const std::string& name);
-  Status UnloadModel(const std::string& name);
   bool IsLoaded(const std::string& name) const;
   std::vector<std::string> LoadedModels() const;
 
@@ -209,6 +209,8 @@ class ModelRuntime {
   ThreadPool pool_;
 
   mutable std::mutex mu_;
+  // Grow-only: an entry is never erased, so a reference to one stays valid
+  // after mu_ is released (unordered_map keeps nodes in place on rehash).
   std::unordered_map<std::string, LoadedModel> loaded_;
   std::shared_ptr<BatchScheduler> scheduler_;  // null = batching off
 };

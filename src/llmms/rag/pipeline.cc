@@ -13,10 +13,6 @@ StatusOr<std::unique_ptr<RagPipeline>> RagPipeline::Create(
   vectordb::Collection::Options copts;
   copts.dimension = embedder->dimension();
   copts.metric = vectordb::DistanceMetric::kCosine;
-  // A session holds hundreds of chunks. Up to 1,500 dim-384 rows
-  // bench/hnsw_recall measures the exact scan faster than an HNSW graph,
-  // and the scan is exact and needs no build (DESIGN.md §15).
-  copts.index_kind = vectordb::IndexKind::kFlat;
   LLMMS_ASSIGN_OR_RETURN(auto collection,
                          db->GetOrCreateCollection(collection_name, copts));
   auto store = std::make_unique<DocumentStore>(std::move(collection), embedder,

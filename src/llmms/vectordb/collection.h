@@ -34,7 +34,11 @@ class Collection {
   struct Options {
     size_t dimension = 384;
     DistanceMetric metric = DistanceMetric::kCosine;
-    IndexKind index_kind = IndexKind::kHnsw;
+    // The exact scan. A session holds hundreds of chunks, and up to 1,500
+    // dim-384 rows bench/hnsw_recall measures it faster than an HNSW graph;
+    // it is exact and needs no build (DESIGN.md §15). Ask for kHnsw for a
+    // graph.
+    IndexKind index_kind = IndexKind::kFlat;
     // HNSW tuning (ignored for flat collections).
     size_t hnsw_m = 16;
     size_t hnsw_ef_construction = 200;

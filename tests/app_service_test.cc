@@ -220,6 +220,8 @@ TEST_F(ApiServiceTest, UnknownEndpointIsNotFound) {
 // The adaptive hedging block surfaces the engine feed's estimator
 // configuration (DESIGN.md §16): `window_size` / `reward_half_life` tell an
 // operator which estimator the favours driving the percentiles come from.
+// The engine's feed keeps RewardFeedConfig's defaults: the lifetime mean,
+// with neither a window nor a decay.
 TEST(ApiServiceAdaptiveHealthTest, HealthReportsRewardEstimatorConfig) {
   auto world = testutil::MakeWorld(1);
   auto profile = llm::DefaultProfiles()[0];
@@ -240,10 +242,6 @@ TEST(ApiServiceAdaptiveHealthTest, HealthReportsRewardEstimatorConfig) {
   auto db = std::make_shared<vectordb::VectorDatabase>();
   auto sessions = std::make_shared<session::SessionStore>();
   core::SearchEngine engine(world.runtime.get(), world.embedder, db, sessions);
-  core::RewardFeedConfig feed_config;
-  feed_config.warmup = 4;
-  feed_config.window = 32;
-  engine.ConfigureRewardFeed(feed_config);
   ApiService service(&engine);
 
   auto health = service.Handle("/api/health", Json::MakeObject());
@@ -256,7 +254,9 @@ TEST(ApiServiceAdaptiveHealthTest, HealthReportsRewardEstimatorConfig) {
   const Json& hedging = (*entry)["hedging"];
   ASSERT_TRUE(hedging.is_object());
   EXPECT_TRUE(hedging["adaptive"].AsBool());
-  EXPECT_EQ(hedging["window_size"].AsInt(), 32);
+  ASSERT_TRUE(hedging.Contains("window_size"));
+  ASSERT_TRUE(hedging.Contains("reward_half_life"));
+  EXPECT_EQ(hedging["window_size"].AsInt(), 0);
   EXPECT_DOUBLE_EQ(hedging["reward_half_life"].AsDouble(), 0.0);
 }
 

@@ -32,13 +32,14 @@ TEST(ResourceExhaustionTest, TinyGpuFallsBackThenExhausts) {
   cpu.memory_mb = 10000;  // fits two ~4.5GB models, not three
   auto hw = std::make_shared<hardware::HardwareManager>(
       std::vector<hardware::DeviceSpec>{tiny_gpu, cpu});
+  {
+    llm::ModelRuntime runtime(registry, hw, 2);
+    ASSERT_TRUE(runtime.LoadModel("mistral:7b").ok());
+    ASSERT_TRUE(runtime.LoadModel("qwen2:7b").ok());
+    EXPECT_TRUE(runtime.LoadModel("llama3:8b").IsResourceExhausted());
+  }
+  // Destroying the runtime frees its capacity again.
   llm::ModelRuntime runtime(registry, hw, 2);
-
-  ASSERT_TRUE(runtime.LoadModel("mistral:7b").ok());
-  ASSERT_TRUE(runtime.LoadModel("qwen2:7b").ok());
-  EXPECT_TRUE(runtime.LoadModel("llama3:8b").IsResourceExhausted());
-  // Unloading frees capacity again.
-  ASSERT_TRUE(runtime.UnloadModel("qwen2:7b").ok());
   EXPECT_TRUE(runtime.LoadModel("llama3:8b").ok());
 }
 
@@ -73,12 +74,14 @@ TEST(DegenerateInputTest, OrchestratorRejectsEmptyPrompt) {
 
 TEST(MisuseTest, GenerationWithUnloadedModelFailsAtomically) {
   auto world = testutil::MakeWorld(2);
-  ASSERT_TRUE(world.runtime->UnloadModel("qwen2:7b").ok());
+  // qwen2:7b is registered, but this runtime never loads it.
+  llm::ModelRuntime runtime(world.registry, world.hardware, 2);
+  ASSERT_TRUE(runtime.LoadModel("llama3:8b").ok());
   llm::GenerationRequest request;
   request.prompt = world.dataset[0].question;
   // One of the requested models is missing: the whole start must fail.
-  auto generation = world.runtime->StartGeneration(
-      {"llama3:8b", "qwen2:7b"}, request);
+  auto generation =
+      runtime.StartGeneration({"llama3:8b", "qwen2:7b"}, request);
   EXPECT_TRUE(generation.status().IsFailedPrecondition());
 }
 

@@ -22,6 +22,7 @@
 #include "llmms/app/sse.h"
 #include "llmms/core/oua.h"
 #include "llmms/llm/fault_injection.h"
+#include "llmms/llm/hedged_model.h"
 #include "canned_peer.h"
 #include "golden_file.h"
 #include "testutil.h"
@@ -674,7 +675,7 @@ TEST_F(FederationTest, HedgeRaceAdoptsFederatedReplica) {
   EXPECT_GT(latency[1].samples, 0u);  // the backup actually raced
 }
 
-TEST_F(FederationTest, ConnectHedgedFailsOverMidStreamToOneShotPeer) {
+TEST_F(FederationTest, HedgedPeersFailOverMidStreamToOneShotPeer) {
   // The primary peer dies mid-stream; the backup peer is a pre-streaming
   // node (one-shot /api/generate only). The hedged adapter fails over
   // across the protocol difference and still delivers the full answer —
@@ -698,18 +699,21 @@ TEST_F(FederationTest, ConnectHedgedFailsOverMidStreamToOneShotPeer) {
   ASSERT_TRUE(peer_c->world.registry->Register(clean).ok());
   ASSERT_TRUE(peer_c->world.runtime->LoadModel("fragile:7b").ok());
 
+  auto primary = RemoteModel::Connect("127.0.0.1", remote_server_->port(),
+                                      "fragile:7b", "fed-fragile");
+  ASSERT_TRUE(primary.ok()) << primary.status().ToString();
+  auto backup = RemoteModel::Connect("127.0.0.1", peer_c->server->port(),
+                                     "fragile:7b");
+  ASSERT_TRUE(backup.ok()) << backup.status().ToString();
   llm::HedgeConfig hedge;
   hedge.min_samples = 1000;  // latency hedging off: pure failover
-  auto hedged = RemoteModel::ConnectHedged(
-      {"127.0.0.1", remote_server_->port()},
-      {{"127.0.0.1", peer_c->server->port()}}, "fragile:7b", "fed-fragile",
+  auto hedged = std::make_shared<llm::HedgedModel>(
+      *primary, std::vector<std::shared_ptr<llm::LanguageModel>>{*backup},
       hedge);
-  ASSERT_TRUE(hedged.ok()) << hedged.status().ToString();
-  EXPECT_TRUE((*hedged)->backups().size() == 1u);
 
   llm::GenerationRequest request;
   request.prompt = remote_world_.dataset[2].question;
-  auto stream = (*hedged)->StartGeneration(request);
+  auto stream = hedged->StartGeneration(request);
   ASSERT_TRUE(stream.ok());
   bool saw_failover = false;
   for (size_t i = 0; i < 300 && !(*stream)->finished(); ++i) {
@@ -720,23 +724,13 @@ TEST_F(FederationTest, ConnectHedgedFailsOverMidStreamToOneShotPeer) {
   }
   ASSERT_TRUE((*stream)->finished());
   EXPECT_TRUE(saw_failover);
-  EXPECT_EQ((*hedged)->stats().failovers, 1u);
-  EXPECT_EQ((*hedged)->stats().hedges_launched, 0u);
+  EXPECT_EQ(hedged->stats().failovers, 1u);
+  EXPECT_EQ(hedged->stats().hedges_launched, 0u);
 
   // The full answer, not just the prefix the primary survived for.
   auto direct = peer_c->world.runtime->Generate("fragile:7b", request);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ((*stream)->text(), direct->text);
-}
-
-TEST_F(FederationTest, ConnectHedgedRequiresABackupAndReachablePeers) {
-  auto no_backups = RemoteModel::ConnectHedged(
-      {"127.0.0.1", remote_server_->port()}, {}, "mistral:7b");
-  EXPECT_FALSE(no_backups.ok());
-  auto dead_backup = RemoteModel::ConnectHedged(
-      {"127.0.0.1", remote_server_->port()}, {{"127.0.0.1", 1}},
-      "mistral:7b");
-  EXPECT_FALSE(dead_backup.ok());
 }
 
 TEST_F(FederationTest, RemoteModelJoinsLocalOrchestration) {

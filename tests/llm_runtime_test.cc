@@ -250,29 +250,32 @@ TEST(ModelRuntimeTest, LoadTwiceIsNoop) {
   }
 }
 
-TEST(ModelRuntimeTest, UnloadFreesMemory) {
+TEST(ModelRuntimeTest, DestroyingTheRuntimeFreesMemory) {
   auto world = testutil::MakeWorld();
-  uint64_t used_before = 0;
-  for (const auto& t : world.hardware->Snapshot()) {
-    used_before += t.memory_used_mb;
-  }
-  ASSERT_TRUE(world.runtime->UnloadModel("llama3:8b").ok());
-  uint64_t used_after = 0;
-  for (const auto& t : world.hardware->Snapshot()) {
-    used_after += t.memory_used_mb;
-  }
-  EXPECT_LT(used_after, used_before);
-  EXPECT_TRUE(world.runtime->UnloadModel("llama3:8b").IsNotFound());
+  const auto used = [&] {
+    uint64_t total = 0;
+    for (const auto& t : world.hardware->Snapshot()) {
+      total += t.memory_used_mb;
+    }
+    return total;
+  };
+  const uint64_t used_before = used();
+  EXPECT_GT(used_before, 0u);
+  // Loaded models stay loaded for the runtime's life; their placements
+  // release the reservations when it is destroyed.
+  world.runtime.reset();
+  EXPECT_EQ(used(), 0u);
 }
 
 TEST(ModelRuntimeTest, GenerateUnloadedModelFails) {
   auto world = testutil::MakeWorld();
-  ASSERT_TRUE(world.runtime->UnloadModel("qwen2:7b").ok());
+  // qwen2:7b is registered, but this runtime never loads it.
+  ModelRuntime runtime(world.registry, world.hardware, 2);
   GenerationRequest request;
   request.prompt = world.dataset[0].question;
-  EXPECT_TRUE(world.runtime->Generate("qwen2:7b", request)
-                  .status()
-                  .IsFailedPrecondition());
+  EXPECT_FALSE(runtime.IsLoaded("qwen2:7b"));
+  EXPECT_TRUE(
+      runtime.Generate("qwen2:7b", request).status().IsFailedPrecondition());
 }
 
 TEST(ModelRuntimeTest, StartGenerationValidatesInput) {

@@ -170,7 +170,11 @@ TEST_F(HedgedRuntimePlacementTest, RuntimeChargesThePeakForHedgedGroups) {
   EXPECT_EQ(snapshot[0].model, "solo");
   EXPECT_EQ(snapshot[0].device, "gpu-0");
   EXPECT_EQ(snapshot[0].hedge_extra_mb, 0u);
-  ASSERT_TRUE(runtime_->UnloadModel("solo").ok());
+  // Destroying the runtime releases its placements.
+  runtime_.reset();
+  EXPECT_EQ(hardware_->device(0)->FreeMemoryMb(), 10u * 1024);
+  runtime_ = std::make_unique<llm::ModelRuntime>(registry_, hardware_,
+                                                 /*num_threads=*/2);
 
   // The hedged group has the same steady-state footprint, but its race
   // peak (6 + 5 GB) exceeds the GPU: the runtime re-packs it to the CPU.
@@ -186,8 +190,8 @@ TEST_F(HedgedRuntimePlacementTest, RuntimeChargesThePeakForHedgedGroups) {
   EXPECT_EQ(cpu->FreeMemoryMb(), cpu_free - 11 * 1024);
   EXPECT_EQ(hardware_->device(0)->FreeMemoryMb(), 10u * 1024);
 
-  // Unloading releases the full peak reservation.
-  ASSERT_TRUE(runtime_->UnloadModel("dup").ok());
+  // Destroying the runtime releases the full peak reservation.
+  runtime_.reset();
   EXPECT_EQ(cpu->FreeMemoryMb(), cpu_free);
 }
 

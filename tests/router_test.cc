@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "llmms/common/json.h"
 #include "llmms/core/feedback.h"
 #include "testutil.h"
 
@@ -76,16 +77,23 @@ TEST_F(RouterTest, FeedbackRankingOrdersByMeanReward) {
   EXPECT_EQ(ranked[3], "d");  // never observed -> last
 }
 
-TEST_F(RouterTest, FeedbackJsonRoundTrip) {
+TEST_F(RouterTest, FeedbackToJsonListsEveryRecord) {
   feedback_.Record("m1", "math", 0.8, true);
   feedback_.Record("m2", "logic", 0.4, false);
-  const std::string json = feedback_.ToJson();
-  auto loaded = FeedbackStore::FromJson(json);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_DOUBLE_EQ((*loaded)->GetStats("m1", "math").MeanReward(), 0.8);
-  EXPECT_EQ((*loaded)->GetStats("m2", "logic").count, 1u);
-  EXPECT_FALSE(FeedbackStore::FromJson("not json").ok());
-  EXPECT_FALSE(FeedbackStore::FromJson("{\"version\": 99}").ok());
+  auto json = Json::Parse(feedback_.ToJson());
+  ASSERT_TRUE(json.ok());
+  EXPECT_EQ((*json)["version"].AsInt(), 1);
+  const auto& entries = (*json)["entries"].AsArray();
+  ASSERT_EQ(entries.size(), 2u);
+  // (model, domain) order.
+  EXPECT_EQ(entries[0]["model"].AsString(), "m1");
+  EXPECT_EQ(entries[0]["domain"].AsString(), "math");
+  EXPECT_DOUBLE_EQ(entries[0]["reward_sum"].AsDouble(), 0.8);
+  EXPECT_EQ(entries[0]["count"].AsInt(), 1);
+  EXPECT_EQ(entries[0]["wins"].AsInt(), 1);
+  EXPECT_EQ(entries[1]["model"].AsString(), "m2");
+  EXPECT_EQ(entries[1]["domain"].AsString(), "logic");
+  EXPECT_EQ(entries[1]["wins"].AsInt(), 0);
 }
 
 TEST_F(RouterTest, EloRatingsRewardWinners) {
