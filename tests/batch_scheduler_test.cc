@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <limits>
@@ -313,9 +312,6 @@ TEST(BatchSchedulerTest, LockstepChunkCountsAtWeightsOneTwoFour) {
     std::vector<size_t> chunks;
     for (const auto& script : scripts) chunks.push_back(script.chunks_served);
     EXPECT_EQ(chunks, c.chunks);
-    if (c.replicas == 1) {
-      EXPECT_LE(chunks[2], 70u) << "a yielding stream won its slot back";
-    }
   }
 }
 
