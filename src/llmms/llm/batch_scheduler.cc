@@ -180,8 +180,8 @@ void BatchScheduler::GrantSlotLocked(ModelState* state, size_t slot,
   stream->granted = true;
   stream->running = true;
   ++dispatches_;
-  // Round epochs: a stream granted twice within one epoch
-  // means every other runnable stream had its turn — a new round begins.
+  // Round epochs: a stream granted twice within one epoch means every
+  // other runnable stream had its turn — a new round begins.
   if (std::find(epoch_grants_.begin(), epoch_grants_.end(), stream->id) !=
       epoch_grants_.end()) {
     ++rounds_;
